@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import SearchExhausted
-from .intlinalg import FinGenAbGroup
-from .numberfield import NFElement, _solve_rectangular
+from .intlinalg import FinGenAbGroup, solve_rational
+from .numberfield import NFElement
 from .relative import (
     NormMapsData,
     OrientedClassGroup,
@@ -136,7 +136,7 @@ def representative_matrix(element: OrientedElement, setup: RelativeSetup,
     mat = [[cols[c][r] for c in range(2 * n)] for r in range(2 * n)]
 
     def decompose(x):
-        sol = _solve_rectangular(mat, list(x.coords))
+        sol = solve_rational(mat, x.coords)
         if sol is None:
             raise SearchExhausted("basis does not span the ideal over K")
         lo = sum((K.basis_element(j) * sol[j] for j in range(n)), K.zero())

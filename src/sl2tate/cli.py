@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .applications import (
     colimit_case,
@@ -29,12 +30,14 @@ from .cohomology import (
     total_dimensions,
 )
 from .errors import (
+    InvalidInput,
     NeedsBackendData,
     RegularityViolated,
     SchemaViolation,
     SearchExhausted,
 )
 from .numberfield import make_field, quadratic_field
+from .polytools import squarefree_decompose
 from .relative import (
     build_setup,
     galois_involution,
@@ -57,35 +60,49 @@ EXIT_REGULARITY = 2
 EXIT_BACKEND = 3
 EXIT_SEARCH = 4
 EXIT_SCHEMA = 5
+EXIT_INPUT = 6
 
 
 def _coords(el) -> list:
     return [str(c) for c in el.coords]
 
 
+def _read_json(path):
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as exc:
+            raise InvalidInput(f"{path}: {exc}") from None
+
+
 def _load_fixtures(paths):
     store = BackendStore()
-    docs = []
     for path in paths or ():
-        with open(path) as f:
-            doc = json.load(f)
-        ingest_backend(store, doc)
-        docs.append(doc)
-    return store, docs
+        ingest_backend(store, _read_json(path))
+    return store
 
 
-def _parse_int_list(text):
-    text = text.strip()
-    if not text:
-        return []
-    return [int(x) for x in text.split(",")]
+# option value parsers: argparse turns their ValueError/TypeError into a
+# usage error, which main() reports as invalid input
 
 
-def _parse_degrees(text):
-    lo, hi = text.split(":")
-    lo, hi = int(lo), int(hi)
-    assert lo <= hi
+def int_list(text):
+    return [int(x) for x in text.split(",")] if text.strip() else []
+
+
+def fraction_list(text):
+    return [Fraction(x) for x in text.split(",")]
+
+
+def degree_window(text):
+    lo, hi = (int(x) for x in text.split(":"))
+    if lo > hi:
+        raise ValueError("empty window")
     return lo, hi
+
+
+def basis_rows(text):
+    return [[Fraction(x) for x in row] for row in json.loads(text)]
 
 
 def _emit(report, args) -> None:
@@ -102,11 +119,10 @@ def _emit(report, args) -> None:
 
 
 def cmd_analyze(args) -> int:
-    store, _ = _load_fixtures(args.fixtures)
-    field = make_field(_parse_int_list(args.field),
-                       basis=json.loads(args.basis) if args.basis else None)
-    places = PlaceSet.make(field, _parse_int_list(args.places or ""))
-    lo, hi = _parse_degrees(args.degrees)
+    store = _load_fixtures(args.fixtures)
+    field = make_field(args.field, basis=args.basis)
+    places = PlaceSet.make(field, args.places)
+    lo, hi = args.degrees
     setup = build_setup(field, places, args.ell)
     report = {
         "schema": REPORT_SCHEMA,
@@ -184,27 +200,24 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_restrict(args) -> int:
-    store, docs = _load_fixtures(args.fixtures)
+    store = _load_fixtures(args.fixtures)
     if args.scenario:
-        with open(args.scenario) as f:
-            scenario = json.load(f)
+        scenario = _read_json(args.scenario)
         if scenario.get("kind") != "restriction-scenario":
             raise SchemaViolation("scenario file must have kind "
                                   "restriction-scenario")
         rep = restriction_scenario(scenario, store=store)
         ell = scenario["source"]["ell"]
     else:
-        field_k = make_field(_parse_int_list(args.field))
-        places_k = PlaceSet.make(field_k, _parse_int_list(args.places or ""))
-        setup_k = build_setup(field_k, places_k, args.ell)
-        field_l = make_field(_parse_int_list(args.target_field))
-        places_l = PlaceSet.make(field_l,
-                                 _parse_int_list(args.target_places or ""))
-        from fractions import Fraction
-
-        coords = ([Fraction(x) for x in args.embedding.split(",")]
-                  if args.embedding else [Fraction(0)] * field_l.degree)
-        image = field_l.element(coords)
+        if None in (args.field, args.ell, args.target_field):
+            raise InvalidInput("restrict needs --scenario, or --field, --ell "
+                               "and --target-field")
+        field_k = make_field(args.field)
+        setup_k = build_setup(field_k, PlaceSet.make(field_k, args.places),
+                              args.ell)
+        field_l = make_field(args.target_field)
+        places_l = PlaceSet.make(field_l, args.target_places)
+        image = field_l.element(args.embedding or [0] * field_l.degree)
         rep = restriction_map(setup_k, field_l, places_l, image, store=store)
         ell = args.ell
     report = {
@@ -268,7 +281,7 @@ def cmd_oracle_check(args) -> int:
     # forms oracle sweep: built-in class groups vs reduced-forms counts
     seen = set()
     for m in range(-1, -args.forms_bound - 1, -1):
-        k = quadratic_field(m) if _squarefree(m) else None
+        k = quadratic_field(m) if squarefree_decompose(m)[1] == 1 else None
         if k is None or k.discriminant in seen:
             continue
         if abs(k.discriminant) > args.forms_bound:
@@ -285,47 +298,50 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK if ok else 1
 
 
-def _squarefree(m: int) -> bool:
-    import sympy
-
-    return all(e == 1 for e in sympy.factorint(abs(m)).values())
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become InvalidInput rather than argparse's exit code 2,
+    which is EXIT_REGULARITY here."""
+
+    def error(self, message):
+        raise InvalidInput(message)
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="sl2tate",
         description="Farrell-Tate cohomology of SL_2 over S-integers with "
                     "F_ell coefficients")
     sub = p.add_subparsers(dest="command", required=True)
 
     a = sub.add_parser("analyze", help="full pipeline report for one setup")
-    a.add_argument("--field", required=True,
+    a.add_argument("--field", type=int_list, required=True,
                    help="minimal polynomial, comma-separated, constant first")
-    a.add_argument("--basis", help="integral basis rows as JSON, optional")
-    a.add_argument("--places", help="rational primes to invert, comma-separated")
+    a.add_argument("--basis", type=basis_rows,
+                   help="integral basis rows as JSON, optional")
+    a.add_argument("--places", type=int_list, default=[],
+                   help="rational primes to invert, comma-separated")
     a.add_argument("--ell", type=int, required=True)
     a.add_argument("--fixtures", nargs="*", help="fixture JSON paths")
-    a.add_argument("--degrees", default="-8:8", help="degree window lo:hi")
+    a.add_argument("--degrees", type=degree_window, default="-8:8",
+                   help="degree window lo:hi")
     a.add_argument("--out", help="output path (default stdout)")
-    a.add_argument("--format", choices=["json"], default="json")
     a.set_defaults(func=cmd_analyze)
 
     r = sub.add_parser("restrict", help="restriction along a field extension")
     r.add_argument("--scenario", help="restriction-scenario fixture path")
-    r.add_argument("--field", help="source minimal polynomial")
-    r.add_argument("--places")
+    r.add_argument("--field", type=int_list, help="source minimal polynomial")
+    r.add_argument("--places", type=int_list, default=[])
     r.add_argument("--ell", type=int)
-    r.add_argument("--target-field")
-    r.add_argument("--target-places")
-    r.add_argument("--embedding",
+    r.add_argument("--target-field", type=int_list)
+    r.add_argument("--target-places", type=int_list, default=[])
+    r.add_argument("--embedding", type=fraction_list,
                    help="image of the source generator, comma-separated coords")
     r.add_argument("--fixtures", nargs="*")
     r.add_argument("--out")
-    r.add_argument("--format", choices=["json"], default="json")
     r.set_defaults(func=cmd_restrict)
 
     o = sub.add_parser("oracle-check", help="run the oracle equivalence suites")
@@ -334,15 +350,17 @@ def _build_parser():
     o.add_argument("--inject-fault", action="store_true",
                    help="perturb one grid value to exercise failure reporting")
     o.add_argument("--out")
-    o.add_argument("--format", choices=["json"], default="json")
     o.set_defaults(func=cmd_oracle_check)
     return p
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except (InvalidInput, OSError) as exc:
+        sys.stderr.write(f"invalid input: {exc}\n")
+        return EXIT_INPUT
     except RegularityViolated as exc:
         sys.stderr.write(f"regularity violated: {exc} "
                          f"(witness: {exc.witness})\n")

@@ -15,6 +15,8 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
+from .intlinalg import rref_mod
+
 
 @dataclass(frozen=True)
 class GradedRingDescriptor:
@@ -83,26 +85,6 @@ def total_dimensions(classes, ell: int) -> DimensionFunction:
 # oracles: chain-level and enumerative, independent of the closed forms
 
 
-def _rank_mod(rows, ell: int) -> int:
-    """Rank of an integer matrix over F_ell by Gaussian elimination."""
-    m = [[x % ell for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for j in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][j]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][j], -1, ell)
-        m[rank] = [(x * inv) % ell for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][j]:
-                f = m[i][j]
-                m[i] = [(x - f * y) % ell for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
 def _cyclic_cochain_map(n: int, a: int) -> int:
     """Scalar of the cochain differential C^a -> C^(a+1) for Z/n with
     trivial F_ell coefficients: the complete resolution alternates
@@ -114,8 +96,8 @@ def _cyclic_cochain_map(n: int, a: int) -> int:
 def oracle_cyclic(n: int, ell: int, d: int) -> int:
     """dim Tate cohomology of Z/n in degree d with F_ell coefficients,
     from the 2-periodic complete resolution."""
-    d_out = _rank_mod([[_cyclic_cochain_map(n, d)]], ell)
-    d_in = _rank_mod([[_cyclic_cochain_map(n, d - 1)]], ell)
+    d_out = len(rref_mod([[_cyclic_cochain_map(n, d)]], ell)[1])
+    d_in = len(rref_mod([[_cyclic_cochain_map(n, d - 1)]], ell)[1])
     return 1 - d_out - d_in
 
 
@@ -149,8 +131,8 @@ def oracle_product(n: int, r: int, ell: int, d: int) -> int:
         return [[col[i] for col in cols] for i in range(nrows)] or [[]]
 
     total = sum(size for _, size in module(d))
-    return total - _rank_mod(differential(d), ell) \
-        - _rank_mod(differential(d - 1), ell)
+    return total - len(rref_mod(differential(d), ell)[1]) \
+        - len(rref_mod(differential(d - 1), ell)[1])
 
 
 def oracle_dihedral_invariants(r: int, ell: int, d: int) -> int:

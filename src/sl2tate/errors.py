@@ -1,7 +1,8 @@
 """Shared exception types.
 
 Every failure mode that a caller can reasonably branch on gets its own
-class; anything else is a plain ValueError.
+class; anything else is a plain ValueError.  `verify` is the check used in
+place of `assert`, so that verification survives `python -O`.
 """
 
 
@@ -9,21 +10,21 @@ class Sl2TateError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ReduciblePolynomial(Sl2TateError):
+class InvalidInput(Sl2TateError, ValueError):
+    """A user-supplied value (polynomial, basis, prime, ell, degree window)
+    is malformed or out of range."""
+
+
+class ReduciblePolynomial(InvalidInput):
     pass
 
 
-class BasisNotClosed(Sl2TateError):
+class BasisNotClosed(InvalidInput):
     pass
 
 
-class IntegralBasisRequired(Sl2TateError):
+class IntegralBasisRequired(InvalidInput):
     """Degree >= 3 field outside the built-in families needs an explicit basis."""
-
-
-class IndexDivisor(Sl2TateError):
-    """Prime divides the index of every available monogenic generator; the
-    caller must supply a basis-adapted generator."""
 
 
 class NotInvertible(Sl2TateError):
@@ -48,7 +49,13 @@ class SchemaViolation(Sl2TateError):
 
 
 class ConsistencyFailure(Sl2TateError):
-    """An ingested fixture contradicts an exactly checkable invariant."""
+    """An exactly checkable invariant fails: an ingested fixture contradicts
+    it, or an internal verification does."""
+
+
+def verify(ok, message: str) -> None:
+    if not ok:
+        raise ConsistencyFailure(message)
 
 
 class RegularityViolated(Sl2TateError):

@@ -10,14 +10,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import sympy
 
 from . import polytools as pt
-from .errors import IndexDivisor, NotInvertible, SearchExhausted
-from .intlinalg import IntMatrix, hnf_canonical, kernel, solve_integer
-from .numberfield import NFElement, NumberField
+from .errors import NotInvertible, SearchExhausted, verify
+from .intlinalg import IntMatrix, hnf_canonical, kernel, rref_mod, solve_integer
+from .numberfield import NFElement, NumberField, _eval_poly_at
 
 
 class FractionalIdeal:
@@ -202,12 +202,8 @@ def _int_mult_matrix(field, w):
 
 def _integral_valuation(ideal: FractionalIdeal, prime: "PrimeIdeal") -> int:
     nrm = ideal.norm()
-    assert nrm.denominator == 1
-    bound = 0
-    n = int(nrm)
-    while n % prime.p == 0:
-        n //= prime.p
-        bound += 1
+    verify(nrm.denominator == 1, "an integral ideal has integral norm")
+    bound = _rational_valuation(int(nrm), prime.p)
     v = 0
     power = FractionalIdeal.unit(ideal.field)
     while v <= bound:
@@ -241,7 +237,7 @@ class PrimeIdeal:
 def factor_rational_prime(field: NumberField, p: int) -> list[PrimeIdeal]:
     """Kummer-Dedekind factorization of (p) using a generator whose index is
     prime to p.  Tries the power-basis root, the basis elements and pairwise
-    sums before giving up with IndexDivisor."""
+    sums, then falls back to splitting the algebra O/pO."""
     n = field.degree
     candidates = [field.gen()]
     candidates += [field.basis_element(i) for i in range(1, n)]
@@ -254,25 +250,27 @@ def factor_rational_prime(field: NumberField, p: int) -> list[PrimeIdeal]:
             continue
         disc_g = pt.discriminant(mp)
         index_sq = disc_g // disc_k
-        assert disc_g == index_sq * disc_k
-        idx = _exact_isqrt(index_sq)
+        idx = isqrt(abs(index_sq))
+        verify(disc_g == index_sq * disc_k and idx * idx == index_sq,
+               "disc(g) / disc(K) must be a square index")
         if idx % p == 0:
             continue
         out = []
         for fac, mult in pt.factor_mod_p(mp, p):
             lift = [c if c <= p // 2 else c - p for c in fac]
-            gen_el = _eval_int_poly(lift, g)
+            gen_el = _eval_poly_at(lift, g)
             ideal = FractionalIdeal.from_generators(field, [field.rational(p), gen_el])
             out.append(PrimeIdeal(p, ideal, e=mult, f=pt.degree(fac)))
-        assert sum(pr.e * pr.f for pr in out) == n
-        assert all(pr.ideal.norm() == p**pr.f for pr in out)
+        verify(sum(pr.e * pr.f for pr in out) == n, "sum of e*f must be the degree")
+        verify(all(pr.ideal.norm() == p**pr.f for pr in out), "N(P) must be p^f")
         if n <= 6:
             # sanity: the product of P^e recovers (p); skipped for large
             # degrees where the e-fold ideal product gets expensive
             prod = FractionalIdeal.unit(field)
             for pr in out:
                 prod = prod * pr.ideal ** pr.e
-            assert prod == FractionalIdeal.principal(field, field.rational(p))
+            verify(prod == FractionalIdeal.principal(field, field.rational(p)),
+                   "product of the P^e must be (p)")
         return sorted(out, key=lambda pr: (pr.f, pr.e, pr.ideal.num.entries))
     # p divides the index of every monogenic generator tried (it may be a
     # common index divisor, e.g. two residue-degree-2 primes above 2 while
@@ -281,31 +279,9 @@ def factor_rational_prime(field: NumberField, p: int) -> list[PrimeIdeal]:
     return _factor_by_algebra_splitting(field, p)
 
 
-def _mod_rref(rows, p):
-    """Reduced row echelon form mod p; returns (rows, pivot columns)."""
-    m = [[x % p for x in row] for row in rows]
-    piv = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for j in range(ncols):
-        k = next((i for i in range(r, len(m)) if m[i][j]), None)
-        if k is None:
-            continue
-        m[r], m[k] = m[k], m[r]
-        inv = pow(m[r][j], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][j]:
-                f = m[i][j]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        piv.append(j)
-        r += 1
-    return m[:r], piv
-
-
 def _mod_kernel(rows, p, ncols):
     """Basis of the right kernel mod p of a matrix given by rows."""
-    rref, piv = _mod_rref(rows, p) if rows else ([], [])
+    rref, piv = rref_mod(rows, p)
     free = [j for j in range(ncols) if j not in piv]
     out = []
     for j in free:
@@ -322,8 +298,8 @@ def _mod_solve_span(span, vec, p):
     n = len(vec)
     rows = [[span[c][r] for c in range(len(span))] + [vec[r]]
             for r in range(n)]
-    rref, piv = _mod_rref(rows, p)
-    assert len(span) not in piv, "vector must lie in the span"
+    rref, piv = rref_mod(rows, p)
+    verify(len(span) not in piv, "vector must lie in the span")
     sol = [0] * len(span)
     for r, j in enumerate(piv):
         sol[j] = rref[r][len(span)]
@@ -337,8 +313,8 @@ def _factor_by_algebra_splitting(field: NumberField, p: int) -> list[PrimeIdeal]
     above p."""
     n = field.degree
     one = field.from_basis_coords([Fraction(1)] + [Fraction(0)] * (n - 1))
-    assert (one - field.one()).is_zero(), \
-        "integral basis must start with 1 for the splitting fallback"
+    verify((one - field.one()).is_zero(),
+           "integral basis must start with 1 for the splitting fallback")
 
     def a_mul(v, w):
         x = field.from_basis_coords([Fraction(c) for c in v])
@@ -383,7 +359,7 @@ def _factor_by_algebra_splitting(field: NumberField, p: int) -> list[PrimeIdeal]
                    [(-rad[c][i]) % p for c in range(len(rad))]
                    for i in range(k)]
         fix = [v[:k] for v in _mod_kernel(stacked, p, k + len(rad))]
-        fix_dim = len(_mod_rref(fix, p)[1]) if fix else 0
+        fix_dim = len(rref_mod(fix, p)[1])
         if fix_dim - len(rad) <= 1:
             local.append((span, rad))
             continue
@@ -409,11 +385,12 @@ def _factor_by_algebra_splitting(field: NumberField, p: int) -> list[PrimeIdeal]
                 if eig:
                     pieces.append([lift(span, v) for v in eig])
             if len(pieces) >= 2:
-                assert sum(len(pc) for pc in pieces) == k
+                verify(sum(len(pc) for pc in pieces) == k,
+                       "eigenspaces must fill the component")
                 components.extend(pieces)
                 break
         else:
-            raise AssertionError("non-local component admits no splitting")
+            verify(False, "non-local component admits no splitting")
 
     out = []
     p_ideal = FractionalIdeal.principal(field, field.rational(p))
@@ -429,32 +406,17 @@ def _factor_by_algebra_splitting(field: NumberField, p: int) -> list[PrimeIdeal]
                     gens.append(field.from_basis_coords(
                         [Fraction(c) for c in v]))
         ideal = FractionalIdeal.from_generators(field, gens)
-        assert ideal.norm() == p**f
+        verify(ideal.norm() == p**f, "N(P) must be p^f")
         e = 1
         while (ideal ** (e + 1)).contains_ideal(p_ideal):
             e += 1
         out.append(PrimeIdeal(p, ideal, e=e, f=f))
-    assert sum(pr.e * pr.f for pr in out) == n
+    verify(sum(pr.e * pr.f for pr in out) == n, "sum of e*f must be the degree")
     prod = FractionalIdeal.unit(field)
     for pr in out:
         prod = prod * pr.ideal ** pr.e
-    assert prod == p_ideal
+    verify(prod == p_ideal, "product of the P^e must be (p)")
     return sorted(out, key=lambda pr: (pr.f, pr.e, pr.ideal.num.entries))
-
-
-def _exact_isqrt(m: int) -> int:
-    import math
-
-    r = math.isqrt(m)
-    assert r * r == m
-    return r
-
-
-def _eval_int_poly(coeffs, el: NFElement) -> NFElement:
-    acc = el.field.zero()
-    for c in reversed(coeffs):
-        acc = acc * el + el.field.rational(c)
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 generated abelian groups presented by relation matrices.
 
 All matrices are small and dense; entries are arbitrary-precision Python ints.
+The module also holds the package's exact elimination core: rref_rational
+over Q (solve_rational and inverse_rational are built on it; det_rational
+clears denominators and uses Bareiss) and rref_mod over F_p.
+
 Conventions:
   * hnf() is a row-style Hermite normal form: H = U*M with U unimodular,
     pivots positive, entries above each pivot reduced into [0, pivot).
@@ -12,9 +16,10 @@ Conventions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from math import gcd, lcm
+from typing import Iterator, Sequence
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -91,11 +96,6 @@ class IntMatrix:
         if len(v) != self.ncols:
             raise ValueError("shape mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
-
-    def stack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.ncols and self.entries and other.entries:
-            raise ValueError("shape mismatch")
-        return IntMatrix(self.entries + other.entries)
 
     def augment(self, other: "IntMatrix") -> "IntMatrix":
         if self.nrows != other.nrows:
@@ -379,8 +379,7 @@ class FiniteAbelianGroup:
         o = 1
         for x, d in zip(v, self.invariant_factors):
             if x:
-                o_i = d // _gcd(x, d)
-                o = o * o_i // _gcd(o, o_i)
+                o = lcm(o, d // gcd(x, d))
         return o
 
     def exponent(self) -> int:
@@ -390,21 +389,11 @@ class FiniteAbelianGroup:
         return all(d == 2 for d in self.invariant_factors)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 @dataclass(frozen=True)
 class FinGenAbGroup:
     """Finitely generated abelian group: Z^free_rank x (finite torsion part)."""
     free_rank: int
     torsion: FiniteAbelianGroup
-
-    @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
 
     @property
     def torsion_order(self) -> int:
@@ -458,13 +447,6 @@ def _unimodular_inverse(u: IntMatrix) -> IntMatrix:
     if rank_ != n or any(aug[i][i] != 1 for i in range(n)):
         raise ValueError("matrix is not unimodular")
     return IntMatrix.from_rows([row[n:] for row in aug])
-
-
-def lattice_quotient(sub: IntMatrix, sup: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors of L_sup / L_sub for row lattices with L_sub <= L_sup
-    of the same rank.  Raises if sub is not contained in sup."""
-    a = _express_in_basis(sub, sup)
-    return snf(a)
 
 
 def _express_in_basis(vecs: IntMatrix, basis: IntMatrix) -> IntMatrix:
@@ -546,51 +528,74 @@ def subgroup_quotient(factors: Sequence[int], vectors: Sequence[Sequence[int]]) 
     return cokernel(m)
 
 
-def subgroup_contains(factors: Sequence[int], vectors: Sequence[Sequence[int]], x) -> bool:
-    """Is x in the subgroup of prod Z/factors generated by `vectors`?"""
-    n = len(factors)
-    cols = [list(v) for v in vectors]
-    for i, d in enumerate(factors):
-        if d:
-            cols.append([d if j == i else 0 for j in range(n)])
-    if not cols:
-        return all(v == 0 for v in x)
-    m = IntMatrix.from_rows([[c[i] for c in cols] for i in range(n)])
-    return solve_integer(m, list(x)) is not None
+# ---------------------------------------------------------------------------
+# exact elimination over Q and over F_p
 
 
-def mat_inverse_fraction(M: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of a square matrix over Q by Gauss-Jordan elimination."""
-    n = len(M)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if j == i else 0) for j in range(n)]
-         for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+def _rref(a: list[list], inverse, reduce) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan elimination in place.  Columns are taken left to right and
+    each pivots on its first non-zero entry at or below the current row.
+    Returns the non-zero reduced rows and the pivot columns."""
+    pivots: list[int] = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
         if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        s = inverse(a[r][c])
+        a[r] = [reduce(x * s) for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [reduce(x - f * y) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a[:len(pivots)], pivots
 
 
-def solve_fraction(M: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction]:
-    """Solve M x = b over Q (M square invertible)."""
-    n = len(M)
-    a = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]
+def rref_rational(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q: (non-zero rows, pivot columns)."""
+    return _rref([[Fraction(x) for x in row] for row in rows],
+                 lambda x: 1 / x, lambda x: x)
+
+
+def rref_mod(rows, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over F_p: (non-zero rows, pivot columns)."""
+    return _rref([[x % p for x in row] for row in rows],
+                 lambda x: pow(x, -1, p), lambda x: x % p)
+
+
+def solve_rational(mat, rhs) -> list[Fraction] | None:
+    """One solution of mat x = rhs over Q, or None if there is none.  Free
+    variables are set to 0; the solution is checked against every row."""
+    ncols = len(mat[0]) if mat else 0
+    red, pivots = rref_rational([list(row) + [b] for row, b in zip(mat, rhs)])
+    if ncols in pivots:
+        return None
+    sol = [Fraction(0)] * ncols
+    for row, c in zip(red, pivots):
+        sol[c] = row[ncols]
+    if any(sum(Fraction(a) * x for a, x in zip(row, sol)) != b
+           for row, b in zip(mat, rhs)):
+        return None
+    return sol
+
+
+def inverse_rational(mat) -> list[list[Fraction]]:
+    """Inverse of a square matrix over Q; ValueError if it is singular."""
+    n = len(mat)
+    red, pivots = rref_rational([list(row) + [int(i == j) for j in range(n)]
+                                 for i, row in enumerate(mat)])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
+
+
+def det_rational(mat) -> Fraction:
+    """Determinant over Q: clear each row's denominators, then Bareiss."""
+    scale, rows = 1, []
+    for row in mat:
+        d = lcm(*(Fraction(x).denominator for x in row))
+        scale *= d
+        rows.append([int(Fraction(x) * d) for x in row])
+    return Fraction(IntMatrix.from_rows(rows).det(), scale)

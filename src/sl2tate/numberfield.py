@@ -15,8 +15,14 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import polytools as pt
-from .errors import BasisNotClosed, IntegralBasisRequired, ReduciblePolynomial
-from .intlinalg import IntMatrix, mat_inverse_fraction, solve_fraction
+from .errors import (
+    BasisNotClosed,
+    IntegralBasisRequired,
+    InvalidInput,
+    ReduciblePolynomial,
+    verify,
+)
+from .intlinalg import det_rational, inverse_rational, rref_rational, solve_rational
 
 
 class NumberField:
@@ -30,12 +36,13 @@ class NumberField:
         self.basis = tuple(tuple(Fraction(x) for x in row) for row in basis_rows)
         n = self.degree
         if len(self.basis) != n or any(len(r) != n for r in self.basis):
-            raise ValueError("basis must be a square matrix of size deg(f)")
+            raise InvalidInput("basis must be a square matrix of size deg(f)")
         # element = sum c_i * basis_i means power coords x = B^T c, so the
-        # coordinate map is x -> (B^T)^-1 x
-        self._basis_inv = mat_inverse_fraction(
-            [[self.basis[i][j] for i in range(n)] for j in range(n)]
-        )
+        # basis coordinates of theta^j are row j of B^-1
+        try:
+            self._basis_inv = inverse_rational(self.basis)
+        except ValueError:
+            raise InvalidInput("basis rows are linearly dependent") from None
         self._build_mult_table()
         self._disc = None
         self._signature = None
@@ -68,8 +75,13 @@ class NumberField:
         return self._reduce_poly(out)
 
     def _to_basis(self, power_coords) -> list[Fraction]:
-        return [sum(self._basis_inv[i][j] * power_coords[j] for j in range(self.degree))
-                for i in range(self.degree)]
+        out = [Fraction(0)] * self.degree
+        for x, row in zip(power_coords, self._basis_inv):
+            if x:
+                for i, y in enumerate(row):
+                    if y:
+                        out[i] += x * y
+        return out
 
     def _from_basis(self, basis_coords) -> list[Fraction]:
         return [sum(Fraction(basis_coords[i]) * self.basis[i][j] for i in range(self.degree))
@@ -134,8 +146,8 @@ class NumberField:
             tr = [[self.basis_element(i) * self.basis_element(j) for j in range(n)]
                   for i in range(n)]
             mat = [[x.trace() for x in row] for row in tr]
-            d = _fraction_det(mat)
-            assert d.denominator == 1 and d != 0
+            d = det_rational(mat)
+            verify(d.denominator == 1 and d != 0, "the discriminant is a non-zero integer")
             self._disc = int(d)
         return self._disc
 
@@ -145,14 +157,6 @@ class NumberField:
             r1 = pt.sturm_real_roots(list(self.min_poly))
             self._signature = (r1, (self.degree - r1) // 2)
         return self._signature
-
-    @property
-    def is_rational(self) -> bool:
-        return self.degree == 1
-
-    def unit_rank(self, n_finite_places: int = 0) -> int:
-        r1, r2 = self.signature
-        return r1 + r2 + n_finite_places - 1
 
     def norm_form(self):
         """The multivariate polynomial N(sum x_i b_i) as {exponent: coeff}.
@@ -187,26 +191,6 @@ class NumberField:
 
     def __hash__(self):
         return hash((self.min_poly, self.basis))
-
-
-def _fraction_det(m) -> Fraction:
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col]:
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return det
 
 
 def _poly_matrix_det(entry, n):
@@ -321,7 +305,7 @@ class NFElement:
         return [[cols[j][i] for j in range(n)] for i in range(n)]
 
     def norm(self) -> Fraction:
-        return _fraction_det(self.mult_matrix())
+        return det_rational(self.mult_matrix())
 
     def trace(self) -> Fraction:
         m = self.mult_matrix()
@@ -332,8 +316,7 @@ class NFElement:
             raise ZeroDivisionError
         n = self.field.degree
         rhs = [Fraction(1)] + [Fraction(0)] * (n - 1)
-        sol = solve_fraction(self.mult_matrix(), rhs)
-        return NFElement(self.field, tuple(sol))
+        return NFElement(self.field, tuple(solve_rational(self.mult_matrix(), rhs)))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -358,81 +341,21 @@ class NFElement:
     def min_poly_over_q(self) -> list[int]:
         """Minimal polynomial (content-free, monic over Q -> integer if the
         element is integral)."""
-        # characteristic polynomial of the multiplication matrix, then strip
-        # repeated factors by taking the minimal degree monic annihilator
+        # the powers 1, x, ..., x^n as columns: the first non-pivot column k
+        # is the first power that depends on the lower ones, and its reduced
+        # column holds the coefficients of that dependency
         n = self.field.degree
-        # build powers and find the first linear dependency
-        rows = []
-        cur = self.field.one()
-        for k in range(n + 1):
-            rows.append(list(cur.coords))
-            dep = _linear_dependency(rows)
-            if dep is not None:
-                # dep is the monic annihilator of degree k, constant-first
-                return [int(c) if c.denominator == 1 else c for c in dep]
-            cur = cur * self
-        raise AssertionError("no annihilator found")
+        powers = [self.field.one()]
+        for _ in range(n):
+            powers.append(powers[-1] * self)
+        red, pivots = rref_rational(zip(*(p.coords for p in powers)))
+        k = len(pivots)
+        verify(pivots == list(range(k)), "the independent powers must be 1, ..., x^(k-1)")
+        dep = [-row[k] for row in red] + [Fraction(1)]
+        return [int(c) if c.denominator == 1 else c for c in dep]
 
     def __repr__(self):
         return f"NFElement({list(self.coords)})"
-
-
-def _igcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _linear_dependency(rows):
-    """If the last row is a rational combination of the previous ones, return
-    the monic polynomial coefficients c0..c_{k-1}, 1; else None."""
-    k = len(rows) - 1
-    if k == 0:
-        return None
-    n = len(rows[0])
-    # solve sum_{i<k} x_i rows[i] = rows[k] in the least-squares-free exact way
-    # build an invertible square subsystem by picking independent columns
-    mat = [[Fraction(rows[i][j]) for i in range(k)] for j in range(n)]
-    rhs = [Fraction(rows[k][j]) for j in range(n)]
-    sol = _solve_rectangular(mat, rhs)
-    if sol is None:
-        return None
-    return [-c for c in sol] + [Fraction(1)]
-
-
-def _solve_rectangular(mat, rhs):
-    """Solve an overdetermined consistent system exactly; None if insoluble."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    a = [[Fraction(x) for x in mat[i]] + [Fraction(rhs[i])] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = a[i][ncols]
-    # consistency: remaining rows must be zero = zero
-    for i in range(r, nrows):
-        if a[i][ncols] != 0:
-            return None
-    # verify (cheap, and guards the pivot bookkeeping)
-    for i in range(nrows):
-        lhs = sum(Fraction(mat[i][j]) * sol[j] for j in range(ncols))
-        if lhs != rhs[i]:
-            return None
-    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +371,7 @@ def make_field(min_poly: Sequence[int], basis=None, label=None) -> NumberField:
     """
     p = [int(c) for c in min_poly]
     if not pt.is_monic_integer(p):
-        raise ValueError("min_poly must be monic with integer coefficients")
+        raise InvalidInput("min_poly must be monic with integer coefficients")
     if not pt.is_irreducible_z(p):
         raise ReduciblePolynomial(f"{p} is reducible over Q")
     n = len(p) - 1
@@ -541,10 +464,6 @@ def _eval_poly_at(coeffs, el: NFElement) -> NFElement:
     return acc
 
 
-def identity_embedding(field: NumberField) -> FieldEmbedding:
-    return FieldEmbedding(field, field, field.gen())
-
-
 def composite_field(k1: NumberField, k2: NumberField, label=None):
     """Compositum of two fields whose degrees multiply (f2 stays irreducible
     over k1), with integral basis the products of the two integral bases.
@@ -609,7 +528,7 @@ def composite_field(k1: NumberField, k2: NumberField, label=None):
             cur = tmul(cur, gamma)
         mat = [[powers[k][idx] for k in range(n)] for idx in range(n)]
         try:
-            inv = mat_inverse_fraction(mat)
+            inv = inverse_rational(mat)
         except ValueError:
             continue
         # min poly: gamma^n = sum_k m_k gamma^k

@@ -212,26 +212,3 @@ def fundamental_discriminant(d: int) -> tuple[int, int]:
         raise ValueError(f"{d} is not a discriminant")
     return 4 * s, t // 2
 
-
-def _isqrt(n: int) -> int:
-    import math
-
-    r = math.isqrt(n)
-    if r * r != n:
-        raise ValueError("not a perfect square")
-    return r
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Trial-division factorization; fine at the sizes this package meets."""
-    n = abs(n)
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out

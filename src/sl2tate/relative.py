@@ -15,9 +15,9 @@ from typing import Optional
 
 from .errors import (
     ConsistencyFailure,
+    InvalidInput,
     NeedsBackendData,
     RegularityViolated,
-    SearchExhausted,
     UnsupportedCase,
 )
 from .ideals import (
@@ -36,6 +36,7 @@ from .intlinalg import (
     presented_hom_kernel,
     snf,
     solve_integer,
+    solve_rational,
 )
 from .numberfield import (
     FieldEmbedding,
@@ -44,7 +45,6 @@ from .numberfield import (
     composite_field,
     cyclotomic_field,
     quadratic_field,
-    _solve_rectangular,
 )
 from .polytools import cos_minpoly, squarefree_decompose
 from .sinvariants import (
@@ -99,12 +99,10 @@ class RelativeSetup:
 
 
 def build_setup(field: NumberField, places: PlaceSet, ell: int) -> RelativeSetup:
-    if ell < 3 or ell % 2 == 0:
-        raise ValueError("ell must be an odd prime")
     import sympy
 
-    if not sympy.isprime(ell):
-        raise ValueError("ell must be an odd prime")
+    if ell < 3 or not sympy.isprime(ell):
+        raise InvalidInput(f"ell = {ell} is not an odd prime")
     t = find_root([field.rational(c) for c in cos_minpoly(ell)], field)
     if t is None:
         return RelativeSetup(field, places, ell, "NoTorsion", "None")
@@ -187,7 +185,7 @@ def _conjugation(L: NumberField, embed: FieldEmbedding, zeta: NFElement,
         base = embed.map(embed.source.basis_element(j))
         cols.append((base * zeta).coords)
     mat = [[cols[c][r] for c in range(2 * n)] for r in range(2 * n)]
-    sol = _solve_rectangular(mat, list(L.gen().coords))
+    sol = solve_rational(mat, L.gen().coords)
     assert sol is not None, "generator must decompose over the K-basis (1, zeta)"
     a = sum((embed.source.basis_element(j) * sol[j] for j in range(n)),
             embed.source.zero())
@@ -208,7 +206,7 @@ def pullback(embed: FieldEmbedding, el: NFElement) -> NFElement:
                                  for i in range(n)])).coords
             for j in range(n)]
     mat = [[cols[c][r] for c in range(n)] for r in range(L.degree)]
-    sol = _solve_rectangular(mat, list(el.coords))
+    sol = solve_rational(mat, el.coords)
     if sol is None:
         raise ValueError("element does not lie in the embedded subfield")
     return K.element(sol)

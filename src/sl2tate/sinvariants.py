@@ -23,6 +23,7 @@ import sympy
 
 from .errors import (
     ConsistencyFailure,
+    InvalidInput,
     NeedsBackendData,
     RelationSearchIncomplete,
     SchemaViolation,
@@ -68,7 +69,7 @@ class PlaceSet:
         primes = sorted(set(int(p) for p in rational_primes))
         for p in primes:
             if p < 2 or not sympy.isprime(p):
-                raise ValueError(f"{p} is not a prime")
+                raise InvalidInput(f"{p} is not a prime")
         ideals = []
         for p in primes:
             ideals.extend(factor_rational_prime(field, p))

@@ -1,7 +1,9 @@
 import json
 import os
 
-from sl2tate.cli import main
+import pytest
+
+from sl2tate.cli import EXIT_INPUT, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "sl2tate",
                         "fixtures")
@@ -99,3 +101,21 @@ def test_oracle_check_injected_fault(tmp_path):
         "oracle-check", "--forms-bound", "4", "--inject-fault"])
     assert code == 1
     assert not rep["all_pass"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--field=-1,0,1", "--ell", "3"],           # reducible
+    ["analyze", "--field", "0,1", "--ell", "4"],           # ell not prime
+    ["analyze", "--field", "0,1", "--ell", "3", "--places", "4"],
+    ["analyze", "--field=2,0,1", "--ell", "3", "--basis", "[[1, 0"],
+    ["analyze", "--field", "x", "--ell", "3"],
+    ["analyze", "--field", "0,1", "--ell", "3", "--degrees", "4:-4"],
+    ["analyze", "--field", "0,1"],                         # usage error
+    ["restrict", "--field", "0,1"],
+])
+def test_bad_input_exit_code(tmp_path, capsys, argv):
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+    assert not out.exists()

@@ -1,8 +1,8 @@
 """Golden reports: each case's JSON must stay byte-identical.
 
-The files under tests/golden/ were written by `sl2tate ... --out` before
-the exact-elimination core was folded into intlinalg; a refactor of the
-arithmetic is correct when every report still matches byte for byte.
+The files under tests/golden/ are reports written by `sl2tate ... --out`.
+A refactor of the arithmetic is correct when every report still matches
+byte for byte; regenerate a file only for an intended change of output.
 """
 import os
 import subprocess

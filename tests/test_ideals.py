@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from sl2tate import ideals
 from sl2tate.errors import SearchExhausted
 from sl2tate.ideals import (
     FractionalIdeal,
@@ -10,7 +11,12 @@ from sl2tate.ideals import (
     principal_generator,
     sqrt_in_field,
 )
-from sl2tate.numberfield import cyclotomic_field, make_field, quadratic_field
+from sl2tate.numberfield import (
+    composite_field,
+    cyclotomic_field,
+    make_field,
+    quadratic_field,
+)
 from sl2tate.polytools import cos_minpoly
 
 
@@ -64,6 +70,23 @@ def test_factor_uses_maximal_order_not_power_basis():
     k = quadratic_field(-7)
     primes = factor_rational_prime(k, 2)
     assert [(pr.e, pr.f) for pr in primes] == [(1, 1), (1, 1)]
+
+
+def test_factor_common_index_divisor_splits_the_algebra(monkeypatch):
+    # 2 splits in Q(sqrt(-7)) and is inert in Q(zeta_3): above 2 in the
+    # compositum lie two primes of residue degree 2, but F_2 has a single
+    # irreducible quadratic, so no generator works and O/2O is split directly
+    L, _, _ = composite_field(quadratic_field(-7), cyclotomic_field(3))
+    calls = []
+    split = ideals._factor_by_algebra_splitting
+    monkeypatch.setattr(ideals, "_factor_by_algebra_splitting",
+                        lambda field, p: calls.append(p) or split(field, p))
+    primes = factor_rational_prime(L, 2)
+    assert calls == [2]
+    assert [(pr.e, pr.f) for pr in primes] == [(1, 2), (1, 2)]
+    assert primes[0].ideal != primes[1].ideal
+    assert primes[0].ideal * primes[1].ideal == \
+        FractionalIdeal.principal(L, L.rational(2))
 
 
 def test_factor_23_in_cyclotomic_23():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,17 +9,20 @@ from sl2tate.intlinalg import (
     FiniteAbelianGroup,
     IntMatrix,
     cokernel,
+    det_rational,
     hnf,
     hnf_canonical,
     kernel,
-    lattice_quotient,
     presented_hom_cokernel,
     presented_hom_kernel,
+    inverse_rational,
     rank,
+    rref_mod,
+    rref_rational,
     snf,
     snf_with_transforms,
     solve_integer,
-    subgroup_contains,
+    solve_rational,
     subgroup_quotient,
     xgcd,
 )
@@ -224,19 +228,14 @@ def test_finite_abelian_group_basics():
         FiniteAbelianGroup((4, 6))  # not a divisibility chain
 
 
-def test_lattice_quotient():
-    sup = IntMatrix.from_rows([[1, 0], [0, 1]])
-    sub = IntMatrix.from_rows([[2, 0], [0, 4]])
-    assert lattice_quotient(sub, sup) == (2, 4)
-
-
 def test_subgroup_quotient_and_membership():
-    # Z/4 x Z/8 modulo <(2, 0)>
+    # Z/4 x Z/8 modulo <(2, 0)>: x lies in the subgroup iff it projects to 0
     ck = subgroup_quotient([4, 8], [[2, 0]])
     assert ck.group.torsion_order == 16
-    assert subgroup_contains([4, 8], [[2, 0]], (2, 0))
-    assert subgroup_contains([4, 8], [[2, 0]], (0, 8))
-    assert not subgroup_contains([4, 8], [[2, 0]], (1, 0))
+    zero = ck.project((0, 0))
+    assert ck.project((2, 0)) == zero
+    assert ck.project((0, 8)) == zero
+    assert ck.project((1, 0)) != zero
 
 
 def test_presented_hom_kernel_cokernel():
@@ -276,3 +275,81 @@ def test_solve_integer():
     m = IntMatrix.from_rows([[2, 0], [0, 3]])
     assert solve_integer(m, [4, 9]) == (2, 3)
     assert solve_integer(m, [1, 0]) is None
+
+
+# --- exact elimination over Q and F_p -----------------------------------------
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+def square(elements, max_size=5):
+    return st.integers(1, max_size).flatmap(lambda n: st.lists(
+        st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def matrices(elements):
+    return st.integers(1, 5).flatmap(lambda nc: st.lists(
+        st.lists(elements, min_size=nc, max_size=nc), min_size=1, max_size=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square(fractions))
+def test_inverse_rational_is_two_sided(m):
+    n = len(m)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    if det_rational(m) == 0:
+        with pytest.raises(ValueError):
+            inverse_rational(m)
+        return
+    inv = inverse_rational(m)
+    prod = [[sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+    assert prod == eye
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(fractions), st.data())
+def test_solve_rational_zero_residual(m, data):
+    # a right-hand side in the column span is solved with zero residual;
+    # one with a pivot in the augmented column is reported insoluble
+    ncols = len(m[0])
+    x = data.draw(st.lists(fractions, min_size=ncols, max_size=ncols))
+    rhs = [sum(a * b for a, b in zip(row, x)) for row in m]
+    sol = solve_rational(m, rhs)
+    assert [sum(a * b for a, b in zip(row, sol)) for row in m] == rhs
+    other = data.draw(st.lists(fractions, min_size=len(m), max_size=len(m)))
+    soluble = ncols not in rref_rational(
+        [row + [b] for row, b in zip(m, other)])[1]
+    assert (solve_rational(m, other) is not None) == soluble
+
+
+@settings(max_examples=60, deadline=None)
+@given(square(st.integers(-30, 30), max_size=6))
+def test_det_rational_matches_bareiss(m):
+    assert det_rational(m) == IntMatrix.from_rows(m).det()
+    # scaling a row by 1/3 scales the determinant by 1/3
+    scaled = [[Fraction(x, 3) for x in m[0]]] + m[1:]
+    assert det_rational(scaled) == Fraction(IntMatrix.from_rows(m).det(), 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(st.integers(-30, 30)), st.sampled_from([2, 3, 7]))
+def test_rref_mod_is_reduced_echelon(m, p):
+    red, pivots = rref_mod(m, p)
+    assert len(red) == len(pivots)
+    assert pivots == sorted(set(pivots))
+    for r, (row, c) in enumerate(zip(red, pivots)):
+        assert all(0 <= x < p for x in row)
+        assert all(x == 0 for x in row[:c]) and row[c] == 1
+        assert all(red[i][c] == 0 for i in range(len(red)) if i != r)
+    # the rows span the same space: each input row reduces to zero
+    for row in m:
+        assert len(rref_mod(red + [row], p)[1]) == len(pivots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(st.integers(-30, 30)))
+def test_rank_mod_large_prime_equals_rational_rank(m):
+    # every minor of a 5 x 5 matrix with entries in [-30, 30] is below
+    # 5! * 30^5 < 2^61 - 1, so no non-zero minor vanishes mod that prime
+    assert len(rref_mod(m, 2**61 - 1)[1]) == len(rref_rational(m)[1])
