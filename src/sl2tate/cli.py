@@ -30,6 +30,7 @@ from .cohomology import (
     total_dimensions,
 )
 from .errors import (
+    ConsistencyFailure,
     InvalidInput,
     NeedsBackendData,
     RegularityViolated,
@@ -61,6 +62,7 @@ EXIT_BACKEND = 3
 EXIT_SEARCH = 4
 EXIT_SCHEMA = 5
 EXIT_INPUT = 6
+EXIT_CONSISTENCY = 7
 
 
 def _coords(el) -> list:
@@ -374,6 +376,9 @@ def main(argv=None) -> int:
     except SchemaViolation as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return EXIT_SCHEMA
+    except ConsistencyFailure as exc:
+        sys.stderr.write(f"consistency check failed: {exc}\n")
+        return EXIT_CONSISTENCY
 
 
 if __name__ == "__main__":

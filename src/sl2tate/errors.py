@@ -68,5 +68,5 @@ class UnsupportedCase(Sl2TateError):
     pass
 
 
-class EmbeddingInvalid(Sl2TateError):
+class EmbeddingInvalid(InvalidInput):
     """Claimed field embedding does not satisfy the minimal polynomial."""

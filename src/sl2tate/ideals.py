@@ -16,7 +16,7 @@ import sympy
 
 from . import polytools as pt
 from .errors import NotInvertible, SearchExhausted, verify
-from .intlinalg import IntMatrix, hnf_canonical, kernel, rref_mod, solve_integer
+from .intlinalg import IntMatrix, hnf_canonical, hnf_solve, kernel, rref_mod
 from .numberfield import NFElement, NumberField, _eval_poly_at
 
 
@@ -88,14 +88,22 @@ class FractionalIdeal:
             d *= self.num[i, i]
         return Fraction(abs(d), self.den ** self.field.degree)
 
+    def contains_coords(self, coords) -> bool:
+        """Whether the element with these integral-basis coordinates (ints or
+        Fractions) lies in the ideal: den * coords back-substituted on num."""
+        scaled = []
+        for c in coords:
+            if self.den % c.denominator:
+                return False
+            scaled.append(c.numerator * (self.den // c.denominator))
+        return hnf_solve(self.num, scaled) is not None
+
     def contains(self, el: NFElement) -> bool:
-        coords = [Fraction(c) * self.den for c in el.basis_coords()]
-        if any(c.denominator != 1 for c in coords):
-            return False
-        return solve_integer(self.num.transpose(), [int(c) for c in coords]) is not None
+        return self.contains_coords(el.basis_coords())
 
     def contains_ideal(self, other: "FractionalIdeal") -> bool:
-        return all(self.contains(b) for b in other.basis_elements())
+        return all(self.contains_coords([Fraction(x, other.den) for x in row])
+                   for row in other.num.entries)
 
     def __eq__(self, other):
         return (isinstance(other, FractionalIdeal) and self.field == other.field
@@ -116,8 +124,8 @@ class FractionalIdeal:
         return FractionalIdeal._from_fraction_rows(self.field, rows)
 
     def __add__(self, other: "FractionalIdeal") -> "FractionalIdeal":
-        rows = [list(x.basis_coords()) for x in self.basis_elements()]
-        rows += [list(x.basis_coords()) for x in other.basis_elements()]
+        rows = [[Fraction(x, a.den) for x in row]
+                for a in (self, other) for row in a.num.entries]
         return FractionalIdeal._from_fraction_rows(self.field, rows)
 
     def __pow__(self, e: int) -> "FractionalIdeal":
@@ -142,14 +150,13 @@ class FractionalIdeal:
         n = field.degree
         # work with the integral generators w of other's numerator lattice;
         # the answer then gets rescaled by other.den at the end
-        int_gens = [field.from_basis_coords(row) for row in other.num.entries]
-        w0 = int_gens[0]
+        w0 = field.from_basis_coords(other.num.row(0))
         # any solution x' of x' * L_int <= self has basis coords with
         # denominator dividing m = self.den * |N(w0)|
         m = self.den * abs(int(w0.norm()))
         # write x' = z/m; condition per generator w:
         #   self.den * A_w z = m * (H^T c) for some integer vector c
-        blocks = [_int_mult_matrix(field, w) for w in int_gens]
+        blocks = [_int_mult_matrix(field, w) for w in other.num.entries]
         k = len(blocks)
         ht = self.num.transpose()
         rows = []
@@ -184,19 +191,16 @@ class FractionalIdeal:
         return v
 
 
-def _int_mult_matrix(field, w):
-    """Multiplication by the integral element w as an integer matrix on
-    integral-basis coordinates (column j = coords of w * b_j)."""
-    wc = w.basis_coords()
-    if any(c.denominator != 1 for c in wc):
-        raise ValueError("generator not integral")
+def _int_mult_matrix(field, wc):
+    """Multiplication by the integral element w with integral-basis
+    coordinates wc, as an integer matrix (column j = coords of w * b_j)."""
     n = field.degree
     mat = [[0] * n for _ in range(n)]
     for j in range(n):
         for k in range(n):
             if wc[k]:
                 for i in range(n):
-                    mat[i][j] += int(wc[k]) * field.mult_table[k][j][i]
+                    mat[i][j] += wc[k] * field.mult_table[k][j][i]
     return mat
 
 

@@ -9,7 +9,12 @@ clears denominators and uses Bareiss) and rref_mod over F_p.
 Conventions:
   * hnf() is a row-style Hermite normal form: H = U*M with U unimodular,
     pivots positive, entries above each pivot reduced into [0, pivot).
-  * snf() returns the invariant factors d1 | d2 | ... (1s kept, 0s dropped).
+    Membership and solving go through it: hnf_solve(H, v) back-substitutes
+    y with y*H = v (None if v is not in the row lattice); solve_integer runs
+    it on the HNF of M^T.
+  * snf() returns the invariant factors d1 | d2 | ... (1s kept, 0s dropped)
+    and builds no transform; snf_with_transforms() returns (diagonal, U)
+    with diagonal = U*M*V, V never built.
   * cokernel(M) treats the columns of M as relations among row-many
     generators, i.e. the group Z^rows / colspan(M).
 """
@@ -20,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Sequence
+
+from .errors import verify
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -129,32 +136,32 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
 
+def _row_sub(rows: list[list[int]], track, i: int, k: int, q: int) -> None:
+    """rows[i] -= q * rows[k], and the same on `track` unless it is None."""
+    ri, rk = rows[i], rows[k]
+    for j in range(len(ri)):
+        ri[j] -= q * rk[j]
+    if track is not None:
+        _row_sub(track, None, i, k, q)
+
+
+def _row_swap(rows: list[list[int]], track, i: int, k: int) -> None:
+    rows[i], rows[k] = rows[k], rows[i]
+    if track is not None:
+        track[i], track[k] = track[k], track[i]
+
+
+def _row_negate(rows: list[list[int]], track, i: int) -> None:
+    rows[i] = [-x for x in rows[i]]
+    if track is not None:
+        track[i] = [-x for x in track[i]]
+
+
 def _hnf_rows(rows: list[list[int]], track: list[list[int]] | None = None) -> int:
     """In-place row HNF; returns the rank.  `track` (same row count) gets the
     same row operations applied, so passing the identity yields U."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-
-    def rowop_sub(i, k, q):
-        # rows[i] -= q * rows[k]
-        ri, rk = rows[i], rows[k]
-        for j in range(ncols):
-            ri[j] -= q * rk[j]
-        if track is not None:
-            ti, tk = track[i], track[k]
-            for j in range(len(ti)):
-                ti[j] -= q * tk[j]
-
-    def swap(i, k):
-        rows[i], rows[k] = rows[k], rows[i]
-        if track is not None:
-            track[i], track[k] = track[k], track[i]
-
-    def negate(i):
-        rows[i] = [-x for x in rows[i]]
-        if track is not None:
-            track[i] = [-x for x in track[i]]
-
     pivot_row = 0
     for col in range(ncols):
         if pivot_row >= nrows:
@@ -166,12 +173,12 @@ def _hnf_rows(rows: list[list[int]], track: list[list[int]] | None = None) -> in
                 break
             imin = min(nz, key=lambda i: abs(rows[i][col]))
             if imin != pivot_row:
-                swap(pivot_row, imin)
+                _row_swap(rows, track, pivot_row, imin)
             done = True
             for i in range(pivot_row + 1, nrows):
                 if rows[i][col] != 0:
                     q = rows[i][col] // rows[pivot_row][col]
-                    rowop_sub(i, pivot_row, q)
+                    _row_sub(rows, track, i, pivot_row, q)
                     if rows[i][col] != 0:
                         done = False
             if done:
@@ -179,13 +186,13 @@ def _hnf_rows(rows: list[list[int]], track: list[list[int]] | None = None) -> in
         if rows[pivot_row][col] == 0:
             continue
         if rows[pivot_row][col] < 0:
-            negate(pivot_row)
+            _row_negate(rows, track, pivot_row)
         p = rows[pivot_row][col]
         # reduce the entries above the pivot into [0, p)
         for i in range(pivot_row):
             q = rows[i][col] // p
             if q:
-                rowop_sub(i, pivot_row, q)
+                _row_sub(rows, track, i, pivot_row, q)
         pivot_row += 1
     return pivot_row
 
@@ -193,7 +200,7 @@ def _hnf_rows(rows: list[list[int]], track: list[list[int]] | None = None) -> in
 def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form.  Returns (H, U) with H = U*M, U unimodular."""
     rows = [list(r) for r in M.entries]
-    track = [[1 if i == j else 0 for j in range(M.nrows)] for i in range(M.nrows)]
+    track = [list(r) for r in IntMatrix.identity(M.nrows).entries]
     _hnf_rows(rows, track)
     return IntMatrix.from_rows(rows), IntMatrix.from_rows(track)
 
@@ -201,44 +208,44 @@ def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 def hnf_canonical(M: IntMatrix) -> IntMatrix:
     """HNF with zero rows dropped: the canonical basis of the row lattice."""
     rows = [list(r) for r in M.entries]
-    rank = _hnf_rows(rows)
-    return IntMatrix.from_rows(rows[:rank])
+    return IntMatrix.from_rows(rows[:_hnf_rows(rows)])
 
 
 def rank(M: IntMatrix) -> int:
-    rows = [list(r) for r in M.entries]
-    return _hnf_rows(rows)
+    return _hnf_rows([list(r) for r in M.entries])
 
 
-def snf_with_transforms(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: returns (S, U, V) with S = U*M*V diagonal,
-    diagonal entries nonnegative with d1 | d2 | ..., U and V unimodular."""
-    nr, nc = M.nrows, M.ncols
-    a = [list(r) for r in M.entries]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+def hnf_solve(H: IntMatrix, v: Sequence[int]) -> tuple[int, ...] | None:
+    """y with y*H = v for a row HNF H, or None if v is not in the row lattice
+    of H.  Back-substitution: each pivot fixes one y_i (zero rows get 0), and
+    v is in the lattice exactly when nothing of it is left over."""
+    rest = list(v)
+    y = []
+    for row in H.entries:
+        p = next((j for j, x in enumerate(row) if x), None)
+        q = 0 if p is None else rest[p] // row[p]
+        if q:
+            rest = [a - q * b for a, b in zip(rest, row)]
+        y.append(q)
+    return None if any(rest) else tuple(y)
 
-    def row_sub(i, k, q):
-        for j in range(nc):
-            a[i][j] -= q * a[k][j]
-        for j in range(nr):
-            u[i][j] -= q * u[k][j]
+
+def _snf_rows(rows: list[list[int]], track: list[list[int]] | None = None) -> None:
+    """In-place Smith normal form: afterwards rows is diagonal with entries
+    d1 | d2 | ... >= 0.  Row operations also go to `track` (same row count),
+    so passing the identity yields U with S = U*M*V; the column operations,
+    i.e. V, touch only the matrix."""
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    a = rows
 
     def col_sub(j, k, q):
-        for i in range(nr):
-            a[i][j] -= q * a[i][k]
-        for i in range(nc):
-            v[i][j] -= q * v[i][k]
-
-    def row_swap(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
+        for r in a:
+            r[j] -= q * r[k]
 
     def col_swap(j, k):
-        for i in range(nr):
-            a[i][j], a[i][k] = a[i][k], a[i][j]
-        for i in range(nc):
-            v[i][j], v[i][k] = v[i][k], v[i][j]
+        for r in a:
+            r[j], r[k] = r[k], r[j]
 
     t = 0
     while t < min(nr, nc):
@@ -250,7 +257,7 @@ def snf_with_transforms(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     best = (i, j)
         if best is None:
             break
-        row_swap(t, best[0])
+        _row_swap(a, track, t, best[0])
         col_swap(t, best[1])
         # clear row and column t
         dirty = True
@@ -259,9 +266,9 @@ def snf_with_transforms(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             for i in range(t + 1, nr):
                 if a[i][t] != 0:
                     q = a[i][t] // a[t][t]
-                    row_sub(i, t, q)
+                    _row_sub(a, track, i, t, q)
                     if a[i][t] != 0:
-                        row_swap(t, i)
+                        _row_swap(a, track, t, i)
                         dirty = True
             for j in range(t + 1, nc):
                 if a[t][j] != 0:
@@ -270,36 +277,34 @@ def snf_with_transforms(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     if a[t][j] != 0:
                         col_swap(t, j)
                         dirty = True
-        # enforce divisibility: a[t][t] must divide everything below-right
-        fixed = False
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t] != 0:
-                    # add row i to row t, then restart the clearing
-                    for jj in range(nc):
-                        a[t][jj] += a[i][jj]
-                    for jj in range(nr):
-                        u[t][jj] += u[i][jj]
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
+        # enforce divisibility: a[t][t] must divide everything below-right;
+        # if not, add the offending row i to row t and restart the clearing
+        bad = next((i for i in range(t + 1, nr)
+                    if any(a[i][j] % a[t][t] for j in range(t + 1, nc))), None)
+        if bad is not None:
+            _row_sub(a, track, t, bad, -1)
             continue
         if a[t][t] < 0:
-            for j in range(nc):
-                a[t][j] = -a[t][j]
-            for j in range(nr):
-                u[t][j] = -u[t][j]
+            _row_negate(a, track, t)
         t += 1
-    return IntMatrix.from_rows(a), IntMatrix.from_rows(u), IntMatrix.from_rows(v)
+
+
+def snf_with_transforms(M: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
+    """Smith normal form with its row transform: (diagonal, U), where the
+    diagonal holds the min(rows, cols) entries d1 | d2 | ... >= 0 (zeros
+    included) of S = U*M*V for a unimodular U and some unimodular V."""
+    a = [list(r) for r in M.entries]
+    u = [list(r) for r in IntMatrix.identity(M.nrows).entries]
+    _snf_rows(a, u)
+    return tuple(a[i][i] for i in range(min(M.nrows, M.ncols))), IntMatrix.from_rows(u)
 
 
 def snf(M: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors d1 | d2 | ... of M; 1s kept, zero diagonal dropped."""
-    s, _, _ = snf_with_transforms(M)
-    diag = [s[i, i] for i in range(min(s.nrows, s.ncols))]
-    return tuple(d for d in diag if d != 0)
+    """Invariant factors d1 | d2 | ... of M; 1s kept, zero diagonal dropped.
+    Runs on the canonical HNF, a basis of the same row lattice."""
+    a = [list(r) for r in hnf_canonical(M).entries]
+    _snf_rows(a)
+    return tuple(a[i][i] for i in range(len(a)) if a[i][i] != 0)
 
 
 def kernel(M: IntMatrix) -> IntMatrix:
@@ -313,22 +318,11 @@ def kernel(M: IntMatrix) -> IntMatrix:
 
 
 def solve_integer(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One integer solution x of M x = b, or None if none exists."""
-    s, u, v = snf_with_transforms(M)
-    c = u.apply(list(b))
-    n = M.ncols
-    z = [0] * n
-    for i in range(len(c)):
-        d = s[i, i] if i < min(s.nrows, s.ncols) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            if i < n:
-                z[i] = c[i] // d
-    return v.apply(z)
+    """One integer solution x of M x = b, or None if none exists: with
+    H = U*M^T in row HNF, y*H = b gives x = U^T y."""
+    h, u = hnf(M.transpose())
+    y = hnf_solve(h, b)
+    return None if y is None else u.transpose().apply(y)
 
 
 @dataclass(frozen=True)
@@ -424,9 +418,9 @@ class Cokernel:
 
 def cokernel(M: IntMatrix) -> Cokernel:
     """Quotient of Z^(M.nrows) by the column span of M."""
-    s, u, _ = snf_with_transforms(M)
+    diag, u = snf_with_transforms(M)
     n = M.nrows
-    diag = [s[i, i] if i < min(s.nrows, s.ncols) else 0 for i in range(n)]
+    diag += (0,) * (n - len(diag))
     keep = [i for i in range(n) if diag[i] != 1]
     factors = tuple(diag[i] for i in keep)
     torsion = tuple(d for d in factors if d != 0)
@@ -441,25 +435,10 @@ def cokernel(M: IntMatrix) -> Cokernel:
 
 def _unimodular_inverse(u: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular integer matrix (still integral)."""
-    n = u.nrows
-    aug = [list(u.row(i)) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    rank_ = _hnf_rows(aug)
-    if rank_ != n or any(aug[i][i] != 1 for i in range(n)):
+    h, inv = hnf(u)
+    if h != IntMatrix.identity(u.nrows):
         raise ValueError("matrix is not unimodular")
-    return IntMatrix.from_rows([row[n:] for row in aug])
-
-
-def _express_in_basis(vecs: IntMatrix, basis: IntMatrix) -> IntMatrix:
-    """Write each row of `vecs` as an integer combination of the rows of
-    `basis` (which must be Z-independent)."""
-    out = []
-    bt = basis.transpose()
-    for i in range(vecs.nrows):
-        x = solve_integer(bt, vecs.row(i))
-        if x is None:
-            raise ValueError("vector not in the lattice")
-        out.append(x)
-    return IntMatrix.from_rows(out)
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +475,9 @@ def presented_hom_kernel(
         return FinGenAbGroup(0, FiniteAbelianGroup(())), ()
     # kernel group = lat / colspan(R_source), presented on lat's basis
     if R_source.ncols:
-        rel_in_lat = _express_in_basis(
-            IntMatrix.from_rows([R_source.col(j) for j in range(R_source.ncols)]), lat
-        ).transpose()
+        coords = [hnf_solve(lat, R_source.col(j)) for j in range(R_source.ncols)]
+        verify(None not in coords, "source relations lie in the kernel lattice")
+        rel_in_lat = IntMatrix.from_rows(coords).transpose()
     else:
         rel_in_lat = IntMatrix.from_rows([[] for _ in range(lat.nrows)])
     ck = cokernel(rel_in_lat)

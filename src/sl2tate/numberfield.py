@@ -84,8 +84,13 @@ class NumberField:
         return out
 
     def _from_basis(self, basis_coords) -> list[Fraction]:
-        return [sum(Fraction(basis_coords[i]) * self.basis[i][j] for i in range(self.degree))
-                for j in range(self.degree)]
+        out = [Fraction(0)] * self.degree
+        for x, row in zip(basis_coords, self.basis):
+            if x:
+                for j, y in enumerate(row):
+                    if y:
+                        out[j] += x * y
+        return out
 
     def _build_mult_table(self):
         n = self.degree

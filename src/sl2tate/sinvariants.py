@@ -28,6 +28,7 @@ from .errors import (
     RelationSearchIncomplete,
     SchemaViolation,
     SearchExhausted,
+    verify,
 )
 from .ideals import (
     FractionalIdeal,
@@ -43,7 +44,6 @@ from .intlinalg import (
     cokernel,
     hnf_canonical,
     kernel,
-    rank as mat_rank,
     snf,
     solve_integer,
     subgroup_quotient,
@@ -105,7 +105,7 @@ def _reduce_form(a, b, c):
 def _solve_linmod(a, b, m):
     """Solve a x = b (mod m); return (x0, m/g) so solutions are x0 + k*(m/g)."""
     g, d, _ = xgcd(a, m)
-    assert b % g == 0
+    verify(b % g == 0, "a linear congruence in form composition is solvable")
     return (b // g * d) % m, m // g
 
 
@@ -134,7 +134,7 @@ def _compose_forms(f1, f2):
 def reduced_forms(disc: int) -> list[tuple[int, int, int]]:
     """All reduced primitive positive-definite forms of the given negative
     discriminant."""
-    assert disc < 0 and disc % 4 in (0, 1)
+    verify(disc < 0 and disc % 4 in (0, 1), f"{disc} is a negative discriminant")
     out = []
     b = disc % 2
     while 3 * b * b <= -disc:
@@ -165,7 +165,7 @@ def forms_class_group_oracle(disc: int) -> FiniteAbelianGroup:
         while acc != identity:
             acc = _compose_forms(acc, f)
             o += 1
-            assert o <= h
+            verify(o <= h, "a form's order is at most the class number")
         orders.append(o)
     return _group_from_element_orders(h, orders)
 
@@ -178,7 +178,7 @@ def _group_from_element_orders(h: int, orders: Sequence[int]) -> FiniteAbelianGr
     for chain in _invariant_chains(h):
         if all(counts[k] == math.prod(math.gcd(d, k) for d in chain) for k in divisors):
             return FiniteAbelianGroup(tuple(d for d in chain if d > 1))
-    raise AssertionError("element orders match no abelian group")
+    raise ConsistencyFailure("element orders match no abelian group")
 
 
 def _invariant_chains(h: int) -> list[tuple[int, ...]]:
@@ -260,7 +260,8 @@ def _class_group_builtin(field: NumberField, places: PlaceSet) -> ClassGroupData
     def prime_power(idx, k):
         key = (idx, k)
         if key not in power_cache:
-            power_cache[key] = gen_primes[idx].ideal ** k
+            prime = gen_primes[idx].ideal
+            power_cache[key] = prime if k == 1 else prime_power(idx, k - 1) * prime
         return power_cache[key]
 
     def element_valuations(coords, norm_abs) -> list[int] | None:
@@ -274,19 +275,17 @@ def _class_group_builtin(field: NumberField, places: PlaceSet) -> ClassGroupData
         if m != 1:
             return None
         vec = [0] * len(gen_primes)
-        el = field.from_basis_coords(list(coords))
         for p, a_p in fac.items():
             total = 0
             for idx, pr in enumerate(gen_primes):
                 if pr.p != p:
                     continue
                 v = 0
-                while v * pr.f < a_p and prime_power(idx, v + 1).contains(el):
+                while v * pr.f < a_p and prime_power(idx, v + 1).contains_coords(coords):
                     v += 1
                 vec[idx] = v
                 total += v * pr.f
-            # valuations must account for the whole p-part of the norm
-            assert total == a_p
+            verify(total == a_p, "the valuations cover the p-part of the norm")
         return vec
 
     # (p) itself is a relation; needed since the primitive-element search
@@ -315,9 +314,9 @@ def _class_group_builtin(field: NumberField, places: PlaceSet) -> ClassGroupData
                 relations.append(vec)
         seen_box = box
         if relations:
-            mat = IntMatrix.from_rows(relations)
-            if mat_rank(mat) == len(gen_primes):
-                order = math.prod(snf(mat))
+            lattice = hnf_canonical(IntMatrix.from_rows(relations))
+            if lattice.nrows == len(gen_primes):
+                order = math.prod(snf(lattice))
                 if order == prev_order and box >= min_stable_box:
                     done = True
                     break
@@ -338,7 +337,7 @@ def _finish_class_group(field, places, gen_primes, rel_cols) -> ClassGroupData:
         return ClassGroupData(field, places, group, (), "computed", lambda ideal: ())
 
     ck = cokernel(rel_cols)
-    assert ck.group.free_rank == 0, "relation lattice must have full rank here"
+    verify(ck.group.free_rank == 0, "the relation lattice has full rank")
 
     def exponents_of(ideal: FractionalIdeal) -> list[int]:
         """Factor an ideal class over the generator primes, via an auxiliary
@@ -367,7 +366,7 @@ def _finish_class_group(field, places, gen_primes, rel_cols) -> ClassGroupData:
     # S-quotient: kill the classes of the S-primes
     s_coords = [ck.project(exponents_of(pr.ideal)) for pr in places.prime_ideals]
     sub = subgroup_quotient(list(ck.factors), s_coords)
-    assert sub.group.free_rank == 0
+    verify(sub.group.free_rank == 0, "the S-class group is finite")
     group = sub.group.torsion
 
     def dlog(ideal: FractionalIdeal) -> tuple[int, ...]:
@@ -454,16 +453,16 @@ def _unit_group_builtin(field: NumberField, places: PlaceSet) -> UnitGroupData:
         raise NeedsBackendData(
             f"unit group of {field.label} is outside the built-in families"
         )
-    assert (torsion_gen ** w).is_rational_value() == 1
+    verify((torsion_gen ** w).is_rational_value() == 1, "torsion generator order")
     if w > 2:
-        assert (torsion_gen ** (w // 2)).is_rational_value() == -1
+        verify((torsion_gen ** (w // 2)).is_rational_value() == -1, "torsion generator order")
     for u in field_units:
-        assert abs(u.norm()) == 1 and u.is_integral()
+        verify(abs(u.norm()) == 1 and u.is_integral(), "field units are units")
 
     s_gens = _s_unit_generators(field, places)
     rank = r1 + r2 - 1 + places.n_finite
     free_gens = tuple(field_units) + tuple(s_gens)
-    assert len(free_gens) == rank, "Dirichlet rank check failed"
+    verify(len(free_gens) == rank, "the free generators match the Dirichlet rank")
     return UnitGroupData(field, places, rank, w, torsion_gen, free_gens, "computed")
 
 
@@ -482,7 +481,7 @@ def _real_quadratic_fundamental_unit(field: NumberField) -> NFElement:
                     else:
                         # omega = sqrt(d0)/2
                         el = field.from_basis_coords([Fraction(x, 2), y])
-                    assert abs(el.norm()) == 1
+                    verify(abs(el.norm()) == 1, "the fundamental unit has norm +-1")
                     return el
         y += 1
     raise SearchExhausted(f"no fundamental unit found for discriminant {d0}")
@@ -512,7 +511,7 @@ def _s_unit_generators(field: NumberField, places: PlaceSet) -> list[NFElement]:
         lattice = hnf_canonical(
             IntMatrix.from_rows([list(kern.row(i)[:k]) for i in range(kern.nrows)])
         )
-    assert lattice.nrows == k, "valuation lattice of S-units must have full rank"
+    verify(lattice.nrows == k, "the valuation lattice of S-units has full rank")
     gens = []
     for i in range(lattice.nrows):
         ideal = FractionalIdeal.unit(field)

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from sl2tate.cli import EXIT_INPUT, main
+from sl2tate.cli import EXIT_CONSISTENCY, EXIT_INPUT, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "sl2tate",
                         "fixtures")
@@ -112,6 +112,9 @@ def test_oracle_check_injected_fault(tmp_path):
     ["analyze", "--field", "0,1", "--ell", "3", "--degrees", "4:-4"],
     ["analyze", "--field", "0,1"],                         # usage error
     ["restrict", "--field", "0,1"],
+    # the image 1 of x does not satisfy x = 0
+    ["restrict", "--field", "0,1", "--ell", "3", "--target-field", "0,1",
+     "--embedding", "1"],
 ])
 def test_bad_input_exit_code(tmp_path, capsys, argv):
     out = tmp_path / "r.json"
@@ -119,3 +122,21 @@ def test_bad_input_exit_code(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_consistency_failure_exit_code(tmp_path, capsys):
+    # a closed basis of a non-maximal order: Z[2 sqrt(-2)]
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--field=2,0,1", "--ell", "3",
+                 "--basis", "[[1,0],[0,2]]", "--out", str(out)]) == EXIT_CONSISTENCY
+    # a fixture whose unit rank contradicts Dirichlet's formula (Q(i): rank 0)
+    fixture = tmp_path / "bad.json"
+    fixture.write_text(json.dumps({
+        "schema": "sl2tate-fixture-1", "kind": "s-invariants", "trust": "test",
+        "field": {"min_poly": [1, 0, 1]}, "places": [],
+        "unit_group": {"rank": 1, "torsion_order": 4}}))
+    assert main(["analyze", "--field=1,0,1", "--ell", "3", "--fixtures",
+                 str(fixture), "--out", str(out)]) == EXIT_CONSISTENCY
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("consistency check failed: ") for line in err)

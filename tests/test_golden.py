@@ -23,6 +23,9 @@ CASES = {
     "qi_s23_ell3": ["analyze", "--field=1,0,1", "--ell", "3", "--places", "2,3"],
     "qsqrt-2_s2_ell3": ["analyze", "--field=2,0,1", "--ell", "3",
                         "--places", "2"],
+    # the class group of the quartic K(zeta_3) dominates these two
+    "qsqrt-5_ell3": ["analyze", "--field=5,0,1", "--ell", "3"],
+    "qsqrt-14_ell3": ["analyze", "--field=14,0,1", "--ell", "3"],
     "q23_ell23": ["analyze", "--field", Q23, "--places", "23", "--ell", "23",
                   "--fixtures", os.path.join(FIXTURES, "q23.json")],
     "q23_hilbert_restrict": [
@@ -47,9 +50,10 @@ def test_golden_report(tmp_path, name):
 
 def test_golden_report_under_optimize(tmp_path):
     # verification must not hinge on `assert`, which -O strips
-    out = tmp_path / "report.json"
     env = dict(os.environ, PYTHONPATH=SRC)
-    subprocess.run([sys.executable, "-O", "-m", "sl2tate.cli",
-                    *CASES["sl2z_ell3"], "--out", str(out)],
-                   check=True, env=env)
-    assert out.read_bytes() == _golden("sl2z_ell3")
+    for name in ("sl2z_ell3", "qsqrt-2_s2_ell3"):
+        out = tmp_path / (name + ".json")
+        subprocess.run([sys.executable, "-O", "-m", "sl2tate.cli",
+                        *CASES[name], "--out", str(out)],
+                       check=True, env=env)
+        assert out.read_bytes() == _golden(name)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,31 @@ def test_ideal_inverse_and_colon():
     assert (inv * p2).norm() == 1
     # p2^2 = (2)
     assert p2 * p2 == FractionalIdeal.principal(k, k.rational(2))
+
+
+def test_contains_coords_agrees_with_contains():
+    # oracle: el lies in I exactly when I + (el) = I
+    rng = random.Random(7)
+    for d, p in ((-5, 2), (-5, 3), (-1, 5), (-14, 3)):
+        k = quadratic_field(d)
+        for pr in factor_rational_prime(k, p):
+            for e in (1, 2, 3):
+                ideal = pr.ideal ** e
+                members = [[sum(c * x for c, x in zip(cs, col))
+                            for col in zip(*ideal.num.entries)]
+                           for cs in ([rng.randint(-3, 3) for _ in range(2)]
+                                      for _ in range(10))]
+                others = [[Fraction(rng.randint(-20, 20), rng.choice((1, 1, 2, 3)))
+                           for _ in range(2)] for _ in range(20)]
+                for coords in members + others:
+                    el = k.from_basis_coords(coords)
+                    inside = ideal.contains_coords(coords)
+                    assert inside == ideal.contains(el)
+                    if coords in members:
+                        assert inside
+                    if not el.is_zero():
+                        principal = FractionalIdeal.principal(k, el)
+                        assert inside == (ideal + principal == ideal)
 
 
 def test_fractional_normalization():

@@ -121,11 +121,18 @@ def test_snf_transforms():
     rng = random.Random(3)
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        s, u, v = snf_with_transforms(m)
-        assert u * m * v == s
+        diag, u = snf_with_transforms(m)
+        assert len(diag) == min(m.nrows, m.ncols)
         assert abs(u.det()) == 1
-        assert abs(v.det()) == 1
-        diag = [s[i, i] for i in range(min(s.nrows, s.ncols))]
+        # U*M = S*V^-1 and the rows of V^-1 are primitive, so row i of U*M
+        # has content d_i; rows past the diagonal are zero
+        um = u * m
+        for i in range(m.nrows):
+            content = 0
+            for x in um.row(i):
+                content = gcd(content, x)
+            assert content == (diag[i] if i < len(diag) else 0)
+        assert tuple(d for d in diag if d) == snf(m)
         for a, b in zip(diag, diag[1:]):
             if a and b:
                 assert b % a == 0
@@ -275,6 +282,23 @@ def test_solve_integer():
     m = IntMatrix.from_rows([[2, 0], [0, 3]])
     assert solve_integer(m, [4, 9]) == (2, 3)
     assert solve_integer(m, [1, 0]) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_solve_integer_agrees_with_cokernel(data):
+    # M x = b is solvable iff b vanishes in Z^rows / colspan(M)
+    nr, nc = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    entries = st.integers(-6, 6)
+    m = IntMatrix.from_rows(data.draw(st.lists(
+        st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr)))
+    z = data.draw(st.lists(entries, min_size=nc, max_size=nc))
+    e = data.draw(st.lists(st.integers(-1, 1), min_size=nr, max_size=nr))
+    b = [x + y for x, y in zip(m.apply(z), e)]
+    x = solve_integer(m, b)
+    if x is not None:
+        assert list(m.apply(x)) == b
+    assert (x is not None) == (not any(cokernel(m).project(b)))
 
 
 # --- exact elimination over Q and F_p -----------------------------------------
