@@ -9,7 +9,7 @@ from math import gcd
 from typing import Optional
 
 from .cohomology import total_dimensions
-from .errors import EmbeddingInvalid, NeedsBackendData
+from .errors import EmbeddingInvalid, NeedsBackendData, verify
 from .ideals import find_root
 from .numberfield import NumberField
 from .polytools import cos_minpoly
@@ -51,7 +51,7 @@ def quillen_report(classes, norms, ell: int) -> QuillenReport:
     rank = 2 ** (r + 1) * (2 * n1 + n2)
     dims = total_dimensions(classes, ell)
     checked = sum(dims.dim(d) for d in range(4)) == rank
-    assert checked, "period-4 dimension sum must equal the freeness rank"
+    verify(checked, "period-4 dimension sum must equal the freeness rank")
     return QuillenReport(n1, n2, r, rank,
                          "sum of a_G^2 across components", checked)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import SearchExhausted
+from .errors import SearchExhausted, verify
 from .intlinalg import FinGenAbGroup, solve_rational
 from .numberfield import NFElement
 from .relative import (
@@ -59,8 +59,8 @@ def subgroup_classes(ocg: OrientedClassGroup,
     base = ocg.norms.ker_nm1
     m, ell = base.torsion_order, ocg.setup.ell
     # the cyclic ell-subgroup and -1 both centralize, so 2*ell | m
-    assert m % 2 == 0 and m % ell == 0, \
-        f"norm-one torsion order {m} must be divisible by 2 and {ell}"
+    verify(m % 2 == 0 and m % ell == 0,
+           f"norm-one torsion order {m} must be divisible by 2 and {ell}")
     seen: set = set()
     classes = []
     for el in ocg.elements:
@@ -151,13 +151,13 @@ def representative_matrix(element: OrientedElement, setup: RelativeSetup,
 def _checked(setup, rows) -> RepresentativeMatrix:
     """Verify det 1, trace t, S-integral entries, multiplicative order ell."""
     (a, b), (c, d) = rows
-    assert (a * d - b * c - setup.field.one()).is_zero(), "determinant must be 1"
-    assert (a + d - setup.t).is_zero(), "trace must be t"
+    verify((a * d - b * c - setup.field.one()).is_zero(), "determinant must be 1")
+    verify((a + d - setup.t).is_zero(), "trace must be t")
     for x in (a, b, c, d):
-        assert _is_s_integral(x, setup.places), "entries must lie in O_{K,S}"
+        verify(_is_s_integral(x, setup.places), "entries must lie in O_{K,S}")
     m = _mat_pow(setup.field, rows, setup.ell)
-    assert _is_identity(setup.field, m), f"matrix order must divide {setup.ell}"
-    assert not _is_identity(setup.field, rows), "matrix must not be the identity"
+    verify(_is_identity(setup.field, m), f"matrix order must divide {setup.ell}")
+    verify(not _is_identity(setup.field, rows), "matrix must not be the identity")
     return RepresentativeMatrix(rows)
 
 

@@ -17,7 +17,7 @@ import sympy
 from . import polytools as pt
 from .errors import NotInvertible, SearchExhausted, verify
 from .intlinalg import IntMatrix, hnf_canonical, hnf_solve, kernel, rref_mod
-from .numberfield import NFElement, NumberField, _eval_poly_at
+from .numberfield import NFElement, NumberField, _eval_poly_at, combine_rows
 
 
 class FractionalIdeal:
@@ -47,24 +47,17 @@ class FractionalIdeal:
 
     @staticmethod
     def from_generators(field: NumberField, gens) -> "FractionalIdeal":
-        """The fractional O-ideal generated by the given field elements."""
-        rows: list[list[Fraction]] = []
-        for g in gens:
-            if not isinstance(g, NFElement):
-                g = field.rational(g)
-            for i in range(field.degree):
-                prod = g * field.basis_element(i)
-                rows.append(list(prod.basis_coords()))
-        return FractionalIdeal._from_fraction_rows(field, rows)
-
-    @staticmethod
-    def _from_fraction_rows(field, rows) -> "FractionalIdeal":
-        den = 1
-        for r in rows:
-            for x in r:
-                den = lcm(den, Fraction(x).denominator)
-        int_rows = [[int(Fraction(x) * den) for x in r] for r in rows]
-        return FractionalIdeal(field, IntMatrix.from_rows(int_rows), den)
+        """The fractional O-ideal generated by the given field elements:
+        (1/den) times the rows of the multiplication matrices of the
+        generators scaled by their common denominator den."""
+        coords = [(g if isinstance(g, NFElement) else field.rational(g)).basis_coords()
+                  for g in gens]
+        den = lcm(*(c.denominator for v in coords for c in v))
+        rows = []
+        for v in coords:
+            rows.extend(field.int_mult_rows([c.numerator * (den // c.denominator)
+                                             for c in v]))
+        return FractionalIdeal(field, IntMatrix.from_rows(rows), den)
 
     @staticmethod
     def principal(field: NumberField, el: NFElement) -> "FractionalIdeal":
@@ -118,15 +111,19 @@ class FractionalIdeal:
     # -- arithmetic ----------------------------------------------------------
 
     def __mul__(self, other: "FractionalIdeal") -> "FractionalIdeal":
-        a = self.basis_elements()
-        b = other.basis_elements()
-        rows = [list((x * y).basis_coords()) for x in a for y in b]
-        return FractionalIdeal._from_fraction_rows(self.field, rows)
+        # the n^2 products of the two lattice bases, in integer coordinates
+        rows = []
+        for a in self.num.entries:
+            mult = self.field.int_mult_rows(a)
+            rows.extend(combine_rows(b, mult) for b in other.num.entries)
+        return FractionalIdeal(self.field, IntMatrix.from_rows(rows),
+                               self.den * other.den)
 
     def __add__(self, other: "FractionalIdeal") -> "FractionalIdeal":
-        rows = [[Fraction(x, a.den) for x in row]
+        den = lcm(self.den, other.den)
+        rows = [[x * (den // a.den) for x in row]
                 for a in (self, other) for row in a.num.entries]
-        return FractionalIdeal._from_fraction_rows(self.field, rows)
+        return FractionalIdeal(self.field, IntMatrix.from_rows(rows), den)
 
     def __pow__(self, e: int) -> "FractionalIdeal":
         if e < 0:
@@ -140,29 +137,25 @@ class FractionalIdeal:
             e >>= 1
         return acc
 
-    def scale(self, el: NFElement) -> "FractionalIdeal":
-        rows = [list((el * b).basis_coords()) for b in self.basis_elements()]
-        return FractionalIdeal._from_fraction_rows(self.field, rows)
-
     def colon(self, other: "FractionalIdeal") -> "FractionalIdeal":
         """(self : other) = {x in K : x * other <= self}."""
         field = self.field
         n = field.degree
         # work with the integral generators w of other's numerator lattice;
         # the answer then gets rescaled by other.den at the end
-        w0 = field.from_basis_coords(other.num.row(0))
+        blocks = [field.int_mult_rows(w) for w in other.num.entries]
         # any solution x' of x' * L_int <= self has basis coords with
-        # denominator dividing m = self.den * |N(w0)|
-        m = self.den * abs(int(w0.norm()))
-        # write x' = z/m; condition per generator w:
+        # denominator dividing m = self.den * |N(w0)|, w0 the first generator
+        m = self.den * abs(IntMatrix.from_rows(blocks[0]).det())
+        # write x' = z/m; condition per generator w, with A_w the transpose
+        # of its multiplication rows:
         #   self.den * A_w z = m * (H^T c) for some integer vector c
-        blocks = [_int_mult_matrix(field, w) for w in other.num.entries]
         k = len(blocks)
         ht = self.num.transpose()
         rows = []
-        for bi, a_w in enumerate(blocks):
+        for bi, w_rows in enumerate(blocks):
             for i in range(n):
-                row = [self.den * a_w[i][j] for j in range(n)]
+                row = [self.den * w_rows[j][i] for j in range(n)]
                 for cj in range(k):
                     for j in range(n):
                         row.append(-m * ht[i, j] if cj == bi else 0)
@@ -189,19 +182,6 @@ class FractionalIdeal:
         if self.den > 1:
             v -= prime.e * _rational_valuation(self.den, prime.p)
         return v
-
-
-def _int_mult_matrix(field, wc):
-    """Multiplication by the integral element w with integral-basis
-    coordinates wc, as an integer matrix (column j = coords of w * b_j)."""
-    n = field.degree
-    mat = [[0] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            if wc[k]:
-                for i in range(n):
-                    mat[i][j] += wc[k] * field.mult_table[k][j][i]
-    return mat
 
 
 def _integral_valuation(ideal: FractionalIdeal, prime: "PrimeIdeal") -> int:
@@ -321,9 +301,7 @@ def _factor_by_algebra_splitting(field: NumberField, p: int) -> list[PrimeIdeal]
            "integral basis must start with 1 for the splitting fallback")
 
     def a_mul(v, w):
-        x = field.from_basis_coords([Fraction(c) for c in v])
-        y = field.from_basis_coords([Fraction(c) for c in w])
-        return [int(c) % p for c in (x * y).basis_coords()]
+        return [c % p for c in combine_rows(w, field.int_mult_rows(v))]
 
     def a_pow_p(v):
         out = [1] + [0] * (n - 1)
@@ -400,16 +378,10 @@ def _factor_by_algebra_splitting(field: NumberField, p: int) -> list[PrimeIdeal]
     p_ideal = FractionalIdeal.principal(field, field.rational(p))
     for idx, (span, rad) in enumerate(local):
         f = len(span) - len(rad)
-        gens = [field.rational(p)]
-        for v in rad:
-            gens.append(field.from_basis_coords(
-                [Fraction(c) for c in lift(span, v)]))
-        for j, (other, _) in enumerate(local):
-            if j != idx:
-                for v in other:
-                    gens.append(field.from_basis_coords(
-                        [Fraction(c) for c in v]))
-        ideal = FractionalIdeal.from_generators(field, gens)
+        gens = [[p] + [0] * (n - 1)] + [lift(span, v) for v in rad]
+        gens += [v for j, (other, _) in enumerate(local) if j != idx for v in other]
+        ideal = FractionalIdeal(field, IntMatrix.from_rows(
+            [row for g in gens for row in field.int_mult_rows(g)]))
         verify(ideal.norm() == p**f, "N(P) must be p^f")
         e = 1
         while (ideal ** (e + 1)).contains_ideal(p_ideal):

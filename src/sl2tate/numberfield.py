@@ -22,7 +22,7 @@ from .errors import (
     ReduciblePolynomial,
     verify,
 )
-from .intlinalg import det_rational, inverse_rational, rref_rational, solve_rational
+from .intlinalg import IntMatrix, det_rational, inverse_rational, rref_rational, solve_rational
 
 
 class NumberField:
@@ -111,6 +111,12 @@ class NumberField:
             table.append(tuple(row))
         self.mult_table = tuple(table)
 
+    def int_mult_rows(self, wc) -> list[list[int]]:
+        """Multiplication by the element w with integer integral-basis
+        coordinates wc: row j holds the coordinates of w * b_j (the table is
+        symmetric), so w * v has the coordinates combine_rows(v, rows)."""
+        return [combine_rows(wc, products) for products in self.mult_table]
+
     # -- elements ------------------------------------------------------------
 
     def element(self, power_coords) -> "NFElement":
@@ -147,13 +153,17 @@ class NumberField:
     @property
     def discriminant(self) -> int:
         if self._disc is None:
+            # the trace form on the integral basis from the structure
+            # constants: Tr(b_k) = sum_i T[k][i][i] and
+            # Tr(b_i b_j) = sum_k T[i][j][k] Tr(b_k)
             n = self.degree
-            tr = [[self.basis_element(i) * self.basis_element(j) for j in range(n)]
-                  for i in range(n)]
-            mat = [[x.trace() for x in row] for row in tr]
-            d = det_rational(mat)
-            verify(d.denominator == 1 and d != 0, "the discriminant is a non-zero integer")
-            self._disc = int(d)
+            t = self.mult_table
+            tr = [sum(t[k][i][i] for i in range(n)) for k in range(n)]
+            form = [[sum(c * x for c, x in zip(t[i][j], tr)) for j in range(n)]
+                    for i in range(n)]
+            d = IntMatrix.from_rows(form).det()
+            verify(d != 0, "the discriminant is non-zero")
+            self._disc = d
         return self._disc
 
     @property
@@ -196,6 +206,16 @@ class NumberField:
 
     def __hash__(self):
         return hash((self.min_poly, self.basis))
+
+
+def combine_rows(coeffs, rows) -> list[int]:
+    """sum_j coeffs[j] * rows[j] over the integers."""
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            for i, x in enumerate(row):
+                out[i] += c * x
+    return out
 
 
 def _poly_matrix_det(entry, n):

@@ -6,6 +6,7 @@ JSON wire format used elsewhere; trailing zeros are trimmed.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import sympy
@@ -129,13 +130,28 @@ def discriminant(p: Sequence[int]) -> int:
 
 
 def cyclotomic(m: int) -> list[int]:
+    return list(_cyclotomic(m))
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(m: int) -> tuple[int, ...]:
     x = sympy.Symbol("x")
     poly = sympy.cyclotomic_poly(m, x)
-    return [int(c) for c in reversed(sympy.Poly(poly, x).all_coeffs())]
+    return tuple(int(c) for c in reversed(sympy.Poly(poly, x).all_coeffs()))
 
 
 def euler_phi(m: int) -> int:
-    return int(sympy.totient(m))
+    """Euler's totient of m >= 1, by trial division."""
+    phi, rest, d = m, m, 2
+    while d * d <= rest:
+        if rest % d == 0:
+            phi -= phi // d
+            while rest % d == 0:
+                rest //= d
+        d += 1
+    if rest > 1:
+        phi -= phi // rest
+    return phi
 
 
 def cos_minpoly(ell: int) -> list[int]:

@@ -19,6 +19,7 @@ from .errors import (
     NeedsBackendData,
     RegularityViolated,
     UnsupportedCase,
+    verify,
 )
 from .ideals import (
     FractionalIdeal,
@@ -160,9 +161,9 @@ def _attach_relative_field(setup: RelativeSetup):
     else:
         L, embed, e2 = composite_field(field, cyc)
         zeta = e2.map(cyc.gen())
-    # zeta must be a root of Psi over (the image of) K
     t_img = embed.map(setup.t)
-    assert (zeta * zeta - t_img * zeta + L.one()).is_zero()
+    verify((zeta * zeta - t_img * zeta + L.one()).is_zero(),
+           "zeta must be a root of Psi over (the image of) K")
     # conjugation: fixes K, sends zeta -> zeta^(-1) = t - zeta
     sigma = _conjugation(L, embed, zeta, setup.t)
     setup.rel_field = L
@@ -186,7 +187,7 @@ def _conjugation(L: NumberField, embed: FieldEmbedding, zeta: NFElement,
         cols.append((base * zeta).coords)
     mat = [[cols[c][r] for c in range(2 * n)] for r in range(2 * n)]
     sol = solve_rational(mat, L.gen().coords)
-    assert sol is not None, "generator must decompose over the K-basis (1, zeta)"
+    verify(sol is not None, "generator must decompose over the K-basis (1, zeta)")
     a = sum((embed.source.basis_element(j) * sol[j] for j in range(n)),
             embed.source.zero())
     b = sum((embed.source.basis_element(j) * sol[n + j] for j in range(n)),
@@ -194,7 +195,7 @@ def _conjugation(L: NumberField, embed: FieldEmbedding, zeta: NFElement,
     zbar = embed.map(t) - zeta
     gen_image = embed.map(a) + embed.map(b) * zbar
     emb = FieldEmbedding(L, L, gen_image)
-    assert (emb.map(zeta) - zbar).is_zero()
+    verify((emb.map(zeta) - zbar).is_zero(), "conjugation must send zeta to t - zeta")
     return emb
 
 
@@ -241,12 +242,13 @@ def _quartic_cm_unit_group(setup: RelativeSetup) -> UnitGroupData:
     K = setup.field
     # torsion: zeta_6 always (zeta_3 in L); order 12 exactly when i in L
     zeta6 = -(setup.zeta * setup.zeta)
-    assert ((zeta6 ** 3).is_rational_value() == -1)
+    verify((zeta6 ** 3).is_rational_value() == -1, "zeta_6 cubed must be -1")
     i_root = find_root([L.one(), L.zero(), L.one()], L)
     if i_root is not None:
         # i * zeta_3 has order 12
         torsion_gen, w = i_root * (zeta6 * zeta6), 12
-        assert (torsion_gen ** 6).is_rational_value() == -1
+        verify((torsion_gen ** 6).is_rational_value() == -1,
+               "i * zeta_3 must have order 12")
     else:
         torsion_gen, w = zeta6, 6
     # real quadratic subfield: K itself if K is real, else Q(sqrt(3|d|))
@@ -258,12 +260,13 @@ def _quartic_cm_unit_group(setup: RelativeSetup) -> UnitGroupData:
         F = quadratic_field(s)
         eps = unit_group(F, PlaceSet(F, (), ())).free_gens[0]
         r = find_root([L.rational(c) for c in F.min_poly], L)
-        assert r is not None, "real quadratic subfield must embed"
+        verify(r is not None, "real quadratic subfield must embed")
         # express eps over the power basis of F and evaluate at r
         eta = L.zero()
         for j, c in enumerate(eps.coords):
             eta = eta + r**j * c
-    assert abs(eta.norm()) == 1 and eta.is_integral()
+    verify(abs(eta.norm()) == 1 and eta.is_integral(),
+           "the lifted fundamental unit must be a unit of L")
     # primitivity: extract square roots (times torsion) while possible
     reduced = True
     while reduced:
@@ -280,7 +283,7 @@ def _quartic_cm_unit_group(setup: RelativeSetup) -> UnitGroupData:
     s_gens = _s_unit_generators(L, places)
     rank = 1 + places.n_finite
     free_gens = tuple(field_units) + tuple(s_gens)
-    assert len(free_gens) == rank
+    verify(len(free_gens) == rank, "one free generator per unit rank")
     return UnitGroupData(L, places, rank, w, torsion_gen, free_gens, "computed")
 
 
@@ -337,7 +340,8 @@ def _norm_maps_split(setup, uk, ck, prov) -> NormMapsData:
     nk, rel_k = _presentation(uk)
     ident = IntMatrix.identity(nk)
     coker = presented_hom_cokernel(ident, rel_k)
-    assert coker.group.torsion.is_trivial and coker.group.free_rank == 0
+    verify(coker.group.torsion.is_trivial and coker.group.free_rank == 0,
+           "the split unit norm map must be surjective")
     ker = uk.group()
     ker_gens = tuple(tuple(1 if i == j else 0 for i in range(nk))
                      for j in range(nk))
@@ -373,9 +377,9 @@ def _norm_maps_field(setup, uk, ck, prov, store) -> NormMapsData:
         prov["nm1"] = "asserted"
 
     coker = presented_hom_cokernel(nm1, rel_k)
-    assert coker.group.free_rank == 0
-    assert coker.group.torsion.is_elementary_2(), \
-        "cokernel of the unit norm map must be elementary 2-torsion"
+    verify(coker.group.free_rank == 0, "cokernel of the unit norm map must be finite")
+    verify(coker.group.torsion.is_elementary_2(),
+           "cokernel of the unit norm map must be elementary 2-torsion")
     ker, ker_gens = presented_hom_kernel(rel_l, nm1, rel_k)
 
     # Nm0 on class-group generators of L
@@ -393,7 +397,7 @@ def _norm_maps_field(setup, uk, ck, prov, store) -> NormMapsData:
             cols.append(ck.dlog(img))
         nm0 = IntMatrix.from_rows([[c[i] for c in cols] for i in range(nfac_k)])
         kg, ker0_gens = presented_hom_kernel(rel0_l, nm0, rel0_k)
-        assert kg.free_rank == 0
+        verify(kg.free_rank == 0, "kernel of the class norm map must be finite")
         ker0 = kg.torsion
     prov["nm0"] = "computed" if cl.provenance == "computed" else cl.provenance
     return NormMapsData(setup, uk, ck, ul, cl, nm1, ker, ker_gens, coker,
@@ -451,7 +455,7 @@ def _prime_below(setup, qr, primes_k):
         if all(qr.ideal.contains(setup.embed.map(b))
                for b in pr.ideal.basis_elements()):
             return pr
-    raise AssertionError("prime of L has no prime of K below it")
+    raise ConsistencyFailure("prime of L has no prime of K below it")
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +589,7 @@ def galois_involution(ocg: OrientedClassGroup,
         for el in ocg.elements:
             invol[el.coords] = _iota_field(ocg, el, bounds)
     for a, b in invol.items():
-        assert invol[b] == a, "Galois action must be an involution"
+        verify(invol[b] == a, "Galois action must be an involution")
     return invol
 
 
@@ -618,13 +622,14 @@ def _express_in_kernel(norms: NormMapsData, ambient_coords) -> list:
     factors = norms.class_l.group.invariant_factors
     n = len(factors)
     if not gens:
-        assert all(c % d == 0 for c, d in zip(ambient_coords, factors))
+        verify(all(c % d == 0 for c, d in zip(ambient_coords, factors)),
+               "conjugate class must stay in ker Nm0")
         return []
     cols = [list(g) for g in gens] + [
         [factors[i] if i == j else 0 for i in range(n)] for j in range(n)]
     m = IntMatrix.from_rows([[c[i] for c in cols] for i in range(n)])
     sol = solve_integer(m, list(ambient_coords))
-    assert sol is not None, "conjugate class must stay in ker Nm0"
+    verify(sol is not None, "conjugate class must stay in ker Nm0")
     x = sol[:len(gens)]
     # generator i has order invariant_factors[i] by construction
     return [xi % d for xi, d in zip(x, norms.ker_nm0.invariant_factors)]

@@ -218,13 +218,19 @@ class ClassGroupData:
         return self._dlog(ideal)
 
 
+# a lower bound for pi: comparing with it can only err upward, and a larger
+# Minkowski bound only adds generator primes
+_PI_BELOW = Fraction(314159265358979, 10**14)
+
+
 def minkowski_bound(field: NumberField) -> int:
+    """The floor of n!/n^n (4/pi)^r2 sqrt|d|, exactly: the largest m with
+    m^2 n^(2n) pi^(2 r2) <= (n!)^2 4^(2 r2) |d|."""
     n = field.degree
     _, r2 = field.signature
-    bound = (
-        math.factorial(n) / n**n * (4 / math.pi) ** r2 * math.sqrt(abs(field.discriminant))
-    )
-    return int(math.floor(bound + 1e-9))
+    m_sq = (Fraction(math.factorial(n) ** 2 * 16**r2 * abs(field.discriminant), n ** (2 * n))
+            / _PI_BELOW ** (2 * r2))
+    return math.isqrt(math.floor(m_sq))
 
 
 _BOX_SCHEDULE = (4, 6, 8, 10, 16, 24, 40, 80, 160, 320, 640)

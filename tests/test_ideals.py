@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sl2tate import ideals
 from sl2tate.errors import SearchExhausted
@@ -12,7 +14,9 @@ from sl2tate.ideals import (
     principal_generator,
     sqrt_in_field,
 )
+from sl2tate.intlinalg import IntMatrix
 from sl2tate.numberfield import (
+    NFElement,
     composite_field,
     cyclotomic_field,
     make_field,
@@ -70,6 +74,67 @@ def test_contains_coords_agrees_with_contains():
                     if not el.is_zero():
                         principal = FractionalIdeal.principal(k, el)
                         assert inside == (ideal + principal == ideal)
+
+
+# ideal arithmetic in integer coordinates against an oracle that multiplies
+# Fraction field elements and clears denominators at the end
+IDEAL_FIELDS = (
+    quadratic_field(-5),
+    quadratic_field(5),
+    cyclotomic_field(7),
+    composite_field(quadratic_field(-5), cyclotomic_field(3))[0],
+)
+
+
+def _oracle_ideal(field, elements):
+    """The lattice spanned by the given field elements."""
+    rows = [el.basis_coords() for el in elements]
+    den = lcm(*(x.denominator for r in rows for x in r))
+    return FractionalIdeal(field, IntMatrix.from_rows(
+        [[int(x * den) for x in r] for r in rows]), den)
+
+
+@st.composite
+def _ideals(draw, field):
+    """A fractional ideal with one or two small generators, and the Fraction
+    elements spanning it as a lattice."""
+    n = field.degree
+    den = draw(st.sampled_from((1, 2, 3, 4, 6)))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        coords = [Fraction(draw(st.integers(-4, 4)), den) for _ in range(n)]
+        gens.append(field.from_basis_coords(coords))
+    assume(any(not g.is_zero() for g in gens))
+    span = [g * field.basis_element(i) for g in gens for i in range(n)]
+    return gens, span
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_integer_ideal_arithmetic_matches_fraction_oracle(data):
+    field = data.draw(st.sampled_from(IDEAL_FIELDS))
+    gens_a, span_a = data.draw(_ideals(field))
+    gens_b, span_b = data.draw(_ideals(field))
+    a = FractionalIdeal.from_generators(field, gens_a)
+    b = FractionalIdeal.from_generators(field, gens_b)
+    assert a == _oracle_ideal(field, span_a)
+    assert b == _oracle_ideal(field, span_b)
+    products = [x * y for x in a.basis_elements() for y in b.basis_elements()]
+    assert a * b == _oracle_ideal(field, products)
+    assert a + b == _oracle_ideal(field, a.basis_elements() + b.basis_elements())
+
+
+def test_ideal_arithmetic_makes_no_element_products(monkeypatch):
+    field = IDEAL_FIELDS[3]
+    p, q = factor_rational_prime(field, 2)[0].ideal, factor_rational_prime(field, 3)[0].ideal
+    calls = []
+    mul = NFElement.__mul__
+    monkeypatch.setattr(NFElement, "__mul__",
+                        lambda self, other: calls.append(1) or mul(self, other))
+    prod = p * q ** 2
+    assert (prod + p) * p.inverse() == FractionalIdeal.unit(field)
+    assert calls == []
+    assert prod.norm() == p.norm() * q.norm() ** 2
 
 
 def test_fractional_normalization():

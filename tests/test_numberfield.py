@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from sl2tate import polytools as pt
 from sl2tate.errors import IntegralBasisRequired, ReduciblePolynomial
+from sl2tate.intlinalg import det_rational
 from sl2tate.numberfield import (
     FieldEmbedding,
     composite_field,
@@ -146,3 +149,36 @@ def test_composite_real_quadratic():
     assert L.degree == 4
     assert L.signature == (0, 2)
     assert L.discriminant == 25 * 9
+
+
+def _trace_form_discriminant(k):
+    n = k.degree
+    return det_rational([[(k.basis_element(i) * k.basis_element(j)).trace()
+                          for j in range(n)] for i in range(n)])
+
+
+def _is_power_basis(k):
+    return all(x == (i == j) for i, row in enumerate(k.basis) for j, x in enumerate(row))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-60, 60))
+def test_discriminant_is_the_trace_form_determinant(d):
+    s, t = pt.squarefree_decompose(d)
+    assume(t == 1 and s not in (0, 1))
+    k = quadratic_field(s)
+    assert k.discriminant == _trace_form_discriminant(k)
+    assert k.discriminant == pt.fundamental_discriminant(4 * s)[0]
+    if _is_power_basis(k):
+        assert k.discriminant == pt.discriminant(k.min_poly)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from((3, 4, 5, 7, 8, 9, 11, 12, 15)), st.sampled_from((-7, -5, -2, 2, 5)))
+def test_discriminant_of_cyclotomic_and_composite_fields(m, d):
+    c = cyclotomic_field(m)
+    assert _is_power_basis(c)
+    assert c.discriminant == _trace_form_discriminant(c) == pt.discriminant(c.min_poly)
+    if c.degree == 2:
+        L, _, _ = composite_field(quadratic_field(d), c)
+        assert L.discriminant == _trace_form_discriminant(L)

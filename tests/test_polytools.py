@@ -33,6 +33,18 @@ def test_cyclotomic():
     assert pt.cyclotomic(4) == [1, 0, 1]
     assert pt.cyclotomic(23) == [1] * 23
     assert pt.degree(pt.cyclotomic(23)) == 22
+    # memoised, but every caller gets its own list
+    phi = pt.cyclotomic(12)
+    phi.append(5)
+    assert pt.cyclotomic(12) == [1, 0, -1, 0, 1]
+
+
+def test_euler_phi_matches_sympy():
+    import sympy
+
+    # the range _cyclo_candidates(22) scans
+    assert [pt.euler_phi(m) for m in range(1, 3875)] == \
+        [int(sympy.totient(m)) for m in range(1, 3875)]
 
 
 def test_cos_minpoly_small_cases():

@@ -98,6 +98,21 @@ def test_minkowski_bound():
     assert minkowski_bound(q) == 1
 
 
+@pytest.mark.parametrize("d", (-1, -2, -5, -7, -10, -11, -13, -14, -17, -19))
+def test_minkowski_bound_exact_matches_float(d):
+    # the criterion-7 fields K and their quartic L = K(zeta_3)
+    import math
+
+    from sl2tate.numberfield import composite_field
+
+    k = quadratic_field(d)
+    for field in (k, composite_field(k, cyclotomic_field(3))[0]):
+        n, (_, r2) = field.degree, field.signature
+        bound = (math.factorial(n) / n**n * (4 / math.pi) ** r2
+                 * math.sqrt(abs(field.discriminant)))
+        assert minkowski_bound(field) == math.floor(bound)
+
+
 def test_degree_over_four_needs_backend():
     k = cyclotomic_field(23)
     with pytest.raises(NeedsBackendData):
