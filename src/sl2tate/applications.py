@@ -10,12 +10,9 @@ from typing import Optional
 
 from .cohomology import total_dimensions
 from .errors import EmbeddingInvalid, NeedsBackendData, verify
-from .ideals import find_root
-from .numberfield import NumberField
-from .polytools import cos_minpoly
-from .relative import RelativeSetup, build_setup, norm_maps, \
-    oriented_class_group
-from .classify import element_class_count, subgroup_classes
+from .numberfield import NumberField, _eval_poly_at, make_field
+from .relative import RelativeSetup, build_setup
+from .classify import class_pipeline, element_class_count
 from .sinvariants import PlaceSet
 
 
@@ -159,56 +156,45 @@ def restriction_map(setup_k: RelativeSetup, field_l: NumberField,
     class group is trivial (every class lands on the unique target class) or
     when the extension is the identity."""
     K = setup_k.field
-    # exact embedding check: min poly of K vanishes on the image
-    acc, pw = field_l.zero(), field_l.one()
-    for c in K.min_poly:
-        acc = acc + pw * c
-        pw = pw * gen_image
-    if not acc.is_zero():
+    if not _eval_poly_at(K.min_poly, gen_image).is_zero():
         raise EmbeddingInvalid(f"{K.label} generator image fails its minimal "
                                "polynomial")
-    setup_l = build_setup(field_l, places_l, setup_k.ell)
-    setup_l.require_regular()
-    nm_k = norm_maps(setup_k, store=store)
-    ocg_k = oriented_class_group(setup_k, nm_k)
-    src_classes = subgroup_classes(ocg_k)
-    nm_l = norm_maps(setup_l, store=store)
-    ocg_l = oriented_class_group(setup_l, nm_l)
-    tgt_classes = subgroup_classes(ocg_l)
-    degree = field_l.degree // K.degree
     identity = (field_l.min_poly == K.min_poly
                 and (gen_image - field_l.gen()).is_zero()
                 and places_l.rational_primes == setup_k.places.rational_primes)
     if identity:
-        assignment = {el.coords: str(list(el.coords)) for el in ocg_k.elements}
-    elif ocg_l.order == 1:
-        target = str(list(ocg_l.elements[0].coords))
-        assignment = {el.coords: target for el in ocg_k.elements}
+        # the target setup is the source setup
+        src = tgt = class_pipeline(setup_k, store=store)
+        assignment = {el.coords: str(list(el.coords))
+                      for el in src.ocg.elements}
     else:
-        raise NeedsBackendData(
-            "general pushforward needs a trivial target class group or a "
-            "capitulation fixture")
-    inv_labels = [str(list(c)) for cls in tgt_classes if cls.galois_invariant
+        setup_l = build_setup(field_l, places_l, setup_k.ell)
+        setup_l.require_regular()
+        src = class_pipeline(setup_k, store=store)
+        tgt = class_pipeline(setup_l, store=store)
+        if tgt.ocg.order != 1:
+            raise NeedsBackendData(
+                "general pushforward needs a trivial target class group or a "
+                "capitulation fixture")
+        target = str(list(tgt.ocg.elements[0].coords))
+        assignment = {el.coords: target for el in src.ocg.elements}
+    inv_labels = [str(list(c)) for cls in tgt.classes if cls.galois_invariant
                   for c in cls.orbit]
-    all_labels = [str(list(el.coords)) for el in ocg_l.elements]
-    return _finish_restriction(assignment, src_classes, inv_labels,
-                               all_labels, degree, False, ())
+    all_labels = [str(list(el.coords)) for el in tgt.ocg.elements]
+    return _finish_restriction(assignment, src.classes, inv_labels,
+                               all_labels, field_l.degree // K.degree, False,
+                               ())
 
 
 def restriction_scenario(doc: dict, store=None) -> RestrictionReport:
     """Fixture-driven restriction when the target field is out of reach
     (e.g. a Hilbert class field): the fixture supplies the relative degree
     and the capitulation of the source classes."""
-    from .numberfield import make_field
-
     src = doc["source"]
     field_k = make_field(src["min_poly"], label=src.get("label"))
     places = PlaceSet.make(field_k, src.get("places", []))
-    setup_k = build_setup(field_k, places, src["ell"])
-    setup_k.require_regular()
-    nm_k = norm_maps(setup_k, store=store)
-    ocg_k = oriented_class_group(setup_k, nm_k)
-    src_classes = subgroup_classes(ocg_k)
+    src_res = class_pipeline(build_setup(field_k, places, src["ell"]),
+                             store=store)
     tgt = doc["target"]
     degree = tgt["relative_degree"]
     notes = [f"target {tgt.get('label', '?')} ingested; embedding "
@@ -219,8 +205,8 @@ def restriction_scenario(doc: dict, store=None) -> RestrictionReport:
         raise NeedsBackendData("capitulation 'all' needs a trivial target "
                                "class group")
     # trivial target class group: a single invariant target class
-    assignment = {el.coords: "0" for el in ocg_k.elements}
-    return _finish_restriction(assignment, src_classes, ["0"], ["0"],
+    assignment = {el.coords: "0" for el in src_res.ocg.elements}
+    return _finish_restriction(assignment, src_res.classes, ["0"], ["0"],
                                degree, True, notes)
 
 
@@ -245,7 +231,7 @@ def transfer_obstruction(report: RestrictionReport, ell: int):
 
 
 # ---------------------------------------------------------------------------
-# colimit over all S, torsion presence, vcd
+# colimit over all S, vcd
 
 
 @dataclass(frozen=True)
@@ -254,28 +240,25 @@ class ColimitDescriptor:
     note: str
 
 
-def torsion_presence(field: NumberField, ell: int) -> bool:
-    """Whether SL_2 of some O_{K,S} contains an element of order ell:
-    equivalent to 2cos(2pi/ell) lying in K."""
-    t = find_root([field.rational(c) for c in cos_minpoly(ell)], field)
-    return t is not None
-
-
-def colimit_case(field: NumberField, ell: int) -> ColimitDescriptor:
-    t = find_root([field.rational(c) for c in cos_minpoly(ell)], field)
-    if t is None:
-        return ColimitDescriptor(
-            "Zero", "no order-ell torsion for any S: colimit vanishes")
-    one = field.one()
-    if find_root([one, -t, one], field) is not None:
-        return ColimitDescriptor(
-            "NormalizerOfTorus",
-            "zeta_ell in K: colimit is the cohomology of the normalizer of "
-            "a maximal torus")
-    return ColimitDescriptor(
+# keyed by the torsion case of the setup, which does not depend on S
+_COLIMITS = {
+    "NoTorsion": ColimitDescriptor(
+        "Zero", "no order-ell torsion for any S: colimit vanishes"),
+    "Split": ColimitDescriptor(
+        "NormalizerOfTorus",
+        "zeta_ell in K: colimit is the cohomology of the normalizer of "
+        "a maximal torus"),
+    "Field": ColimitDescriptor(
         "ProductOverRelativeBrauer",
         "field case: colimit is a product indexed by the kernel of the "
-        "relative Brauer map for K(zeta_ell)/K")
+        "relative Brauer map for K(zeta_ell)/K"),
+}
+
+
+def colimit_case(setup: RelativeSetup) -> ColimitDescriptor:
+    """The colimit over all S of the cohomology, read off the torsion case:
+    whether 2cos(2pi/ell) and zeta_ell lie in K."""
+    return _COLIMITS[setup.case]
 
 
 def vcd(field: NumberField, places: PlaceSet) -> int:

@@ -21,6 +21,8 @@ from .relative import (
     OrientedElement,
     RelativeSetup,
     galois_involution,
+    norm_maps,
+    oriented_class_group,
     principal_generator,
 )
 
@@ -76,6 +78,25 @@ def subgroup_classes(ocg: OrientedClassGroup,
                                      NormalizerDescriptor(kind, base)))
     classes.sort(key=lambda s: s.orbit)
     return classes
+
+
+@dataclass(frozen=True)
+class SetupClasses:
+    """What the class pipeline yields for one regular setup with torsion."""
+    norms: NormMapsData
+    ocg: OrientedClassGroup
+    involution: dict
+    classes: list
+
+
+def class_pipeline(setup: RelativeSetup, store=None) -> SetupClasses:
+    """Norm maps, oriented class group, Galois involution and subgroup
+    classes of a setup; norm_maps raises first if the setup is not regular."""
+    norms = norm_maps(setup, store=store)
+    ocg = oriented_class_group(setup, norms)
+    involution = galois_involution(ocg)
+    return SetupClasses(norms, ocg, involution,
+                        subgroup_classes(ocg, involution))
 
 
 def element_class_count(classes) -> int:

@@ -17,10 +17,10 @@ from .applications import (
     vcd,
 )
 from .classify import (
+    class_pipeline,
     dihedral_overgroup_count,
     element_class_count,
     representative_matrix,
-    subgroup_classes,
 )
 from .cohomology import (
     component_ring,
@@ -39,13 +39,7 @@ from .errors import (
 )
 from .numberfield import make_field, quadratic_field
 from .polytools import squarefree_decompose
-from .relative import (
-    build_setup,
-    galois_involution,
-    inert_place_count,
-    norm_maps,
-    oriented_class_group,
-)
+from .relative import build_setup, inert_place_count
 from .sinvariants import (
     BackendStore,
     PlaceSet,
@@ -135,7 +129,7 @@ def cmd_analyze(args) -> int:
                   "vcd": vcd(field, places),
                   "t": _coords(setup.t) if setup.t is not None else None,
                   "notes": list(setup.notes)},
-        "colimit": {"case": colimit_case(field, args.ell).case,
+        "colimit": {"case": colimit_case(setup).case,
                     "provenance": "computed"},
     }
     if setup.case == "NoTorsion":
@@ -145,11 +139,8 @@ def cmd_analyze(args) -> int:
         report["quillen"] = {"rank_over_c2": 0, "provenance": "computed"}
         _emit(report, args)
         return EXIT_OK
-    setup.require_regular()
-    nm = norm_maps(setup, store=store)
-    ocg = oriented_class_group(setup, nm)
-    invol = galois_involution(ocg)
-    classes = subgroup_classes(ocg, invol)
+    res = class_pipeline(setup, store=store)
+    nm, ocg, classes = res.norms, res.ocg, res.classes
     report["norm_maps"] = {
         "ker_nm1": {"free_rank": nm.ker_nm1.free_rank,
                     "torsion": list(nm.ker_nm1.torsion.invariant_factors)},
@@ -181,7 +172,8 @@ def cmd_analyze(args) -> int:
             "order": ocg.order,
             "carrier": list(ocg.carrier.invariant_factors),
         },
-        "involution": {str(list(a)): list(b) for a, b in invol.items()},
+        "involution": {str(list(a)): list(b)
+                       for a, b in res.involution.items()},
         "subgroup_classes": cls_entries,
         "provenance": "computed",
     }
@@ -281,18 +273,16 @@ def cmd_oracle_check(args) -> int:
     check("cyclic oracle coprime", oracle_cyclic(4, 3, 7), 0)
 
     # forms oracle sweep: built-in class groups vs reduced-forms counts
-    seen = set()
+    # each squarefree m < 0 has its own discriminant, m or 4m
     for m in range(-1, -args.forms_bound - 1, -1):
-        k = quadratic_field(m) if squarefree_decompose(m)[1] == 1 else None
-        if k is None or k.discriminant in seen:
+        disc = m if m % 4 == 1 else 4 * m
+        if -disc > args.forms_bound or squarefree_decompose(m)[1] != 1:
             continue
-        if abs(k.discriminant) > args.forms_bound:
-            continue
-        seen.add(k.discriminant)
+        k = quadratic_field(m)
         cl = class_group(k, PlaceSet.make(k))
-        check(f"forms disc={k.discriminant}",
+        check(f"forms disc={disc}",
               list(cl.group.invariant_factors),
-              list(forms_class_group_oracle(k.discriminant).invariant_factors))
+              list(forms_class_group_oracle(disc).invariant_factors))
 
     report = {"schema": REPORT_SCHEMA, "oracle_checks": rows,
               "all_pass": ok}

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterator, Sequence
 
 from .errors import verify
@@ -60,10 +60,6 @@ class IntMatrix:
     @staticmethod
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zero(r: int, c: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(0 for _ in range(c)) for _ in range(r)))
 
     @property
     def nrows(self) -> int:
@@ -349,35 +345,14 @@ class FiniteAbelianGroup:
     def is_trivial(self) -> bool:
         return not self.invariant_factors
 
-    @property
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * len(self.invariant_factors)
-
     def reduce(self, v: Sequence[int]) -> tuple[int, ...]:
         return tuple(x % d for x, d in zip(v, self.invariant_factors))
-
-    def add(self, v, w) -> tuple[int, ...]:
-        return self.reduce([a + b for a, b in zip(v, w)])
 
     def neg(self, v) -> tuple[int, ...]:
         return self.reduce([-a for a in v])
 
-    def scale(self, k: int, v) -> tuple[int, ...]:
-        return self.reduce([k * a for a in v])
-
     def elements(self) -> Iterator[tuple[int, ...]]:
         yield from itertools.product(*(range(d) for d in self.invariant_factors))
-
-    def element_order(self, v) -> int:
-        v = self.reduce(v)
-        o = 1
-        for x, d in zip(v, self.invariant_factors):
-            if x:
-                o = lcm(o, d // gcd(x, d))
-        return o
-
-    def exponent(self) -> int:
-        return self.invariant_factors[-1] if self.invariant_factors else 1
 
     def is_elementary_2(self) -> bool:
         return all(d == 2 for d in self.invariant_factors)
@@ -392,11 +367,6 @@ class FinGenAbGroup:
     @property
     def torsion_order(self) -> int:
         return self.torsion.order
-
-    def describe(self) -> str:
-        parts = [f"Z^{self.free_rank}"] if self.free_rank else []
-        parts += [f"Z/{d}" for d in self.torsion.invariant_factors]
-        return " x ".join(parts) if parts else "0"
 
 
 @dataclass

@@ -352,12 +352,6 @@ class NFElement:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.basis_coords())
 
-    def int_coords(self) -> tuple[int, ...]:
-        bc = self.basis_coords()
-        if any(c.denominator != 1 for c in bc):
-            raise ValueError("element is not in the order")
-        return tuple(int(c) for c in bc)
-
     def is_rational_value(self):
         if any(c != 0 for c in self.coords[1:]):
             return None

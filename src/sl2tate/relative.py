@@ -93,11 +93,6 @@ class RelativeSetup:
             raise RegularityViolated(self.violation or "setup is not regular",
                                      witness=self.violation_prime)
 
-    def psi(self) -> list:
-        """Psi(T) = T^2 - tT + 1 over K, constant term first."""
-        one = self.field.one()
-        return [one, -self.t, one]
-
 
 def build_setup(field: NumberField, places: PlaceSet, ell: int) -> RelativeSetup:
     import sympy

@@ -79,11 +79,6 @@ class PlaceSet:
     def n_finite(self) -> int:
         return len(self.prime_ideals)
 
-    def describe(self) -> str:
-        if not self.rational_primes:
-            return "S_inf"
-        return "S_inf + {" + ", ".join(str(p) for p in self.rational_primes) + "}"
-
 
 # ---------------------------------------------------------------------------
 # binary quadratic forms oracle (imaginary quadratic, independent route)
@@ -247,10 +242,14 @@ def class_group(field: NumberField, places: PlaceSet, store=None) -> ClassGroupD
         raise NeedsBackendData(
             f"class group of degree {field.degree} is outside the built-in range"
         )
-    return _class_group_builtin(field, places)
+    return _finish_class_group(field, places, *_class_group_relations(field))
 
 
-def _class_group_builtin(field: NumberField, places: PlaceSet) -> ClassGroupData:
+@lru_cache(maxsize=None)
+def _class_group_relations(field: NumberField):
+    """The generator primes (all primes up to the Minkowski bound) and the
+    relation columns among them.  Neither depends on S, so the search runs
+    once per field; the S-quotient is taken in _finish_class_group."""
     n = field.degree
     mb = minkowski_bound(field)
     gen_primes: list[PrimeIdeal] = []
@@ -258,7 +257,7 @@ def _class_group_builtin(field: NumberField, places: PlaceSet) -> ClassGroupData
         if sympy.isprime(p):
             gen_primes.extend(factor_rational_prime(field, p))
     if not gen_primes:
-        return _finish_class_group(field, places, [], None)
+        return (), None
 
     rationals = sorted({pr.p for pr in gen_primes})
     power_cache: dict[tuple[int, int], FractionalIdeal] = {}
@@ -332,8 +331,7 @@ def _class_group_builtin(field: NumberField, places: PlaceSet) -> ClassGroupData
             f"class-group relations of {field.label} did not stabilize "
             f"up to box {_BOX_SCHEDULE[-1]}"
         )
-    rel_cols = IntMatrix.from_rows(relations).transpose()
-    return _finish_class_group(field, places, gen_primes, rel_cols)
+    return tuple(gen_primes), IntMatrix.from_rows(relations).transpose()
 
 
 def _finish_class_group(field, places, gen_primes, rel_cols) -> ClassGroupData:
@@ -549,6 +547,7 @@ def _embed_numeric(el: NFElement):
 def _unit_dlog(data: UnitGroupData, u: NFElement) -> tuple[int, tuple[int, ...]]:
     field = data.field
     exps = [0] * len(data.free_gens)
+    field_unit_idx = range(len(data.free_gens))
     # 1. strip S-prime valuations
     if data.places.n_finite:
         prs = data.places.prime_ideals
@@ -561,14 +560,14 @@ def _unit_dlog(data: UnitGroupData, u: NFElement) -> tuple[int, tuple[int, ...]]
         if sol is None:
             raise ValueError("element is not an S-unit for this place set")
         exps = list(sol)
+        # the field units are the generators with no S-valuation
+        field_unit_idx = [j for j, row in enumerate(gval) if not any(row)]
         for j, e in enumerate(exps):
             if e:
                 u = u * data.free_gens[j] ** (-e)
     if abs(u.norm()) != 1 or not u.is_integral():
         raise ValueError("element is not a unit")
     # 2. infinite part: round a float log solve, then verify exactly below
-    field_unit_idx = [j for j, g in enumerate(data.free_gens)
-                      if not _has_s_valuation(data, g)]
     if field_unit_idx:
         logs_u = [math.log(abs(z)) for z in _embed_numeric(u)]
         cols = [[math.log(abs(z)) for z in _embed_numeric(data.free_gens[j])]
@@ -587,13 +586,6 @@ def _unit_dlog(data: UnitGroupData, u: NFElement) -> tuple[int, tuple[int, ...]]
             return t, tuple(exps)
         acc = acc * data.torsion_gen
     raise ValueError("unit does not lie in the generated group")
-
-
-def _has_s_valuation(data: UnitGroupData, g: NFElement) -> bool:
-    return any(
-        FractionalIdeal.principal(data.field, g).valuation(pr) != 0
-        for pr in data.places.prime_ideals
-    )
 
 
 def _round_log_solve(cols, target):

@@ -3,20 +3,20 @@ import os
 
 import pytest
 
+from sl2tate import classify, ideals, relative
 from sl2tate.applications import (
     colimit_case,
     detection_report,
     quillen_report,
     restriction_map,
     restriction_scenario,
-    torsion_presence,
     transfer_obstruction,
     vcd,
 )
-from sl2tate.classify import subgroup_classes
+from sl2tate.classify import class_pipeline
 from sl2tate.errors import EmbeddingInvalid
 from sl2tate.numberfield import cyclotomic_field, make_field, quadratic_field
-from sl2tate.relative import build_setup, norm_maps, oriented_class_group
+from sl2tate.relative import build_setup, norm_maps
 from sl2tate.sinvariants import BackendStore, PlaceSet, ingest_backend
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "sl2tate",
@@ -36,9 +36,8 @@ def _load_store(*names):
 
 def _pipeline(field, primes, ell, store=None):
     s = build_setup(field, PlaceSet.make(field, primes), ell)
-    nm = norm_maps(s, store=store)
-    ocg = oriented_class_group(s, nm)
-    return s, nm, subgroup_classes(ocg)
+    res = class_pipeline(s, store=store)
+    return s, res.norms, res.classes
 
 
 def test_quillen_rational_ell3():
@@ -94,6 +93,22 @@ def test_restriction_identity():
     assert not rep.conditional
 
 
+def test_restriction_identity_runs_one_pipeline(monkeypatch):
+    calls = []
+
+    def counted(setup, store=None):
+        calls.append(setup)
+        return norm_maps(setup, store=store)
+
+    monkeypatch.setattr(classify, "norm_maps", counted)
+    q = make_field([0, 1])
+    s = build_setup(q, PlaceSet.make(q, [2]), 3)
+    rep = restriction_map(s, q, PlaceSet.make(q, [2]), q.gen())
+    assert len(calls) == 1
+    assert len(rep.assignment) == 4 and rep.merges == ()
+    assert all(v == str(list(k)) for k, v in rep.assignment.items())
+
+
 def test_restriction_invalid_embedding():
     q = make_field([0, 1])
     s = build_setup(q, PlaceSet.make(q), 3)
@@ -144,17 +159,27 @@ def test_transfer_obstruction_degree_divisible_none():
 
 
 def test_colimit_cases():
+    def case(field, ell):
+        return colimit_case(build_setup(field, PlaceSet.make(field), ell)).case
+
     q = make_field([0, 1])
-    assert colimit_case(q, 5).case == "Zero"
-    assert colimit_case(q, 3).case == "ProductOverRelativeBrauer"
-    assert colimit_case(cyclotomic_field(5), 5).case == "NormalizerOfTorus"
+    assert case(q, 5) == "Zero"
+    assert case(q, 3) == "ProductOverRelativeBrauer"
+    assert case(cyclotomic_field(5), 5) == "NormalizerOfTorus"
+    # 2cos(2pi/5) lies in Q(sqrt(5)), zeta_5 does not
+    assert case(quadratic_field(5), 5) == "ProductOverRelativeBrauer"
 
 
-def test_torsion_presence():
+def test_colimit_case_reads_the_setup(monkeypatch):
     q = make_field([0, 1])
-    assert torsion_presence(q, 3)
-    assert not torsion_presence(q, 5)
-    assert torsion_presence(quadratic_field(5), 5)
+    s = build_setup(q, PlaceSet.make(q), 3)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("colimit_case must not search for roots")
+
+    monkeypatch.setattr(ideals, "find_root", no_search)
+    monkeypatch.setattr(relative, "find_root", no_search)
+    assert colimit_case(s).case == "ProductOverRelativeBrauer"
 
 
 def test_vcd_values():

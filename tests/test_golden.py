@@ -33,6 +33,7 @@ CASES = {
         "--fixtures", os.path.join(FIXTURES, "q23.json")],
     "identity_restrict": ["restrict", "--field", "0,1", "--ell", "3",
                           "--target-field", "0,1", "--embedding", "0"],
+    "oracle_forms100": ["oracle-check", "--forms-bound", "100"],
 }
 
 

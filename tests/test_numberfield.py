@@ -67,7 +67,7 @@ def test_non_maximal_power_basis_detected():
     k = quadratic_field(-3)
     half = k.element([Fraction(1, 2), Fraction(1, 2)])
     assert half.is_integral()
-    assert half.int_coords() == (0, 1)
+    assert half.basis_coords() == (0, 1)
 
 
 def test_cyclotomic_field_23():

@@ -91,6 +91,30 @@ def test_class_group_quartic():
     assert cl.group.is_trivial
 
 
+def test_class_group_relations_searched_once_per_field(monkeypatch):
+    from sl2tate import sinvariants
+    from sl2tate.numberfield import NumberField, composite_field
+
+    L, _, _ = composite_field(quadratic_field(-5), cyclotomic_field(3))
+    s2 = PlaceSet.make(L, [2])
+    sinvariants._class_group_relations.cache_clear()
+    cold = class_group(L, s2)
+    sinvariants._class_group_relations.cache_clear()
+    class_group(L, PlaceSet(L, (), ()))
+    calls = []
+    norm = NumberField.norm_of_int_coords
+
+    def counted(self, coords):
+        calls.append(coords)
+        return norm(self, coords)
+
+    monkeypatch.setattr(NumberField, "norm_of_int_coords", counted)
+    warm = class_group(L, s2)
+    assert calls == []
+    assert warm.group == cold.group == FiniteAbelianGroup((2,))
+    assert warm.generator_ideals == cold.generator_ideals
+
+
 def test_minkowski_bound():
     k = quadratic_field(-5)
     assert minkowski_bound(k) == 2
