@@ -36,6 +36,7 @@ from .errors import (
     RegularityViolated,
     SchemaViolation,
     SearchExhausted,
+    UnsupportedCase,
 )
 from .numberfield import make_field, quadratic_field
 from .polytools import squarefree_decompose
@@ -57,6 +58,7 @@ EXIT_SEARCH = 4
 EXIT_SCHEMA = 5
 EXIT_INPUT = 6
 EXIT_CONSISTENCY = 7
+EXIT_UNSUPPORTED = 8
 
 
 def _coords(el) -> list:
@@ -369,6 +371,9 @@ def main(argv=None) -> int:
     except ConsistencyFailure as exc:
         sys.stderr.write(f"consistency check failed: {exc}\n")
         return EXIT_CONSISTENCY
+    except UnsupportedCase as exc:
+        sys.stderr.write(f"unsupported case: {exc}\n")
+        return EXIT_UNSUPPORTED
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 
 import sympy
@@ -94,9 +95,11 @@ class FractionalIdeal:
     def contains(self, el: NFElement) -> bool:
         return self.contains_coords(el.basis_coords())
 
-    def contains_ideal(self, other: "FractionalIdeal") -> bool:
-        return all(self.contains_coords([Fraction(x, other.den) for x in row])
-                   for row in other.num.entries)
+    def element_ideal(self, coords) -> "FractionalIdeal":
+        """The principal ideal of the element coords / den, for integer
+        coordinates such as those search_elements yields."""
+        return FractionalIdeal(self.field, IntMatrix.from_rows(
+            self.field.int_mult_rows(coords)), self.den)
 
     def __eq__(self, other):
         return (isinstance(other, FractionalIdeal) and self.field == other.field
@@ -175,28 +178,10 @@ class FractionalIdeal:
         return inv
 
     def valuation(self, prime: "PrimeIdeal") -> int:
-        """v_P(self), exact, via containment in powers of P."""
-        # split off the denominator: v(I) = v(num-lattice) - v(den * O)
-        num_ideal = FractionalIdeal(self.field, self.num)
-        v = _integral_valuation(num_ideal, prime)
-        if self.den > 1:
-            v -= prime.e * _rational_valuation(self.den, prime.p)
-        return v
-
-
-def _integral_valuation(ideal: FractionalIdeal, prime: "PrimeIdeal") -> int:
-    nrm = ideal.norm()
-    verify(nrm.denominator == 1, "an integral ideal has integral norm")
-    bound = _rational_valuation(int(nrm), prime.p)
-    v = 0
-    power = FractionalIdeal.unit(ideal.field)
-    while v <= bound:
-        nxt = power * prime.ideal
-        if not nxt.contains_ideal(ideal):
-            return v
-        power = nxt
-        v += 1
-    return v
+        """v_P(self): the least v_P of the numerator rows (a Z-basis), less
+        v_P(den)."""
+        v = min(prime.valuation_coords(row) for row in self.num.entries)
+        return v - prime.e * _rational_valuation(self.den, prime.p)
 
 
 def _rational_valuation(n: int, p: int) -> int:
@@ -217,11 +202,40 @@ class PrimeIdeal:
     def __repr__(self):
         return f"PrimeIdeal(p={self.p}, e={self.e}, f={self.f})"
 
+    @cached_property
+    def _anti_uniformizer_rows(self) -> list[list[int]]:
+        """Multiplication rows of some beta with beta*P <= pO and beta not in
+        pO.  Then v_P(beta) = e - 1 and v_Q(beta) >= e_Q at the other Q | p,
+        so beta*x lies in pO exactly when v_P(x) >= 1 (Cohen GTM 138,
+        Algorithm 4.8.17)."""
+        field = self.ideal.field
+        # beta * w = combine_rows(beta, int_mult_rows(w)) must vanish mod p
+        # for every row w of P: one equation per column of those rows
+        system = [col for w in self.ideal.num.entries
+                  for col in zip(*field.int_mult_rows(w))]
+        return field.int_mult_rows(_mod_kernel(system, self.p, field.degree)[0])
 
-def factor_rational_prime(field: NumberField, p: int) -> list[PrimeIdeal]:
+    def valuation_coords(self, coords) -> int:
+        """v_P of the nonzero integral element with these integer
+        integral-basis coordinates: how often x -> beta*x/p stays integral."""
+        if not any(coords):
+            raise ValueError("the valuation of zero is infinite")
+        rows, p = self._anti_uniformizer_rows, self.p
+        v = 0
+        while True:
+            coords = combine_rows(coords, rows)
+            if any(c % p for c in coords):
+                return v
+            coords = [c // p for c in coords]
+            v += 1
+
+
+@lru_cache(maxsize=None)
+def factor_rational_prime(field: NumberField, p: int) -> tuple[PrimeIdeal, ...]:
     """Kummer-Dedekind factorization of (p) using a generator whose index is
     prime to p.  Tries the power-basis root, the basis elements and pairwise
-    sums, then falls back to splitting the algebra O/pO."""
+    sums, then falls back to splitting the algebra O/pO.  Memoised per
+    (field, p), so each prime's anti-uniformizer is built once."""
     n = field.degree
     candidates = [field.gen()]
     candidates += [field.basis_element(i) for i in range(1, n)]
@@ -255,7 +269,7 @@ def factor_rational_prime(field: NumberField, p: int) -> list[PrimeIdeal]:
                 prod = prod * pr.ideal ** pr.e
             verify(prod == FractionalIdeal.principal(field, field.rational(p)),
                    "product of the P^e must be (p)")
-        return sorted(out, key=lambda pr: (pr.f, pr.e, pr.ideal.num.entries))
+        return tuple(sorted(out, key=lambda pr: (pr.f, pr.e, pr.ideal.num.entries)))
     # p divides the index of every monogenic generator tried (it may be a
     # common index divisor, e.g. two residue-degree-2 primes above 2 while
     # F_2 has a single irreducible quadratic); fall back to splitting the
@@ -290,7 +304,7 @@ def _mod_solve_span(span, vec, p):
     return sol
 
 
-def _factor_by_algebra_splitting(field: NumberField, p: int) -> list[PrimeIdeal]:
+def _factor_by_algebra_splitting(field: NumberField, p: int) -> tuple[PrimeIdeal, ...]:
     """Factor (p) without a monogenic generator: decompose A = O/pO into
     local pieces along eigenspaces of Frobenius-fixed elements; the maximal
     ideal of each piece together with the other pieces lifts to a prime
@@ -383,48 +397,40 @@ def _factor_by_algebra_splitting(field: NumberField, p: int) -> list[PrimeIdeal]
         ideal = FractionalIdeal(field, IntMatrix.from_rows(
             [row for g in gens for row in field.int_mult_rows(g)]))
         verify(ideal.norm() == p**f, "N(P) must be p^f")
-        e = 1
-        while (ideal ** (e + 1)).contains_ideal(p_ideal):
-            e += 1
+        e = PrimeIdeal(p, ideal, 0, f).valuation_coords([p] + [0] * (n - 1))
         out.append(PrimeIdeal(p, ideal, e=e, f=f))
     verify(sum(pr.e * pr.f for pr in out) == n, "sum of e*f must be the degree")
     prod = FractionalIdeal.unit(field)
     for pr in out:
         prod = prod * pr.ideal ** pr.e
     verify(prod == p_ideal, "product of the P^e must be (p)")
-    return sorted(out, key=lambda pr: (pr.f, pr.e, pr.ideal.num.entries))
+    return tuple(sorted(out, key=lambda pr: (pr.f, pr.e, pr.ideal.num.entries)))
 
 
 # ---------------------------------------------------------------------------
 # bounded lattice searches
 
 
+def box_shell(n: int, inner: int, outer: int):
+    """The integer vectors of [-outer, outer]^n outside [-inner, inner]^n,
+    in lexicographic order."""
+    for combo in itertools.product(range(-outer, outer + 1), repeat=n):
+        if max(map(abs, combo)) > inner:
+            yield combo
+
+
 def search_elements(ideal: FractionalIdeal, bounds=(1, 2, 3, 5, 8, 13)):
-    """Yield (element, norm) over nonzero lattice combinations with
-    coefficients in growing boxes.  Each box only yields vectors not already
-    seen in smaller boxes; elements come in a deterministic order."""
-    basis = ideal.basis_elements()
-    n = len(basis)
+    """Yield (coords, norm) over nonzero lattice combinations with
+    coefficients in growing boxes, in a deterministic order.  coords are the
+    integer integral-basis coordinates of den * x, norm = N(x); no field
+    element is built (see FractionalIdeal.element_ideal)."""
     field = ideal.field
-    use_form = field.degree <= 4
+    scale = ideal.den ** field.degree
     prev = 0
     for b in bounds:
-        for combo in itertools.product(range(-b, b + 1), repeat=n):
-            if all(abs(c) <= prev for c in combo):
-                continue
-            if not any(combo):
-                continue
-            el = field.zero()
-            for c, v in zip(combo, basis):
-                if c:
-                    el = el + v * c
-            if use_form and ideal.den == 1:
-                coords = [sum(c * ideal.num[i, j] for i, c in enumerate(combo))
-                          for j in range(n)]
-                nrm = Fraction(field.norm_of_int_coords(coords))
-            else:
-                nrm = el.norm()
-            yield el, nrm
+        for combo in box_shell(field.degree, prev, b):
+            coords = combine_rows(combo, ideal.num.entries)
+            yield coords, Fraction(field.norm_of_int_coords(coords), scale)
         prev = b
 
 
@@ -435,7 +441,7 @@ def principal_generator(ideal: FractionalIdeal, s_prime_ideals=(), bounds=(1, 2,
     target = ideal.norm()
     rational_s = sorted({pr.p for pr in s_prime_ideals})
     inv = None
-    for el, nrm in search_elements(ideal, bounds):
+    for coords, nrm in search_elements(ideal, bounds):
         ratio = nrm / target
         num, den = abs(ratio.numerator), ratio.denominator
         for p in rational_s:
@@ -445,20 +451,21 @@ def principal_generator(ideal: FractionalIdeal, s_prime_ideals=(), bounds=(1, 2,
                 den //= p
         if num != 1 or den != 1:
             continue
-        quot = FractionalIdeal.principal(ideal.field, el)
-        if not s_prime_ideals:
-            if quot == ideal:
-                return el
-            continue
-        if inv is None:
-            inv = ideal.inverse()
-        q = quot * inv
-        for pr in s_prime_ideals:
-            v = q.valuation(pr)
-            if v:
-                q = q * pr.ideal ** (-v)
-        if q == FractionalIdeal.unit(ideal.field):
-            return el
+        quot = ideal.element_ideal(coords)
+        if s_prime_ideals:
+            if inv is None:
+                inv = ideal.inverse()
+            quot = quot * inv
+            for pr in s_prime_ideals:
+                v = quot.valuation(pr)
+                if v:
+                    quot = quot * pr.ideal ** (-v)
+            accepted = quot == FractionalIdeal.unit(ideal.field)
+        else:
+            accepted = quot == ideal
+        if accepted:
+            return ideal.field.from_basis_coords(
+                [Fraction(c, ideal.den) for c in coords])
     raise SearchExhausted(f"no principal generator in boxes up to {bounds[-1]}")
 
 

@@ -189,6 +189,10 @@ class NumberField:
         return self._norm_form
 
     def norm_of_int_coords(self, coords: Sequence[int]) -> int:
+        """N(sum c_i b_i): the norm form up to degree 4, else the determinant
+        of the multiplication matrix."""
+        if self.degree > 4:
+            return IntMatrix.from_rows(self.int_mult_rows(coords)).det()
         acc = 0
         for exps, c in self.norm_form().items():
             term = c

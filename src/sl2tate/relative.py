@@ -26,6 +26,7 @@ from .ideals import (
     factor_rational_prime,
     find_root,
     principal_generator,
+    search_elements,
     sqrt_in_field,
 )
 from .intlinalg import (
@@ -517,15 +518,13 @@ def _reduce_in_class(ideal: FractionalIdeal) -> FractionalIdeal:
     """Small integral ideal in the same class, by two rounds of the
     alpha-trick: a small element gamma of I gives the integral cofactor
     (gamma) I^-1 in the inverse class; repeating lands back in [I]."""
-    from .ideals import search_elements
-
     cur = ideal
     for _ in range(2):
         best = None
-        for el, nrm in search_elements(cur, (2,)):
-            if nrm != 0 and (best is None or abs(nrm) < abs(best[1])):
-                best = (el, nrm)
-        cur = FractionalIdeal.principal(cur.field, best[0]) * cur.inverse()
+        for coords, nrm in search_elements(cur, (2,)):
+            if best is None or abs(nrm) < abs(best[1]):
+                best = (coords, nrm)
+        cur = cur.element_ideal(best[0]) * cur.inverse()
     return cur
 
 

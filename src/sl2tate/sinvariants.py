@@ -12,7 +12,6 @@ composition; it shares no code with the ideal-theoretic path.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +32,7 @@ from .errors import (
 from .ideals import (
     FractionalIdeal,
     PrimeIdeal,
+    box_shell,
     factor_rational_prime,
     principal_generator,
     search_elements,
@@ -260,14 +260,6 @@ def _class_group_relations(field: NumberField):
         return (), None
 
     rationals = sorted({pr.p for pr in gen_primes})
-    power_cache: dict[tuple[int, int], FractionalIdeal] = {}
-
-    def prime_power(idx, k):
-        key = (idx, k)
-        if key not in power_cache:
-            prime = gen_primes[idx].ideal
-            power_cache[key] = prime if k == 1 else prime_power(idx, k - 1) * prime
-        return power_cache[key]
 
     def element_valuations(coords, norm_abs) -> list[int] | None:
         """Exponent vector of (alpha) over gen_primes, or None if not smooth."""
@@ -283,13 +275,9 @@ def _class_group_relations(field: NumberField):
         for p, a_p in fac.items():
             total = 0
             for idx, pr in enumerate(gen_primes):
-                if pr.p != p:
-                    continue
-                v = 0
-                while v * pr.f < a_p and prime_power(idx, v + 1).contains_coords(coords):
-                    v += 1
-                vec[idx] = v
-                total += v * pr.f
+                if pr.p == p:
+                    vec[idx] = pr.valuation_coords(coords)
+                    total += vec[idx] * pr.f
             verify(total == a_p, "the valuations cover the p-part of the norm")
         return vec
 
@@ -306,12 +294,8 @@ def _class_group_relations(field: NumberField):
     # below about mb; do not accept stability before the box covers that
     min_stable_box = mb + 2 if n == 2 else 0
     for box in _BOX_SCHEDULE:
-        for combo in itertools.product(range(-box, box + 1), repeat=n):
-            if all(abs(c) <= seen_box for c in combo):
-                continue
-            if not any(combo):
-                continue
-            if math.gcd(*[abs(c) for c in combo]) > 1:
+        for combo in box_shell(n, seen_box, box):
+            if math.gcd(*combo) > 1:
                 continue
             nrm = field.norm_of_int_coords(combo)
             vec = element_valuations(combo, abs(nrm))
@@ -353,7 +337,7 @@ def _finish_class_group(field, places, gen_primes, rel_cols) -> ClassGroupData:
                 m //= pr.p
         if m == 1:
             return [ideal.valuation(pr) for pr in gen_primes]
-        for el, enrm in search_elements(ideal):
+        for coords, enrm in search_elements(ideal):
             ratio = enrm / nrm
             if ratio.denominator != 1:
                 continue
@@ -362,9 +346,10 @@ def _finish_class_group(field, places, gen_primes, rel_cols) -> ClassGroupData:
                 while cof % pr.p == 0:
                     cof //= pr.p
             if cof == 1:
-                cofactor = FractionalIdeal.principal(field, el) * ideal.inverse()
-                # [ideal] = -[cofactor] since (el) is principal
-                return [-cofactor.valuation(pr) for pr in gen_primes]
+                # (x) = ideal * cofactor with a smooth integral cofactor, so
+                # [ideal] = -[cofactor] = v(ideal) - v(x)
+                x = ideal.element_ideal(coords)
+                return [ideal.valuation(pr) - x.valuation(pr) for pr in gen_primes]
         raise SearchExhausted("no smooth representative found for the ideal class")
 
     # S-quotient: kill the classes of the S-primes

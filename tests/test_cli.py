@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from sl2tate.cli import EXIT_CONSISTENCY, EXIT_INPUT, main
+from sl2tate.cli import EXIT_CONSISTENCY, EXIT_INPUT, EXIT_UNSUPPORTED, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "sl2tate",
                         "fixtures")
@@ -140,3 +140,13 @@ def test_consistency_failure_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2
     assert all(line.startswith("consistency check failed: ") for line in err)
+
+
+def test_unsupported_case_exit_code(tmp_path, capsys):
+    # no ell-torsion over Q at ell = 5: the norm maps are empty
+    out = tmp_path / "r.json"
+    assert main(["restrict", "--field", "0,1", "--ell", "5", "--target-field",
+                 "0,1", "--embedding", "0", "--out", str(out)]) == EXIT_UNSUPPORTED
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported case: ") and err.count("\n") == 1
+    assert not out.exists()

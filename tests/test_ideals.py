@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -12,11 +13,13 @@ from sl2tate.ideals import (
     factor_rational_prime,
     find_root,
     principal_generator,
+    search_elements,
     sqrt_in_field,
 )
 from sl2tate.intlinalg import IntMatrix
 from sl2tate.numberfield import (
     NFElement,
+    NumberField,
     composite_field,
     cyclotomic_field,
     make_field,
@@ -31,8 +34,9 @@ def test_unit_ideal_and_principal():
     assert o.norm() == 1
     two = FractionalIdeal.principal(k, k.rational(2))
     assert two.norm() == 4
-    assert o.contains_ideal(two)
-    assert not two.contains_ideal(o)
+    # containment as I + J = I
+    assert o + two == o
+    assert two + o != two
     # (1+i)^2 = 2i, so ((1+i))^2 = (2)
     p = FractionalIdeal.principal(k, k.element([1, 1]))
     assert p * p == two
@@ -172,6 +176,7 @@ def test_factor_common_index_divisor_splits_the_algebra(monkeypatch):
     split = ideals._factor_by_algebra_splitting
     monkeypatch.setattr(ideals, "_factor_by_algebra_splitting",
                         lambda field, p: calls.append(p) or split(field, p))
+    factor_rational_prime.cache_clear()
     primes = factor_rational_prime(L, 2)
     assert calls == [2]
     assert [(pr.e, pr.f) for pr in primes] == [(1, 2), (1, 2)]
@@ -200,6 +205,110 @@ def test_valuation():
     assert ideal.valuation(q) == 1
     inv = ideal.inverse()
     assert inv.valuation(p) == -2
+
+
+# v_P through the anti-uniformizer against containment in powers of P; the
+# primes above 2 in Q(sqrt(-7))(zeta_3) come from splitting O/2O
+VALUATION_CASES = (
+    (quadratic_field(-1), (2, 3, 5)),
+    (quadratic_field(-5), (2, 3, 5)),
+    (quadratic_field(5), (2, 3, 5)),
+    (composite_field(quadratic_field(-5), cyclotomic_field(3))[0], (2, 3, 5)),
+    (composite_field(quadratic_field(-7), cyclotomic_field(3))[0], (2,)),
+)
+
+
+def _p_adic(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _containment_valuation(ideal, pr):
+    """v_P(I) as the largest k with P^k containing m*I, less v_P(m) = 3e,
+    where m = 30^3 makes every ideal drawn below integral."""
+    j = ideal * FractionalIdeal.principal(ideal.field, ideal.field.rational(30 ** 3))
+    assert j.den == 1
+    k, power = 0, pr.ideal
+    while power + j == power:
+        k, power = k + 1, power * pr.ideal
+    return k - 3 * pr.e
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_valuation_matches_containment_in_prime_powers(data):
+    field, rational = data.draw(st.sampled_from(VALUATION_CASES))
+    primes = [pr for p in rational for pr in factor_rational_prime(field, p)]
+    ideal = FractionalIdeal.unit(field)
+    for pr in primes:
+        ideal = ideal * pr.ideal ** data.draw(st.integers(-2, 2))
+    den = data.draw(st.sampled_from((1, 2, 3, 6)))
+    coords = [Fraction(data.draw(st.integers(-3, 3)), den) for _ in range(field.degree)]
+    assume(any(coords))
+    ideal = ideal * FractionalIdeal.principal(field, field.from_basis_coords(coords))
+    for pr in primes:
+        assert ideal.valuation(pr) == _containment_valuation(ideal, pr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_valuations_add_up_to_the_norm_valuation(data):
+    # sum over P | p of f_P v_P(x) = v_p(N(x)) for integral x
+    field, rational = data.draw(st.sampled_from(VALUATION_CASES))
+    scale = data.draw(st.sampled_from((1, 2, 4, 6, 15)))
+    coords = [scale * data.draw(st.integers(-20, 20)) for _ in range(field.degree)]
+    assume(any(coords))
+    nrm = abs(field.norm_of_int_coords(coords))
+    for p in rational:
+        assert sum(pr.f * pr.valuation_coords(coords)
+                   for pr in factor_rational_prime(field, p)) == _p_adic(nrm, p)
+
+
+def test_search_elements_yields_integer_coords_and_fraction_norms():
+    # den > 1 through the inverse; degree 6 takes the determinant norm
+    k = quadratic_field(-5)
+    p2 = factor_rational_prime(k, 2)[0].ideal
+    c7 = cyclotomic_field(7)
+    for ideal in (p2, p2.inverse(), factor_rational_prime(c7, 7)[0].ideal):
+        for coords, nrm in itertools.islice(search_elements(ideal), 40):
+            assert type(coords) is list and all(type(c) is int for c in coords)
+            assert type(nrm) is Fraction
+            el = ideal.field.from_basis_coords([Fraction(c, ideal.den) for c in coords])
+            assert ideal.contains(el) and el.norm() == nrm
+
+
+def test_principal_generator_builds_only_the_accepted_element(monkeypatch):
+    k = quadratic_field(-5)
+    p3 = factor_rational_prime(k, 3)[0]
+    cases = (
+        (FractionalIdeal.principal(k, k.element([7, 3])), ()),
+        # P3 is not principal, but P3 * P2 is: a generator up to S-units
+        (p3.ideal, factor_rational_prime(k, 2)),
+    )
+    for ideal, s_primes in cases:
+        yielded, built = [], []
+        search, build = ideals.search_elements, NumberField.from_basis_coords
+
+        def counted_search(*args):
+            for item in search(*args):
+                yielded.append(item)
+                yield item
+
+        monkeypatch.setattr(ideals, "search_elements", counted_search)
+        monkeypatch.setattr(NumberField, "from_basis_coords",
+                            lambda self, c: built.append(c) or build(self, c))
+        g = principal_generator(ideal, s_prime_ideals=s_primes)
+        monkeypatch.undo()
+        # every tried candidate but the last failed the norm or ideal test
+        assert len(yielded) > 1 and len(built) == 1
+        assert built[0] == [Fraction(c, ideal.den) for c in yielded[-1][0]]
+        quot = FractionalIdeal.principal(k, g) * ideal.inverse()
+        for pr in s_primes:
+            quot = quot * pr.ideal ** (-quot.valuation(pr))
+        assert quot == FractionalIdeal.unit(k)
 
 
 def test_principal_generator_search():

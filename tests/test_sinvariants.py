@@ -115,6 +115,21 @@ def test_class_group_relations_searched_once_per_field(monkeypatch):
     assert warm.generator_ideals == cold.generator_ideals
 
 
+def test_relation_search_makes_no_membership_tests(monkeypatch):
+    # valuations come from PrimeIdeal.valuation_coords, not from P^k tests
+    from sl2tate import sinvariants
+
+    calls = []
+    contains = FractionalIdeal.contains_coords
+    monkeypatch.setattr(FractionalIdeal, "contains_coords",
+                        lambda self, coords: calls.append(coords) or contains(self, coords))
+    sinvariants._class_group_relations.cache_clear()
+    gen_primes, rel_cols = sinvariants._class_group_relations(quadratic_field(-14))
+    assert calls == []
+    # more relations than the seeded (p) per rational prime
+    assert rel_cols.ncols > len({pr.p for pr in gen_primes})
+
+
 def test_minkowski_bound():
     k = quadratic_field(-5)
     assert minkowski_bound(k) == 2
