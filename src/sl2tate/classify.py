@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import SearchExhausted, verify
-from .intlinalg import FinGenAbGroup, solve_rational
+from .intlinalg import FinGenAbGroup
 from .numberfield import NFElement
 from .relative import (
     NormMapsData,
     OrientedClassGroup,
     OrientedElement,
     RelativeSetup,
+    coordinates_over_k,
     galois_involution,
     norm_maps,
     oriented_class_group,
@@ -142,30 +143,20 @@ def representative_matrix(element: OrientedElement, setup: RelativeSetup,
         zero = setup.field.zero()
         return _checked(setup, ((z, zero), (zero, setup.t - z)))
     if basis is None:
+        if any(element.class_coords):
+            raise SearchExhausted(
+                "no basis (g, zeta*g): the class is nonzero in ker Nm0, which "
+                "embeds in Cl(O_{L,S}), so its ideal is not principal")
         if element.ideal is None:
             raise SearchExhausted(
                 "ingested class has no ideal representative")
         g = principal_generator(
             element.ideal, s_prime_ideals=setup.rel_places.prime_ideals)
         basis = (g, setup.zeta * g)
-    alpha, beta = basis
-    K, n = setup.field, setup.field.degree
-    cols = []
-    for v in (alpha, beta):
-        for j in range(n):
-            cols.append((setup.embed.map(K.basis_element(j)) * v).coords)
-    mat = [[cols[c][r] for c in range(2 * n)] for r in range(2 * n)]
-
-    def decompose(x):
-        sol = solve_rational(mat, x.coords)
-        if sol is None:
-            raise SearchExhausted("basis does not span the ideal over K")
-        lo = sum((K.basis_element(j) * sol[j] for j in range(n)), K.zero())
-        hi = sum((K.basis_element(j) * sol[n + j] for j in range(n)), K.zero())
-        return lo, hi
-
-    a, c = decompose(setup.zeta * alpha)
-    b, d = decompose(setup.zeta * beta)
+    columns = [coordinates_over_k(setup.embed, basis, setup.zeta * v) for v in basis]
+    if None in columns:
+        raise SearchExhausted("basis does not span the ideal over K")
+    (a, c), (b, d) = columns
     return _checked(setup, ((a, b), (c, d)))
 
 
@@ -183,16 +174,12 @@ def _checked(setup, rows) -> RepresentativeMatrix:
 
 
 def _is_s_integral(el: NFElement, places) -> bool:
-    # minimal rational denominator over the integral basis; S-integral iff
-    # all its prime factors are inverted
-    import math
-
-    import sympy
-
-    den = 1
-    for c in el.basis_coords():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return all(p in places.rational_primes for p in sympy.factorint(den))
+    # S-integral iff every prime factor of the denominator is inverted
+    den = el.den
+    for p in places.rational_primes:
+        while den % p == 0:
+            den //= p
+    return den == 1
 
 
 def _mat_mul(field, m1, m2):

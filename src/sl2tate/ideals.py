@@ -51,13 +51,11 @@ class FractionalIdeal:
         """The fractional O-ideal generated by the given field elements:
         (1/den) times the rows of the multiplication matrices of the
         generators scaled by their common denominator den."""
-        coords = [(g if isinstance(g, NFElement) else field.rational(g)).basis_coords()
-                  for g in gens]
-        den = lcm(*(c.denominator for v in coords for c in v))
+        gens = [g if isinstance(g, NFElement) else field.rational(g) for g in gens]
+        den = lcm(*(g.den for g in gens))
         rows = []
-        for v in coords:
-            rows.extend(field.int_mult_rows([c.numerator * (den // c.denominator)
-                                             for c in v]))
+        for g in gens:
+            rows.extend(field.int_mult_rows([c * (den // g.den) for c in g.num]))
         return FractionalIdeal(field, IntMatrix.from_rows(rows), den)
 
     @staticmethod
@@ -70,11 +68,8 @@ class FractionalIdeal:
 
     def basis_elements(self) -> list[NFElement]:
         """The Z-basis of the lattice as field elements."""
-        out = []
-        for row in self.num.entries:
-            coords = [Fraction(x, self.den) for x in row]
-            out.append(self.field.from_basis_coords(coords))
-        return out
+        return [self.field.from_basis_coords(row, self.den)
+                for row in self.num.entries]
 
     def norm(self) -> Fraction:
         d = 1
@@ -310,8 +305,7 @@ def _factor_by_algebra_splitting(field: NumberField, p: int) -> tuple[PrimeIdeal
     ideal of each piece together with the other pieces lifts to a prime
     above p."""
     n = field.degree
-    one = field.from_basis_coords([Fraction(1)] + [Fraction(0)] * (n - 1))
-    verify((one - field.one()).is_zero(),
+    verify(field.one().num == (1,) + (0,) * (n - 1),
            "integral basis must start with 1 for the splitting fallback")
 
     def a_mul(v, w):
@@ -419,7 +413,10 @@ def box_shell(n: int, inner: int, outer: int):
             yield combo
 
 
-def search_elements(ideal: FractionalIdeal, bounds=(1, 2, 3, 5, 8, 13)):
+BOXES = (1, 2, 3, 5, 8, 13)
+
+
+def search_elements(ideal: FractionalIdeal, bounds=BOXES):
     """Yield (coords, norm) over nonzero lattice combinations with
     coefficients in growing boxes, in a deterministic order.  coords are the
     integer integral-basis coordinates of den * x, norm = N(x); no field
@@ -434,14 +431,14 @@ def search_elements(ideal: FractionalIdeal, bounds=(1, 2, 3, 5, 8, 13)):
         prev = b
 
 
-def principal_generator(ideal: FractionalIdeal, s_prime_ideals=(), bounds=(1, 2, 3, 5, 8, 13)) -> NFElement:
+def principal_generator(ideal: FractionalIdeal, s_prime_ideals=()) -> NFElement:
     """Find a generator of the ideal, exactly, or -- when S-primes are given --
     up to S-units: (el) must equal ideal * (product of the S-primes to some
     powers).  Raises SearchExhausted when the coefficient boxes run out."""
     target = ideal.norm()
     rational_s = sorted({pr.p for pr in s_prime_ideals})
     inv = None
-    for coords, nrm in search_elements(ideal, bounds):
+    for coords, nrm in search_elements(ideal):
         ratio = nrm / target
         num, den = abs(ratio.numerator), ratio.denominator
         for p in rational_s:
@@ -464,9 +461,8 @@ def principal_generator(ideal: FractionalIdeal, s_prime_ideals=(), bounds=(1, 2,
         else:
             accepted = quot == ideal
         if accepted:
-            return ideal.field.from_basis_coords(
-                [Fraction(c, ideal.den) for c in coords])
-    raise SearchExhausted(f"no principal generator in boxes up to {bounds[-1]}")
+            return ideal.field.from_basis_coords(coords, ideal.den)
+    raise SearchExhausted(f"no principal generator in boxes up to {BOXES[-1]}")
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +554,6 @@ def _cheap_candidates(field):
 
 def _trager_root(coeffs, field):
     n = field.degree
-    d = len(coeffs) - 1
-    f = [Fraction(c) for c in field.min_poly]
     x, T = sympy.symbols("x T")
     f_sym = sum(Fraction(c) * x**i for i, c in enumerate(field.min_poly))
     # coefficients of g as polynomials in x (theta)
@@ -588,7 +582,6 @@ def _shift_poly(q_coeffs, field, s):
     """q(T + s*theta) as an NFElement-coefficient polynomial in T."""
     theta = field.gen()
     shift = theta * s
-    out = [field.zero() for _ in range(len(q_coeffs))]
     # Horner in T: q(T + a) built by repeated multiplication by (T + a)
     acc = [field.zero()]
     for c in reversed(q_coeffs):

@@ -1,8 +1,13 @@
 """Number fields presented as Q[x]/(f) with an explicit integral basis.
 
-Elements carry exact rational coordinates over the power basis of the
-defining root theta.  Integral bases are stored as a rational matrix over the
-power basis; closure under multiplication is verified at construction time.
+An element x is stored as (num, den): the integer integral-basis coordinates
+of den * x and the least positive den that makes them integers, the same
+coordinates the ideal layer uses.  Products go through the integral-basis
+multiplication table, norms through norm_of_int_coords.  Power-basis
+coordinates over the defining root theta appear only at the input/output
+boundary (NumberField.element and NFElement.coords).  Integral bases are
+stored as a rational matrix over the power basis; closure under
+multiplication is verified at construction time.
 
 Built-in maximal orders: Q, quadratic fields, cyclotomic fields.  Anything
 else must come with a user-supplied basis (which is still verified).
@@ -12,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Sequence
 
 from . import polytools as pt
@@ -22,7 +28,7 @@ from .errors import (
     ReduciblePolynomial,
     verify,
 )
-from .intlinalg import IntMatrix, det_rational, inverse_rational, rref_rational, solve_rational
+from .intlinalg import IntMatrix, inverse_rational, rref_rational, solve_rational
 
 
 class NumberField:
@@ -65,15 +71,6 @@ class NumberField:
             coeffs.append(Fraction(0))
         return coeffs
 
-    def _mul_power_coords(self, a, b):
-        out = [Fraction(0)] * (2 * self.degree - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return self._reduce_poly(out)
-
     def _to_basis(self, power_coords) -> list[Fraction]:
         out = [Fraction(0)] * self.degree
         for x, row in zip(power_coords, self._basis_inv):
@@ -83,26 +80,18 @@ class NumberField:
                         out[i] += x * y
         return out
 
-    def _from_basis(self, basis_coords) -> list[Fraction]:
-        out = [Fraction(0)] * self.degree
-        for x, row in zip(basis_coords, self.basis):
-            if x:
-                for j, y in enumerate(row):
-                    if y:
-                        out[j] += x * y
-        return out
-
     def _build_mult_table(self):
         n = self.degree
         one = self._to_basis([Fraction(1)] + [Fraction(0)] * (n - 1))
         if any(x.denominator != 1 for x in one):
             raise BasisNotClosed("1 is not in the span of the basis")
+        self._one = tuple(int(x) for x in one)
         table = []
         for i in range(n):
             row = []
             for j in range(n):
-                prod_pc = self._mul_power_coords(list(self.basis[i]), list(self.basis[j]))
-                bc = self._to_basis(prod_pc)
+                bc = self._to_basis(self._reduce_poly(
+                    pt.poly_mul(self.basis[i], self.basis[j])))
                 if any(x.denominator != 1 for x in bc):
                     raise BasisNotClosed(
                         f"basis element product b{i}*b{j} is not an integral combination"
@@ -120,33 +109,34 @@ class NumberField:
     # -- elements ------------------------------------------------------------
 
     def element(self, power_coords) -> "NFElement":
-        coords = [Fraction(x) for x in power_coords]
-        if len(coords) > self.degree:
-            coords = self._reduce_poly(coords)
-        while len(coords) < self.degree:
-            coords.append(Fraction(0))
-        return NFElement(self, tuple(coords))
+        """The element sum_j power_coords[j] * theta^j, of any length."""
+        coords = self._reduce_poly([Fraction(x) for x in power_coords])
+        return self.from_basis_coords(self._to_basis(coords))
 
     def zero(self) -> "NFElement":
-        return self.element([0])
+        return NFElement(self, (0,) * self.degree)
 
     def one(self) -> "NFElement":
-        return self.element([1])
+        return NFElement(self, self._one)
 
     def gen(self) -> "NFElement":
         if self.degree == 1:
             # theta is rational: x - c has root c
-            return self.element([-self.min_poly[0]])
+            return self.rational(-self.min_poly[0])
         return self.element([0, 1])
 
     def rational(self, q) -> "NFElement":
-        return self.element([Fraction(q)])
+        # gcd(one) = 1, so q in lowest terms gives the element in lowest terms
+        return NFElement(self, tuple(q.numerator * c for c in self._one), q.denominator)
 
     def basis_element(self, i: int) -> "NFElement":
-        return NFElement(self, tuple(self.basis[i]))
+        return NFElement(self, tuple(int(i == j) for j in range(self.degree)))
 
-    def from_basis_coords(self, coords) -> "NFElement":
-        return NFElement(self, tuple(self._from_basis(coords)))
+    def from_basis_coords(self, coords, den: int = 1) -> "NFElement":
+        """The element (sum_i coords[i] * b_i) / den, for integer or rational
+        coordinates."""
+        scale = lcm(*(c.denominator for c in coords))
+        return _reduced(self, [int(c * scale) for c in coords], den * scale)
 
     # -- invariants ----------------------------------------------------------
 
@@ -270,28 +260,56 @@ def _perm_sign(perm):
     return sign
 
 
+def _reduced(field: NumberField, num, den: int) -> "NFElement":
+    """The element num / den (den > 0) in lowest terms."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return NFElement(field, tuple(num), den)
+
+
 @dataclass(frozen=True)
 class NFElement:
+    """x = (sum_i num[i] * b_i) / den over the integral basis b, in lowest
+    terms (den > 0, gcd(den, *num) = 1), so equal elements compare and hash
+    equal."""
     field: NumberField
-    coords: tuple[Fraction, ...]  # over the power basis
+    num: tuple[int, ...]
+    den: int = 1
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """Coordinates over the power basis, for input and output."""
+        out = [Fraction(0)] * self.field.degree
+        for x, row in zip(self.num, self.field.basis):
+            if x:
+                for j, y in enumerate(row):
+                    out[j] += x * y
+        return tuple(c / self.den for c in out)
 
     def __add__(self, other):
         other = self._coerce(other)
-        return NFElement(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return _reduced(self.field, [a * x + b * y for x, y in zip(self.num, other.num)],
+                        den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return NFElement(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self + -self._coerce(other)
 
     def __neg__(self):
-        return NFElement(self.field, tuple(-a for a in self.coords))
+        return NFElement(self.field, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return NFElement(
-            self.field,
-            tuple(self.field._mul_power_coords(list(self.coords), list(other.coords))),
-        )
+        # the multiplication rows cost n^2 per nonzero coordinate: build them
+        # for the sparser factor
+        a, b = self, other
+        if sum(map(bool, a.num)) > sum(map(bool, b.num)):
+            a, b = b, a
+        return _reduced(self.field, combine_rows(b.num, self.field.int_mult_rows(a.num)),
+                        a.den * b.den)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -319,47 +337,41 @@ class NFElement:
         return acc
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def mult_matrix(self) -> list[list[Fraction]]:
-        """Matrix of multiplication by self on the power basis (column j =
-        coords of self * theta^j)."""
-        n = self.field.degree
-        cols = []
-        cur = list(self.coords)
-        cols.append(list(cur))
-        for _ in range(n - 1):
-            cur = self.field._mul_power_coords(cur, [Fraction(0), Fraction(1)])
-            cols.append(list(cur))
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        return not any(self.num)
 
     def norm(self) -> Fraction:
-        return det_rational(self.mult_matrix())
+        return Fraction(self.field.norm_of_int_coords(self.num),
+                        self.den ** self.field.degree)
 
     def trace(self) -> Fraction:
-        m = self.mult_matrix()
-        return sum(m[i][i] for i in range(len(m)))
+        rows = self.field.int_mult_rows(self.num)
+        return Fraction(sum(row[j] for j, row in enumerate(rows)), self.den)
 
     def inverse(self) -> "NFElement":
         if self.is_zero():
             raise ZeroDivisionError
-        n = self.field.degree
-        rhs = [Fraction(1)] + [Fraction(0)] * (n - 1)
-        return NFElement(self.field, tuple(solve_rational(self.mult_matrix(), rhs)))
+        # y = sum_j v_j b_j with num * y = 1 solves sum_j v_j rows[j] = one
+        rows = self.field.int_mult_rows(self.num)
+        v = solve_rational(list(zip(*rows)), self.field.one().num)
+        return self.field.from_basis_coords([c * self.den for c in v])
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
 
     def basis_coords(self) -> tuple[Fraction, ...]:
-        return tuple(self.field._to_basis(list(self.coords)))
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.basis_coords())
+        return self.den == 1
 
     def is_rational_value(self):
-        if any(c != 0 for c in self.coords[1:]):
+        """x as a Fraction when x is rational (num is a multiple of the
+        coordinates of 1), else None."""
+        one = self.field.one().num
+        k = next(i for i, c in enumerate(one) if c)
+        if any(x * one[k] != self.num[k] * c for x, c in zip(self.num, one)):
             return None
-        return self.coords[0]
+        return Fraction(self.num[k], one[k] * self.den)
 
     def min_poly_over_q(self) -> list[int]:
         """Minimal polynomial (content-free, monic over Q -> integer if the
@@ -371,14 +383,14 @@ class NFElement:
         powers = [self.field.one()]
         for _ in range(n):
             powers.append(powers[-1] * self)
-        red, pivots = rref_rational(zip(*(p.coords for p in powers)))
+        red, pivots = rref_rational(zip(*(p.basis_coords() for p in powers)))
         k = len(pivots)
         verify(pivots == list(range(k)), "the independent powers must be 1, ..., x^(k-1)")
         dep = [-row[k] for row in red] + [Fraction(1)]
         return [int(c) if c.denominator == 1 else c for c in dep]
 
     def __repr__(self):
-        return f"NFElement({list(self.coords)})"
+        return f"NFElement({list(self.num)}, den={self.den})"
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +475,10 @@ class FieldEmbedding:
     source: NumberField
     target: NumberField
     gen_image: NFElement
-    verified: bool = True
 
     def __post_init__(self):
-        if self.verified:
-            img = _eval_poly_at(self.source.min_poly, self.gen_image)
-            if not img.is_zero():
-                raise ValueError("gen_image is not a root of the source min poly")
+        if not _eval_poly_at(self.source.min_poly, self.gen_image).is_zero():
+            raise ValueError("gen_image is not a root of the source min poly")
 
     def map(self, el: NFElement) -> NFElement:
         if el.field != self.source:

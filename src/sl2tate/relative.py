@@ -10,7 +10,6 @@ cokernels, and assembles the oriented class group with its Galois involution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import (
@@ -174,20 +173,9 @@ def _conjugation(L: NumberField, embed: FieldEmbedding, zeta: NFElement,
     """The nontrivial K-automorphism of L = K(zeta): zeta -> t - zeta."""
     # write the generator theta_L as a + b*zeta with a, b in K, then its
     # image is a + b*(t - zeta)
-    n = embed.source.degree
-    cols = []
-    for j in range(n):
-        cols.append(embed.map(embed.source.basis_element(j)).coords)
-    for j in range(n):
-        base = embed.map(embed.source.basis_element(j))
-        cols.append((base * zeta).coords)
-    mat = [[cols[c][r] for c in range(2 * n)] for r in range(2 * n)]
-    sol = solve_rational(mat, L.gen().coords)
-    verify(sol is not None, "generator must decompose over the K-basis (1, zeta)")
-    a = sum((embed.source.basis_element(j) * sol[j] for j in range(n)),
-            embed.source.zero())
-    b = sum((embed.source.basis_element(j) * sol[n + j] for j in range(n)),
-            embed.source.zero())
+    parts = coordinates_over_k(embed, (L.one(), zeta), L.gen())
+    verify(parts is not None, "generator must decompose over the K-basis (1, zeta)")
+    a, b = parts
     zbar = embed.map(t) - zeta
     gen_image = embed.map(a) + embed.map(b) * zbar
     emb = FieldEmbedding(L, L, gen_image)
@@ -195,18 +183,26 @@ def _conjugation(L: NumberField, embed: FieldEmbedding, zeta: NFElement,
     return emb
 
 
+def coordinates_over_k(embed: FieldEmbedding, vectors, x: NFElement):
+    """The c_k in K with x = sum_k embed(c_k) * vectors[k] in L, or None when
+    x lies outside that K-span.  Solved in integral-basis coordinates: the
+    unknowns are the coordinates of each c_k."""
+    K = embed.source
+    n = K.degree
+    images = [embed.map(K.basis_element(j)) for j in range(n)]
+    cols = [(b * v).basis_coords() for v in vectors for b in images]
+    sol = solve_rational(list(zip(*cols)), x.basis_coords())
+    if sol is None:
+        return None
+    return [K.from_basis_coords(sol[k * n:(k + 1) * n]) for k in range(len(vectors))]
+
+
 def pullback(embed: FieldEmbedding, el: NFElement) -> NFElement:
     """Inverse image of an element of L that lies in embed(K)."""
-    K, L = embed.source, embed.target
-    n = K.degree
-    cols = [embed.map(K.element([Fraction(1) if i == j else Fraction(0)
-                                 for i in range(n)])).coords
-            for j in range(n)]
-    mat = [[cols[c][r] for c in range(n)] for r in range(L.degree)]
-    sol = solve_rational(mat, el.coords)
-    if sol is None:
+    parts = coordinates_over_k(embed, (embed.target.one(),), el)
+    if parts is None:
         raise ValueError("element does not lie in the embedded subfield")
-    return K.element(sol)
+    return parts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +253,7 @@ def _quartic_cm_unit_group(setup: RelativeSetup) -> UnitGroupData:
         eps = unit_group(F, PlaceSet(F, (), ())).free_gens[0]
         r = find_root([L.rational(c) for c in F.min_poly], L)
         verify(r is not None, "real quadratic subfield must embed")
-        # express eps over the power basis of F and evaluate at r
-        eta = L.zero()
-        for j, c in enumerate(eps.coords):
-            eta = eta + r**j * c
+        eta = FieldEmbedding(F, L, r).map(eps)
     verify(abs(eta.norm()) == 1 and eta.is_integral(),
            "the lifted fundamental unit must be a unit of L")
     # primitivity: extract square roots (times torsion) while possible
@@ -488,12 +481,12 @@ class OrientedClassGroup:
         raise KeyError(coords)
 
 
-def oriented_class_group(setup: RelativeSetup, norms: NormMapsData,
-                         bounds=(1, 2, 3, 5, 8, 13)) -> OrientedClassGroup:
+def oriented_class_group(setup: RelativeSetup, norms: NormMapsData
+                         ) -> OrientedClassGroup:
     setup.require_regular()
     if setup.case == "Split":
         return _ocg_split(setup, norms)
-    return _ocg_field(setup, norms, bounds)
+    return _ocg_field(setup, norms)
 
 
 def _ocg_split(setup, norms) -> OrientedClassGroup:
@@ -528,7 +521,7 @@ def _reduce_in_class(ideal: FractionalIdeal) -> FractionalIdeal:
     return cur
 
 
-def _ocg_field(setup, norms, bounds) -> OrientedClassGroup:
+def _ocg_field(setup, norms) -> OrientedClassGroup:
     sub = norms.coker_nm1_group.invariant_factors
     quot = norms.ker_nm0.invariant_factors
     # carrier order |coker Nm1| * |ker Nm0|; the product labeling is a
@@ -550,8 +543,7 @@ def _ocg_field(setup, norms, bounds) -> OrientedClassGroup:
         if any(kc):
             ideal = _reduce_in_class(ideal)
         nm = relative_ideal_norm(setup, ideal)
-        g = principal_generator(nm, s_prime_ideals=setup.places.prime_ideals,
-                                bounds=bounds)
+        g = principal_generator(nm, s_prime_ideals=setup.places.prime_ideals)
         class_reps[tuple(kc)] = (ideal, g)
     sub_group = FiniteAbelianGroup(sub)
     elements = []
@@ -568,8 +560,7 @@ def _ocg_field(setup, norms, bounds) -> OrientedClassGroup:
 # Galois involution
 
 
-def galois_involution(ocg: OrientedClassGroup,
-                      bounds=(1, 2, 3, 5, 8, 13)) -> dict:
+def galois_involution(ocg: OrientedClassGroup) -> dict:
     """The involution on oriented classes, as a coords -> coords mapping.
     Split case: group inverse on Pic.  Field case: conjugate the ideal,
     negate the orientation (conjugation is K-linear of determinant -1 on L),
@@ -581,13 +572,13 @@ def galois_involution(ocg: OrientedClassGroup,
     else:
         invol = {}
         for el in ocg.elements:
-            invol[el.coords] = _iota_field(ocg, el, bounds)
+            invol[el.coords] = _iota_field(ocg, el)
     for a, b in invol.items():
         verify(invol[b] == a, "Galois action must be an involution")
     return invol
 
 
-def _iota_field(ocg: OrientedClassGroup, el: OrientedElement, bounds) -> tuple:
+def _iota_field(ocg: OrientedClassGroup, el: OrientedElement) -> tuple:
     setup, norms = ocg.setup, ocg.norms
     sigma, embed = setup.sigma, setup.embed
     cl, uk = norms.class_l, norms.unit_k
@@ -598,8 +589,7 @@ def _iota_field(ocg: OrientedClassGroup, el: OrientedElement, bounds) -> tuple:
     target = ocg.element((0,) * len(ocg.sub_factors) + kc2)
     # conj = (tau) * target.ideal as O_{L, S-tilde}-ideals
     diff = conj * target.ideal.inverse()
-    tau = principal_generator(diff, s_prime_ideals=setup.rel_places.prime_ideals,
-                              bounds=bounds)
+    tau = principal_generator(diff, s_prime_ideals=setup.rel_places.prime_ideals)
     ntau = pullback(embed, tau * sigma.map(tau))
     # orientation u*g of el transports to -u*g on conj (det sigma = -1),
     # which reads v = -u * g / (N(tau) * g') against the target generator

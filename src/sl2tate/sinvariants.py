@@ -655,7 +655,6 @@ def _parse_element(field: NumberField, spec) -> NFElement:
             raise SchemaViolation(f"bad coordinate {c!r}")
     if len(coords) > field.degree:
         raise SchemaViolation("too many coordinates for the field degree")
-    coords += [Fraction(0)] * (field.degree - len(coords))
     return field.element(coords)
 
 

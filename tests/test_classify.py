@@ -1,5 +1,6 @@
 import pytest
 
+from sl2tate import classify
 from sl2tate.classify import (
     dihedral_overgroup_count,
     element_class_count,
@@ -126,3 +127,18 @@ def test_representative_matrix_imaginary_quadratic():
     m = representative_matrix(el, s)
     (a, b), (c, d) = m.rows
     assert (a + d - s.t).is_zero()
+
+
+def test_nonprincipal_field_class_needs_no_search(monkeypatch):
+    # Q(sqrt-13) at ell 3: class [1] is nonzero in ker Nm0, so its ideal is
+    # not principal in O_{L,S} and no (g, zeta*g) basis exists
+    k = quadratic_field(-13)
+    s, nm, ocg = _pipeline(k, [], 3)
+    el = ocg.element((1,))
+    assert el.class_coords == (1,)
+    searched = []
+    monkeypatch.setattr(classify, "principal_generator",
+                        lambda *a, **kw: searched.append(a))
+    with pytest.raises(SearchExhausted, match="not principal"):
+        representative_matrix(el, s)
+    assert searched == []

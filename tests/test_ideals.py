@@ -299,12 +299,13 @@ def test_principal_generator_builds_only_the_accepted_element(monkeypatch):
 
         monkeypatch.setattr(ideals, "search_elements", counted_search)
         monkeypatch.setattr(NumberField, "from_basis_coords",
-                            lambda self, c: built.append(c) or build(self, c))
+                            lambda self, c, den=1: built.append((c, den))
+                            or build(self, c, den))
         g = principal_generator(ideal, s_prime_ideals=s_primes)
         monkeypatch.undo()
         # every tried candidate but the last failed the norm or ideal test
         assert len(yielded) > 1 and len(built) == 1
-        assert built[0] == [Fraction(c, ideal.den) for c in yielded[-1][0]]
+        assert built[0] == (yielded[-1][0], ideal.den)
         quot = FractionalIdeal.principal(k, g) * ideal.inverse()
         for pr in s_primes:
             quot = quot * pr.ideal ** (-quot.valuation(pr))

@@ -1,9 +1,11 @@
-"""Every module under src/sl2tate uses each name it imports; a refactor that
-moves the last use of an import elsewhere must drop the import too."""
+"""Every module under src/sl2tate uses each name it imports and reads each
+local it assigns; a refactor that moves the last use of an import or a local
+elsewhere must drop it too."""
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sl2tate"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -20,11 +22,67 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def _own_nodes(fn):
+    """The nodes of a function body, not descending into nested functions,
+    lambdas or classes (they have their own locals)."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, FUNCTIONS + (ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(source: str) -> list[str]:
+    """function.name for each single name a function assigns that nothing in
+    the function (nested closures included) reads.  Tuple-unpacking targets,
+    `_` and names declared global or nonlocal are exempt."""
+    out = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, FUNCTIONS):
+            continue
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        exempt = {"_"}
+        assigned = []
+        for node in _own_nodes(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                exempt.update(node.names)
+            elif isinstance(node, ast.Assign):
+                assigned.extend(node.targets)
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                assigned.append(node.target)
+        out.update(f"{fn.name}.{t.id}" for t in assigned
+                   if isinstance(t, ast.Name) and t.id not in read | exempt)
+    return sorted(out)
+
+
 def test_unused_imports_detects_a_leftover():
     assert unused_imports("import itertools\nimport math\nmath.gcd(2, 4)\n") == ["itertools"]
+
+
+def test_unread_locals_detects_a_leftover():
+    source = (
+        "def f(xs):\n"
+        "    n = len(xs)\n"          # read by the closure below
+        "    out = []\n"             # never read
+        "    a, b = xs\n"            # tuple unpacking is exempt
+        "    total = 0\n"
+        "    total += a\n"           # only rebound, never read
+        "    def g():\n"
+        "        nonlocal n\n"
+        "        n = n + 1\n"
+        "    return g, [n * x for x in xs]\n")
+    assert unread_locals(source) == ["f.out", "f.total"]
 
 
 def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: unused_imports(path.read_text())
               for path in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_no_function_assigns_a_local_it_never_reads():
+    unread = {path.name: unread_locals(path.read_text())
+              for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in unread.items() if names} == {}
