@@ -13,11 +13,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 
-import sympy
-
 from . import polytools as pt
 from .errors import NotInvertible, SearchExhausted, verify
-from .intlinalg import IntMatrix, hnf_canonical, hnf_solve, kernel, rref_mod
+from .intlinalg import IntMatrix, hnf_canonical, hnf_solve, kernel, kernel_mod, rref_mod
 from .numberfield import NFElement, NumberField, _eval_poly_at, combine_rows
 
 
@@ -208,7 +206,7 @@ class PrimeIdeal:
         # for every row w of P: one equation per column of those rows
         system = [col for w in self.ideal.num.entries
                   for col in zip(*field.int_mult_rows(w))]
-        return field.int_mult_rows(_mod_kernel(system, self.p, field.degree)[0])
+        return field.int_mult_rows(kernel_mod(system, self.p, field.degree)[0])
 
     def valuation_coords(self, coords) -> int:
         """v_P of the nonzero integral element with these integer
@@ -228,43 +226,28 @@ class PrimeIdeal:
 @lru_cache(maxsize=None)
 def factor_rational_prime(field: NumberField, p: int) -> tuple[PrimeIdeal, ...]:
     """Kummer-Dedekind factorization of (p) using a generator whose index is
-    prime to p.  Tries the power-basis root, the basis elements and pairwise
-    sums, then falls back to splitting the algebra O/pO.  Memoised per
-    (field, p), so each prime's anti-uniformizer is built once."""
+    prime to p.  A quadratic field reads the factors of the minimal
+    polynomial of its second basis element off the Kronecker symbol of its
+    discriminant.  Otherwise tries the power-basis root, the basis elements
+    and pairwise sums, then falls back to splitting the algebra O/pO.
+    Memoised per (field, p), so each prime's anti-uniformizer is built
+    once."""
     n = field.degree
+    if n == 2:
+        g = field.basis_element(1)
+        trace, norm = int(g.trace()), int(g.norm())
+        if _index_prime_to(trace * trace - 4 * norm, field.discriminant, p):
+            return _kummer_dedekind(field, p, g, _quadratic_factors_mod(trace, norm, p))
     candidates = [field.gen()]
     candidates += [field.basis_element(i) for i in range(1, n)]
     candidates += [field.basis_element(i) + field.basis_element(j)
                    for i in range(1, n) for j in range(i + 1, n)]
-    disc_k = field.discriminant
     for g in candidates:
         mp = g.min_poly_over_q()
         if pt.degree(mp) != n or any(not isinstance(c, int) for c in mp):
             continue
-        disc_g = pt.discriminant(mp)
-        index_sq = disc_g // disc_k
-        idx = isqrt(abs(index_sq))
-        verify(disc_g == index_sq * disc_k and idx * idx == index_sq,
-               "disc(g) / disc(K) must be a square index")
-        if idx % p == 0:
-            continue
-        out = []
-        for fac, mult in pt.factor_mod_p(mp, p):
-            lift = [c if c <= p // 2 else c - p for c in fac]
-            gen_el = _eval_poly_at(lift, g)
-            ideal = FractionalIdeal.from_generators(field, [field.rational(p), gen_el])
-            out.append(PrimeIdeal(p, ideal, e=mult, f=pt.degree(fac)))
-        verify(sum(pr.e * pr.f for pr in out) == n, "sum of e*f must be the degree")
-        verify(all(pr.ideal.norm() == p**pr.f for pr in out), "N(P) must be p^f")
-        if n <= 6:
-            # sanity: the product of P^e recovers (p); skipped for large
-            # degrees where the e-fold ideal product gets expensive
-            prod = FractionalIdeal.unit(field)
-            for pr in out:
-                prod = prod * pr.ideal ** pr.e
-            verify(prod == FractionalIdeal.principal(field, field.rational(p)),
-                   "product of the P^e must be (p)")
-        return tuple(sorted(out, key=lambda pr: (pr.f, pr.e, pr.ideal.num.entries)))
+        if _index_prime_to(pt.discriminant(mp), field.discriminant, p):
+            return _kummer_dedekind(field, p, g, pt.factor_mod_p(mp, p))
     # p divides the index of every monogenic generator tried (it may be a
     # common index divisor, e.g. two residue-degree-2 primes above 2 while
     # F_2 has a single irreducible quadratic); fall back to splitting the
@@ -272,18 +255,54 @@ def factor_rational_prime(field: NumberField, p: int) -> tuple[PrimeIdeal, ...]:
     return _factor_by_algebra_splitting(field, p)
 
 
-def _mod_kernel(rows, p, ncols):
-    """Basis of the right kernel mod p of a matrix given by rows."""
-    rref, piv = rref_mod(rows, p)
-    free = [j for j in range(ncols) if j not in piv]
+def _index_prime_to(disc_g: int, disc_k: int, p: int) -> bool:
+    """Whether p is prime to the index [O : Z[g]], from disc(g) = index^2 disc(K)."""
+    index_sq = disc_g // disc_k
+    idx = isqrt(abs(index_sq))
+    verify(disc_g == index_sq * disc_k and idx * idx == index_sq,
+           "disc(g) / disc(K) must be a square index")
+    return idx % p != 0
+
+
+def _quadratic_factors_mod(trace: int, norm: int, p: int) -> list[tuple[list[int], int]]:
+    """The factors mod p of x^2 - trace x + norm, as factor_mod_p returns
+    them: the Kronecker symbol of the discriminant tells inert, ramified or
+    split, and the roots are (trace +- sqrt(disc)) / 2 (just 0 and 1 when
+    p = 2 splits, norm mod 2 when it ramifies)."""
+    disc = trace * trace - 4 * norm
+    kind = pt.kronecker(disc, p)
+    if kind == -1:
+        return [([norm % p, -trace % p, 1], 1)]
+    if p == 2:
+        roots = {norm % 2} if kind == 0 else {0, 1}
+    else:
+        r, half = pt.sqrt_mod(disc, p), (p + 1) // 2
+        roots = {(trace + r) * half % p, (trace - r) * half % p}
+    mult = 2 if kind == 0 else 1
+    return sorted(([-x % p, 1], mult) for x in roots)
+
+
+def _kummer_dedekind(field: NumberField, p: int, g: NFElement, factors) -> tuple[PrimeIdeal, ...]:
+    """The primes (p, h(g)) for the factors h^e of the minimal polynomial of
+    g mod p, for a generator g whose index is prime to p."""
+    n = field.degree
     out = []
-    for j in free:
-        v = [0] * ncols
-        v[j] = 1
-        for r, pj in enumerate(piv):
-            v[pj] = (-rref[r][j]) % p
-        out.append(v)
-    return out
+    for fac, mult in factors:
+        lift = [c if c <= p // 2 else c - p for c in fac]
+        gen_el = _eval_poly_at(lift, g)
+        ideal = FractionalIdeal.from_generators(field, [field.rational(p), gen_el])
+        out.append(PrimeIdeal(p, ideal, e=mult, f=pt.degree(fac)))
+    verify(sum(pr.e * pr.f for pr in out) == n, "sum of e*f must be the degree")
+    verify(all(pr.ideal.norm() == p**pr.f for pr in out), "N(P) must be p^f")
+    if n <= 6:
+        # sanity: the product of P^e recovers (p); skipped for large
+        # degrees where the e-fold ideal product gets expensive
+        prod = FractionalIdeal.unit(field)
+        for pr in out:
+            prod = prod * pr.ideal ** pr.e
+        verify(prod == FractionalIdeal.principal(field, field.rational(p)),
+               "product of the P^e must be (p)")
+    return tuple(sorted(out, key=lambda pr: (pr.f, pr.e, pr.ideal.num.entries)))
 
 
 def _mod_solve_span(span, vec, p):
@@ -340,7 +359,7 @@ def _factor_by_algebra_splitting(field: NumberField, p: int) -> tuple[PrimeIdeal
             fr_pow = [[sum(fr_pow[i][t] * frob[t][j] for t in range(k)) % p
                        for j in range(k)] for i in range(k)]
             q *= p
-        rad = _mod_kernel(fr_pow, p, k)
+        rad = kernel_mod(fr_pow, p, k)
         # Frobenius-fixed elements mod radical: solve (F - 1)x = R y over
         # the stacked system and keep the x parts
         fmi = [[(frob[i][j] - (1 if i == j else 0)) % p for j in range(k)]
@@ -348,7 +367,7 @@ def _factor_by_algebra_splitting(field: NumberField, p: int) -> tuple[PrimeIdeal
         stacked = [[fmi[i][j] for j in range(k)] +
                    [(-rad[c][i]) % p for c in range(len(rad))]
                    for i in range(k)]
-        fix = [v[:k] for v in _mod_kernel(stacked, p, k + len(rad))]
+        fix = [v[:k] for v in kernel_mod(stacked, p, k + len(rad))]
         fix_dim = len(rref_mod(fix, p)[1])
         if fix_dim - len(rad) <= 1:
             local.append((span, rad))
@@ -371,7 +390,7 @@ def _factor_by_algebra_splitting(field: NumberField, p: int) -> tuple[PrimeIdeal
                     m_pow = [[sum(m_pow[i][t] * m_l[t][j]
                                   for t in range(k)) % p
                               for j in range(k)] for i in range(k)]
-                eig = _mod_kernel(m_pow, p, k)
+                eig = kernel_mod(m_pow, p, k)
                 if eig:
                     pieces.append([lift(span, v) for v in eig])
             if len(pieces) >= 2:
@@ -553,29 +572,38 @@ def _cheap_candidates(field):
 
 
 def _trager_root(coeffs, field):
+    """A root of g in the field by Trager's norm method: for a shift s with
+    N(T) = N_{L/Q}(g(T - s*theta)) squarefree, each irreducible factor h of
+    N gives gcd(g(X), h(X + s*theta)), linear when h has a root in L."""
     n = field.degree
-    x, T = sympy.symbols("x T")
-    f_sym = sum(Fraction(c) * x**i for i, c in enumerate(field.min_poly))
-    # coefficients of g as polynomials in x (theta)
-    g_coeff_sym = [sum(Fraction(cc) * x**i for i, cc in enumerate(c.coords)) for c in coeffs]
     for s in range(0, 10):
-        g_sym = sum(gc * (T - s * x) ** k for k, gc in enumerate(g_coeff_sym))
-        norm_poly = sympy.Poly(sympy.resultant(f_sym, sympy.expand(g_sym), x), T)
-        if sympy.degree(sympy.gcd(norm_poly, norm_poly.diff(T)), T) > 0:
+        norm_poly = _shifted_norm(coeffs, field, s)
+        if pt.degree(pt.poly_gcd(norm_poly, pt.poly_deriv(norm_poly))) > 0:
             continue  # not squarefree; shift again
-        _, factors = sympy.factor_list(norm_poly)
-        for fac, _mult in sorted(factors, key=lambda fm: sympy.degree(fm[0], T)):
-            if sympy.degree(fac, T) > n:
+        for fac, _mult in pt.factor_z(norm_poly):
+            if pt.degree(fac) > n:
                 continue
             # h(T + s*theta) as a polynomial with coefficients in the field
-            h_coeffs = [Fraction(c) for c in reversed(sympy.Poly(fac, T).all_coeffs())]
-            shifted = _shift_poly(h_coeffs, field, s)
+            shifted = _shift_poly([Fraction(c) for c in fac], field, s)
             g_nf = list(coeffs)
             common = nf_poly_gcd(g_nf, shifted)
             if len(common) == 2:
                 return -common[0] * common[1].inverse()
         return None
     return None
+
+
+def _shifted_norm(coeffs, field, s):
+    """N_{L/Q}(g(T - s*theta)) over Q.  It has degree n * deg g, so it is
+    interpolated from its exact values at T = 0, 1, 2, ..."""
+    shift, values = field.gen() * s, []
+    for t in range(field.degree * (len(coeffs) - 1) + 1):
+        x = field.rational(t) - shift
+        acc = field.zero()
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        values.append(acc.norm())
+    return pt.interpolate(values)
 
 
 def _shift_poly(q_coeffs, field, s):

@@ -514,6 +514,21 @@ def rref_mod(rows, p: int) -> tuple[list[list[int]], list[int]]:
                  lambda x: pow(x, -1, p), lambda x: x % p)
 
 
+def kernel_mod(rows, p: int, ncols: int) -> list[list[int]]:
+    """Basis of the right kernel over F_p of a matrix given by its rows."""
+    red, pivots = rref_mod(rows, p)
+    out = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [0] * ncols
+        v[j] = 1
+        for row, c in zip(red, pivots):
+            v[c] = -row[j] % p
+        out.append(v)
+    return out
+
+
 def solve_rational(mat, rhs) -> list[Fraction] | None:
     """One solution of mat x = rhs over Q, or None if there is none.  Free
     variables are set to 0; the solution is checked against every row."""

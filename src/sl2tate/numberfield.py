@@ -82,6 +82,17 @@ class NumberField:
 
     def _build_mult_table(self):
         n = self.degree
+        if self.basis == tuple(tuple(int(i == j) for j in range(n)) for i in range(n)):
+            # the power basis: b_i b_j = theta^(i+j), reduced mod the monic f
+            pows = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(n - 1):
+                # theta * theta^k, with theta^n = -(f_0 + ... + f_(n-1) theta^(n-1))
+                top = pows[-1][-1]
+                pows.append([c - top * f for c, f in zip([0] + pows[-1][:-1], self.min_poly)])
+            self._one = tuple(pows[0])
+            self.mult_table = tuple(tuple(tuple(pows[i + j]) for j in range(n))
+                                    for i in range(n))
+            return
         one = self._to_basis([Fraction(1)] + [Fraction(0)] * (n - 1))
         if any(x.denominator != 1 for x in one):
             raise BasisNotClosed("1 is not in the span of the basis")
@@ -407,17 +418,18 @@ def make_field(min_poly: Sequence[int], basis=None, label=None) -> NumberField:
     p = [int(c) for c in min_poly]
     if not pt.is_monic_integer(p):
         raise InvalidInput("min_poly must be monic with integer coefficients")
-    if not pt.is_irreducible_z(p):
+    # cyclotomic polynomials are irreducible
+    m = _cyclo_order(p)
+    if m is None and not pt.is_irreducible_z(p):
         raise ReduciblePolynomial(f"{p} is reducible over Q")
     n = len(p) - 1
 
     if basis is not None:
-        return NumberField(p, basis, label=label, root_of_unity_order=_cyclo_order(p))
+        return NumberField(p, basis, label=label, root_of_unity_order=m)
 
     if n == 1:
         return NumberField(p, [[Fraction(1)]], label=label or "Q")
 
-    m = _cyclo_order(p)
     if m is not None:
         # power basis of a root of unity is the maximal order
         ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]

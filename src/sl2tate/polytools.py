@@ -1,15 +1,25 @@
-"""Polynomial helpers over Z and Q.
+"""Polynomial and integer helpers over Z, Q and F_p.
 
 Polynomials are lists of coefficients, constant term first.  This matches the
 JSON wire format used elsewhere; trailing zeros are trimmed.
+
+Everything here is exact (Cohen GTM 138, Ch. 1 and 3): primality by
+deterministic Miller-Rabin, factoring over F_p by squarefree decomposition
+and Berlekamp's algorithm, factoring over Z by Hensel lifting and Zassenhaus
+recombination.  complex_roots alone works in floating point; its callers
+verify whatever they round.
 """
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
-import sympy
+from .errors import UnsupportedCase
+from .intlinalg import IntMatrix, kernel_mod
 
 
 def trim(p: list) -> list:
@@ -78,35 +88,46 @@ def poly_deriv(p):
     return trim([i * c for i, c in enumerate(p)][1:])
 
 
+def poly_gcd(p, q) -> list[Fraction]:
+    """The monic gcd over Q ([] when both are zero)."""
+    a, b = trim([Fraction(c) for c in p]), trim([Fraction(c) for c in q])
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def primitive_part(p) -> list[int]:
+    """The integer multiple of the nonzero rational polynomial p with coprime
+    coefficients and a positive leading coefficient."""
+    p = [Fraction(c) for c in p]
+    den = math.lcm(*(c.denominator for c in p))
+    ints = [int(c * den) for c in p]
+    g = math.gcd(*ints)
+    return [c // g for c in ints] if ints[-1] > 0 else [-c // g for c in ints]
+
+
+def interpolate(values) -> list[Fraction]:
+    """The polynomial over Q of degree < len(values) that takes values[t] at
+    t = 0, 1, 2, ... (Newton's divided differences)."""
+    c = [Fraction(v) for v in values]
+    n = len(c)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / j
+    out = [c[-1]]
+    for i in range(n - 2, -1, -1):
+        # out * (x - i) + c[i]
+        out = ([c[i] - i * out[0]] + [out[k - 1] - i * out[k] for k in range(1, len(out))]
+               + [out[-1]])
+    return trim(out)
+
+
 def is_monic_integer(p: Sequence[int]) -> bool:
     return len(p) >= 2 and all(isinstance(c, int) for c in p) and p[-1] == 1
 
 
-def is_irreducible_z(p: Sequence[int]) -> bool:
-    x = sympy.Symbol("x")
-    expr = sum(int(c) * x**i for i, c in enumerate(p))
-    return sympy.Poly(expr, x, domain="QQ").is_irreducible
-
-
-def factor_mod_p(p: Sequence[int], prime: int) -> list[tuple[list[int], int]]:
-    """Factor a monic integer polynomial mod a prime.  Returns a list of
-    (monic factor coeffs constant-first, multiplicity)."""
-    x = sympy.Symbol("x")
-    expr = sum(int(c) * x**i for i, c in enumerate(p))
-    poly = sympy.Poly(expr, x, modulus=prime, symmetric=False)
-    _, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        coeffs = [int(c) % prime for c in reversed(fac.all_coeffs())]
-        out.append((coeffs, int(mult)))
-    out.sort()
-    return out
-
-
 def resultant(p: Sequence[int], q: Sequence[int]) -> int:
     """Resultant of two integer polynomials via the Sylvester determinant."""
-    from .intlinalg import IntMatrix
-
     dp, dq = degree(p), degree(q)
     if dp < 0 or dq < 0:
         return 0
@@ -135,9 +156,11 @@ def cyclotomic(m: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _cyclotomic(m: int) -> tuple[int, ...]:
-    x = sympy.Symbol("x")
-    poly = sympy.cyclotomic_poly(m, x)
-    return tuple(int(c) for c in reversed(sympy.Poly(poly, x).all_coeffs()))
+    # x^m - 1 is the product of Phi_d over the divisors d of m
+    out = [-1] + [0] * (m - 1) + [1]
+    for d in divisors(m)[:-1]:
+        out = _divide_z(out, _cyclotomic(d))
+    return tuple(out)
 
 
 def euler_phi(m: int) -> int:
@@ -228,3 +251,400 @@ def fundamental_discriminant(d: int) -> tuple[int, int]:
         raise ValueError(f"{d} is not a discriminant")
     return 4 * s, t // 2
 
+
+
+# ---------------------------------------------------------------------------
+# rational integers
+
+
+# the first 13 primes; Miller-Rabin to all of them is exact below
+# 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality by deterministic Miller-Rabin.  Raises UnsupportedCase
+    where the answer would only be probable (n >= 3.3e24 with no factor
+    among the bases)."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_LIMIT:
+        raise UnsupportedCase(f"primality of {n} is beyond the deterministic range")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1 in increasing order, by trial division."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def kronecker(d: int, p: int) -> int:
+    """The Kronecker symbol (d / p) for a prime p."""
+    if p == 2:
+        return 0 if d % 2 == 0 else (1 if d % 8 in (1, 7) else -1)
+    r = pow(d, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """A square root of the square a modulo an odd prime p (Tonelli-Shanks)."""
+    a %= p
+    if a == 0:
+        return 0
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while kronecker(z, p) != -1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+# ---------------------------------------------------------------------------
+# polynomials over Z/m: coefficients in [0, m), trimmed
+
+
+def _mod(p, m: int) -> list[int]:
+    return trim([c % m for c in p])
+
+
+def _mul_mod(a, b, m: int) -> list[int]:
+    return _mod(poly_mul(a, b), m)
+
+
+def _sub_mod(a, b, m: int) -> list[int]:
+    return _mod(poly_add(a, poly_neg(b)), m)
+
+
+def _divmod_mod(a, b, m: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder mod m; lc(b) must be a unit mod m."""
+    a = [c % m for c in a]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(0, len(a) - db)
+    for i in range(len(a) - 1 - db, -1, -1):
+        c = q[i] = a[i + db] * inv % m
+        if c:
+            for j, bj in enumerate(b):
+                a[i + j] = (a[i + j] - c * bj) % m
+    return trim(q), trim(a[:db])
+
+
+def _monic_mod(a, p: int) -> list[int]:
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gcd_mod(a, b, p: int) -> list[int]:
+    """The monic gcd over F_p of polynomials that are not both zero."""
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    return _monic_mod(a, p)
+
+
+def _xgcd_mod(a, b, p: int) -> tuple[list[int], list[int]]:
+    """(s, t) with s a + t b = 1 over F_p, for coprime a and b."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _divmod_mod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub_mod(s0, _mul_mod(q, s1, p), p)
+        t0, t1 = t1, _sub_mod(t0, _mul_mod(q, t1, p), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _powmod(a, e: int, f, p: int) -> list[int]:
+    """a^e modulo f over F_p."""
+    out, a = [1], _divmod_mod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = _divmod_mod(_mul_mod(out, a, p), f, p)[1]
+        a = _divmod_mod(_mul_mod(a, a, p), f, p)[1]
+        e >>= 1
+    return out
+
+
+def _sqf_mod(f, p: int) -> list[tuple[list[int], int]]:
+    """Squarefree decomposition of a monic f over F_p: pairs (g, k) with
+    f = prod g^k, the g monic, squarefree and pairwise coprime (Cohen GTM
+    138, Section 3.4.2)."""
+    if len(f) < 2:
+        return []
+    df = _mod(poly_deriv(f), p)
+    if not df:
+        # f(x) = h(x^p) = h(x)^p over F_p
+        return [(g, k * p) for g, k in _sqf_mod(f[::p], p)]
+    out = []
+    c = _gcd_mod(f, df, p)
+    w = _divmod_mod(f, c, p)[0]
+    k = 1
+    while len(w) > 1:
+        y = _gcd_mod(w, c, p)
+        z = _divmod_mod(w, y, p)[0]
+        if len(z) > 1:
+            out.append((z, k))
+        w, c, k = y, _divmod_mod(c, y, p)[0], k + 1
+    # what is left has multiplicities divisible by p
+    return out + [(g, j * p) for g, j in _sqf_mod(c[::p], p)]
+
+
+def _berlekamp(f, p: int) -> list[list[int]]:
+    """The monic irreducible factors of a monic squarefree f over F_p.
+
+    v(x)^p = v(x) mod f exactly when v lies in the kernel of Q - I, where
+    row i of Q holds x^(i p) mod f; the kernel has one dimension per
+    irreducible factor.  Random kernel elements split f: by gcd with v for
+    p = 2, with v^((p-1)/2) - 1 otherwise (Cohen GTM 138, Section 3.4).
+    The generator is seeded, so the result is deterministic."""
+    n = len(f) - 1
+    if n <= 1:
+        return [f]
+    xp = _powmod([0, 1], p, f, p)
+    q_rows, row = [], [1]
+    for _ in range(n):
+        q_rows.append(row + [0] * (n - len(row)))
+        row = _divmod_mod(_mul_mod(row, xp, p), f, p)[1]
+    system = [[q_rows[i][j] - (i == j) for i in range(n)] for j in range(n)]
+    basis = kernel_mod(system, p, n)
+    factors = [f]
+    rng = random.Random(p)
+    while len(factors) < len(basis):
+        weights = [rng.randrange(p) for _ in basis]
+        v = _mod([sum(w * b[i] for w, b in zip(weights, basis)) for i in range(n)], p)
+        if p > 2:
+            v = _sub_mod(_powmod(v, (p - 1) // 2, f, p), [1], p)
+        split = []
+        for u in factors:
+            g = _gcd_mod(u, v, p) if len(u) > 2 else u
+            if 1 < len(g) < len(u):
+                split += [g, _divmod_mod(u, g, p)[0]]
+            else:
+                split.append(u)
+        factors = split
+    return factors
+
+
+def factor_mod_p(p: Sequence[int], prime: int) -> list[tuple[list[int], int]]:
+    """Factor a monic integer polynomial mod a prime.  Returns a sorted list
+    of (monic factor coeffs constant-first, multiplicity)."""
+    return sorted((g, k) for h, k in _sqf_mod(_mod(p, prime), prime)
+                  for g in _berlekamp(h, prime))
+
+
+# ---------------------------------------------------------------------------
+# polynomials over Z
+
+
+def _divide_z(a, b) -> list[int] | None:
+    """a / b over Z, or None when b does not divide a."""
+    a = list(a)
+    db = len(b) - 1
+    q = [0] * max(0, len(a) - db)
+    for i in range(len(a) - 1 - db, -1, -1):
+        c, r = divmod(a[i + db], b[-1])
+        if r:
+            return None
+        q[i] = c
+        if c:
+            for j, bj in enumerate(b):
+                a[i + j] -= c * bj
+    return None if any(a) else q
+
+
+def _sqf_z(f) -> list[tuple[list[int], int]]:
+    """Yun's squarefree decomposition of a primitive f with lc(f) > 0: pairs
+    (g, k) with f = prod g^k, the g primitive, squarefree and coprime."""
+    out = []
+    c = primitive_part(poly_gcd(f, poly_deriv(f)))
+    w = _divide_z(f, c)
+    k = 1
+    while len(w) > 1:
+        y = primitive_part(poly_gcd(w, c))
+        z = _divide_z(w, y)
+        if len(z) > 1:
+            out.append((z, k))
+        w, c, k = y, _divide_z(c, y), k + 1
+    return out
+
+
+def _good_prime(f) -> tuple[int, list[list[int]]]:
+    """Among the first five primes p with p not dividing lc(f) and f
+    squarefree mod p, the one where f has the fewest factors, with those
+    factors (monic, over F_p)."""
+    best, tried, p = None, 0, 1
+    while tried < 5:
+        p += 1
+        if not is_prime(p) or f[-1] % p == 0:
+            continue
+        fp = _monic_mod(_mod(f, p), p)
+        dfp = _mod(poly_deriv(fp), p)
+        if not dfp or len(_gcd_mod(fp, dfp, p)) > 1:
+            continue
+        factors = _berlekamp(fp, p)
+        if best is None or len(factors) < len(best[1]):
+            best = (p, factors)
+        if len(factors) == 1:
+            break
+        tried += 1
+    return best
+
+
+def _hensel_pair(f, g, h, p: int, k: int) -> tuple[list[int], list[int]]:
+    """Lift f = g h mod p to f = G H mod p^k (f, g, h monic, g and h coprime
+    mod p), one p-adic digit at a time (Cohen GTM 138, Section 3.5)."""
+    s, t = _xgcd_mod(g, h, p)
+    m = p
+    for _ in range(k - 1):
+        gh = poly_mul(g, h)
+        e = trim([(f[i] - (gh[i] if i < len(gh) else 0)) % (m * p) // m
+                  for i in range(len(f))])
+        # s g + t h = 1, so (t e mod g) h + (s e mod h) g = e mod p
+        g = poly_add(g, poly_scale(_divmod_mod(_mul_mod(t, e, p), g, p)[1], m))
+        h = poly_add(h, poly_scale(_divmod_mod(_mul_mod(s, e, p), h, p)[1], m))
+        m *= p
+    return g, h
+
+
+def _hensel_lift(f, factors, p: int, k: int) -> list[list[int]]:
+    """Monic lifts mod p^k of the coprime monic factors mod p of f / lc(f)."""
+    pk = p**k
+    target = [c * pow(f[-1], -1, pk) % pk for c in f]
+    out = []
+    for i, g in enumerate(factors[:-1]):
+        h = [1]
+        for u in factors[i + 1:]:
+            h = _mul_mod(h, u, p)
+        g, target = _hensel_pair(target, g, h, p, k)
+        out.append(g)
+    return out + [target]
+
+
+def _zassenhaus(f) -> list[list[int]]:
+    """The irreducible factors of a squarefree primitive f with lc(f) > 0
+    (Cohen GTM 138, Section 3.5)."""
+    n = len(f) - 1
+    if n <= 1:
+        return [f]
+    p, modular = _good_prime(f)
+    if len(modular) == 1:
+        return [f]
+    # lc(f)/lc(g) * g has coefficients below lc(f) 2^n |f|_2 for every
+    # factor g of f (Mignotte), so lifting past twice that recovers it
+    bound = 2 * f[-1] * 2**n * (math.isqrt(sum(c * c for c in f)) + 1)
+    k = 1
+    while p**k <= bound:
+        k += 1
+    pk = p**k
+    lifted = _hensel_lift(f, modular, p, k)
+    found = []
+    d = 1
+    while 2 * d <= len(lifted):
+        for subset in combinations(range(len(lifted)), d):
+            g = [f[-1]]
+            for i in subset:
+                g = _mul_mod(g, lifted[i], pk)
+            g = primitive_part([c - pk if 2 * c > pk else c for c in g])
+            quotient = _divide_z(f, g)
+            if quotient is not None:
+                found.append(g)
+                f = quotient
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            d += 1
+    return found + [f]
+
+
+def factor_z(f: Sequence[int]) -> list[tuple[list[int], int]]:
+    """The irreducible factors over Z of a nonzero integer polynomial, with
+    multiplicities; the content is dropped.  Each factor is primitive with a
+    positive leading coefficient, and the list is sorted by (degree,
+    multiplicity, coefficients from the leading one down), the order of
+    sympy's factor_list."""
+    out = [(g, k) for h, k in _sqf_z(primitive_part(f)) for g in _zassenhaus(h)]
+    return sorted(out, key=lambda gk: (len(gk[0]), gk[1], gk[0][::-1]))
+
+
+def is_irreducible_z(p: Sequence[int]) -> bool:
+    """Irreducibility over Q of an integer polynomial of positive degree."""
+    if degree(p) == 2:
+        disc = p[1] * p[1] - 4 * p[0] * p[2]
+        return disc < 0 or math.isqrt(disc) ** 2 != disc
+    factors = factor_z(p)
+    return len(factors) == 1 and factors[0][1] == 1
+
+
+# ---------------------------------------------------------------------------
+# complex roots
+
+
+def complex_roots(f: Sequence[int]) -> list[complex]:
+    """The complex roots of a squarefree integer polynomial in floating
+    point: Aberth-Ehrlich iteration from a circle around the origin, then
+    two Newton steps on each root."""
+    n = degree(f)
+    coeffs = [complex(c) for c in f]
+
+    def value_and_slope(z):
+        v = dv = 0j
+        for c in reversed(coeffs):
+            dv = dv * z + v
+            v = v * z + c
+        return v, dv
+
+    # every root lies in the disc of Cauchy's radius
+    radius = 1 + max(abs(c / f[-1]) for c in f[:-1])
+    z = [radius / 2 * complex(math.cos(a), math.sin(a))
+         for a in (2 * math.pi * k / n + 0.4 for k in range(n))]
+    for _ in range(200):
+        moved = 0.0
+        for i in range(n):
+            v, dv = value_and_slope(z[i])
+            if v == 0:
+                continue
+            ratio = v / dv
+            pull = sum(1 / (z[i] - z[j]) for j in range(n) if j != i)
+            step = ratio / (1 - ratio * pull)
+            z[i] -= step
+            moved = max(moved, abs(step) / max(1.0, abs(z[i])))
+        if moved < 1e-14:
+            break
+    for _ in range(2):
+        for i in range(n):
+            v, dv = value_and_slope(z[i])
+            if dv:
+                z[i] -= v / dv
+    return z

@@ -47,7 +47,7 @@ from .numberfield import (
     cyclotomic_field,
     quadratic_field,
 )
-from .polytools import cos_minpoly, squarefree_decompose
+from .polytools import cos_minpoly, is_prime, squarefree_decompose
 from .sinvariants import (
     ClassGroupData,
     PlaceSet,
@@ -95,9 +95,7 @@ class RelativeSetup:
 
 
 def build_setup(field: NumberField, places: PlaceSet, ell: int) -> RelativeSetup:
-    import sympy
-
-    if ell < 3 or not sympy.isprime(ell):
+    if ell < 3 or not is_prime(ell):
         raise InvalidInput(f"ell = {ell} is not an odd prime")
     t = find_root([field.rational(c) for c in cos_minpoly(ell)], field)
     if t is None:

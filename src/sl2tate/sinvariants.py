@@ -18,8 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-import sympy
-
+from . import polytools as pt
 from .errors import (
     ConsistencyFailure,
     InvalidInput,
@@ -68,7 +67,7 @@ class PlaceSet:
     def make(field: NumberField, rational_primes: Sequence[int] = ()) -> "PlaceSet":
         primes = sorted(set(int(p) for p in rational_primes))
         for p in primes:
-            if p < 2 or not sympy.isprime(p):
+            if not pt.is_prime(p):
                 raise InvalidInput(f"{p} is not a prime")
         ideals = []
         for p in primes:
@@ -168,7 +167,7 @@ def forms_class_group_oracle(disc: int) -> FiniteAbelianGroup:
 def _group_from_element_orders(h: int, orders: Sequence[int]) -> FiniteAbelianGroup:
     """The unique abelian group of order h whose elements realize the given
     multiset of orders."""
-    divisors = sorted(sympy.divisors(h))
+    divisors = pt.divisors(h)
     counts = {k: sum(1 for o in orders if k % o == 0) for k in divisors}
     for chain in _invariant_chains(h):
         if all(counts[k] == math.prod(math.gcd(d, k) for d in chain) for k in divisors):
@@ -186,7 +185,7 @@ def _invariant_chains(h: int) -> list[tuple[int, ...]]:
         if rest == 1:
             out.append(tuple(reversed(chain)))
             return
-        for d in sorted(sympy.divisors(rest)):
+        for d in pt.divisors(rest):
             if d > 1 and (not chain or chain[-1] % d == 0):
                 rec(rest // d, chain + [d])
 
@@ -254,7 +253,7 @@ def _class_group_relations(field: NumberField):
     mb = minkowski_bound(field)
     gen_primes: list[PrimeIdeal] = []
     for p in range(2, mb + 1):
-        if sympy.isprime(p):
+        if pt.is_prime(p):
             gen_primes.extend(factor_rational_prime(field, p))
     if not gen_primes:
         return (), None
@@ -513,9 +512,7 @@ def _s_unit_generators(field: NumberField, places: PlaceSet) -> list[NFElement]:
 
 @lru_cache(maxsize=None)
 def _complex_embeddings(min_poly: tuple[int, ...]):
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(sum(c * x**i for i, c in enumerate(min_poly)), x)
-    return tuple(complex(r) for r in poly.nroots(n=60))
+    return tuple(pt.complex_roots(min_poly))
 
 
 def _embed_numeric(el: NFElement):

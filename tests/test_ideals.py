@@ -25,6 +25,7 @@ from sl2tate.numberfield import (
     make_field,
     quadratic_field,
 )
+from sl2tate import polytools as pt
 from sl2tate.polytools import cos_minpoly
 
 
@@ -165,6 +166,29 @@ def test_factor_uses_maximal_order_not_power_basis():
     k = quadratic_field(-7)
     primes = factor_rational_prime(k, 2)
     assert [(pr.e, pr.f) for pr in primes] == [(1, 1), (1, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-90, 90), st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)))
+def test_quadratic_primes_from_the_kronecker_symbol_match_kummer_dedekind(d, p):
+    assume(d not in (0, 1) and pt.squarefree_decompose(d)[1] == 1)
+    k = quadratic_field(d)
+    # theta = sqrt(d) has index 2 when d = 1 mod 4
+    g = k.basis_element(1) if p == 2 and d % 4 == 1 else k.gen()
+    expected = ideals._kummer_dedekind(k, p, g, pt.factor_mod_p(g.min_poly_over_q(), p))
+    assert factor_rational_prime(k, p) == expected
+
+
+def test_quadratic_primes_fall_back_when_p_divides_the_index():
+    # the basis (1 + i, 2 + 3i) spans Z[i], but Z[2 + 3i] has index 3 in it
+    k = make_field([1, 0, 1], basis=[[1, 1], [2, 3]])
+    for p in (2, 3, 5, 7):
+        primes = factor_rational_prime(k, p)
+        prod = FractionalIdeal.unit(k)
+        for pr in primes:
+            prod = prod * pr.ideal ** pr.e
+        assert prod == FractionalIdeal.principal(k, k.rational(p))
+    assert [(pr.e, pr.f) for pr in factor_rational_prime(k, 3)] == [(1, 2)]
 
 
 def test_factor_common_index_divisor_splits_the_algebra(monkeypatch):
@@ -379,3 +403,19 @@ def test_find_root_in_quartic_field():
     r = find_root([1, 1, 1], L)
     assert r is not None
     assert (r * r + r + L.one()).is_zero()
+
+
+@pytest.mark.parametrize("s", [0, 1, 3])
+def test_shifted_norm_is_the_resultant(s):
+    # N_{L/Q}(g(T - s theta)) = Res_x(f(x), g(x, T - s x)) for monic f
+    import sympy
+
+    L, _, _ = composite_field(quadratic_field(-5), cyclotomic_field(3))
+    coeffs = [L.element([Fraction(1, 2), 3, 0, -1]), L.element([0, 0, 2]), L.one()]
+    x, t = sympy.symbols("x t")
+    f = sum(c * x**i for i, c in enumerate(L.min_poly))
+    g = sum(sum(sympy.Rational(cc.numerator, cc.denominator) * x**i
+                for i, cc in enumerate(c.coords)) * (t - s * x)**k
+            for k, c in enumerate(coeffs))
+    expected = sympy.Poly(sympy.resultant(f, sympy.expand(g), x), t).all_coeffs()[::-1]
+    assert ideals._shifted_norm(coeffs, L, s) == [Fraction(int(c.p), int(c.q)) for c in expected]

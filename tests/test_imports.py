@@ -1,10 +1,18 @@
 """Every module under src/sl2tate uses each name it imports and reads each
 local it assigns; a refactor that moves the last use of an import or a local
-elsewhere must drop it too."""
+elsewhere must drop it too.  The package needs nothing beyond the standard
+library at run time: sympy is a test oracle only."""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sl2tate"
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sl2tate"
+ORACLES = {"sympy", "mpmath"}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -86,3 +94,45 @@ def test_no_function_assigns_a_local_it_never_reads():
     unread = {path.name: unread_locals(path.read_text())
               for path in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def oracle_imports(source: str) -> list[str]:
+    """Top-level names of the test-only packages that any import statement
+    of the module binds, function bodies included."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found & ORACLES)
+
+
+def test_oracle_imports_detects_a_local_import():
+    source = "def f():\n    from sympy.ntheory import isprime\n    import mpmath as mp\n"
+    assert oracle_imports(source) == ["mpmath", "sympy"]
+
+
+def test_no_module_imports_sympy_or_mpmath():
+    found = {path.name: oracle_imports(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+Q23 = ",".join(["1"] * 23)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--field=5,0,1", "--ell", "3"],
+    ["analyze", "--field", Q23, "--places", "23", "--ell", "23",
+     "--fixtures", str(SRC / "fixtures" / "q23.json")],
+])
+def test_cli_run_loads_no_oracle_package(argv):
+    code = ("import sys\n"
+            "from sl2tate.cli import main\n"
+            f"status = main({argv!r})\n"
+            f"print(status, sorted(m for m in sys.modules if m.split('.')[0] in {ORACLES!r}))\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"

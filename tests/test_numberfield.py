@@ -304,3 +304,25 @@ def test_cyclotomic_23_product_builds_no_fraction():
         sys.setprofile(None)
     assert seen == []
     assert z.coords == _oracle_mul(k.min_poly, x.coords, y.coords)
+
+
+@pytest.mark.parametrize("m", [5, 7, 12, 23])
+def test_power_basis_table_matches_reduction_mod_f(m):
+    k = cyclotomic_field(m)
+    n = k.degree
+    for i in range(n):
+        for j in range(n):
+            power = [0] * (i + j) + [1]
+            assert list(k.mult_table[i][j]) == k._reduce_poly(power)
+    assert k.one().num == (1,) + (0,) * (n - 1)
+
+
+def test_make_field_skips_factoring_for_cyclotomic_and_quadratic(monkeypatch):
+    def refuse(_):
+        raise AssertionError("factored over Z")
+
+    monkeypatch.setattr(pt, "factor_z", refuse)
+    assert make_field(pt.cyclotomic(23)).root_of_unity_order == 23
+    assert make_field([3, 1, 1]).degree == 2
+    with pytest.raises(ReduciblePolynomial):
+        make_field([-4, 0, 1])

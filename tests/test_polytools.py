@@ -2,8 +2,28 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from sl2tate import polytools as pt
+from sl2tate.errors import UnsupportedCase
+
+X = sympy.Symbol("x")
+
+
+def sympy_poly(coeffs, **options):
+    return sympy.Poly(sum(int(c) * X**i for i, c in enumerate(coeffs)), X, **options)
+
+
+def constant_first(poly) -> list[int]:
+    return [int(c) for c in reversed(poly.all_coeffs())]
+
+
+def product(factors) -> list[int]:
+    out = [1]
+    for f in factors:
+        out = pt.poly_mul(out, f)
+    return out
 
 
 def test_poly_mul_divmod_roundtrip():
@@ -40,8 +60,6 @@ def test_cyclotomic():
 
 
 def test_euler_phi_matches_sympy():
-    import sympy
-
     # the range _cyclo_candidates(22) scans
     assert [pt.euler_phi(m) for m in range(1, 3875)] == \
         [int(sympy.totient(m)) for m in range(1, 3875)]
@@ -100,3 +118,148 @@ def test_irreducibility():
     assert pt.is_irreducible_z([1, 1, 1])
     assert not pt.is_irreducible_z([-1, 0, 1])
     assert pt.is_irreducible_z([-2, 0, 1])
+
+
+# ---------------------------------------------------------------------------
+# the exact core against sympy as an oracle
+
+
+def test_is_prime_matches_sympy_below_1e5():
+    assert [n for n in range(10**5 + 1) if pt.is_prime(n)] == \
+        list(sympy.primerange(0, 10**5 + 1))
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,                    # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,           # ... to every prime base up to 23
+    318665857834031151167461,      # ... to every prime base up to 37
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not sympy.isprime(n)
+    assert not pt.is_prime(n)
+
+
+def test_is_prime_is_exact_or_refuses():
+    assert pt.is_prime(2**61 - 1) and pt.is_prime(10**24 + 7)
+    with pytest.raises(UnsupportedCase):
+        pt.is_prime(2**89 - 1)  # prime, but past the deterministic bound
+    assert not pt.is_prime(2**89)  # a base divides it: still exact
+
+
+def test_divisors_match_sympy():
+    for n in range(1, 2000):
+        assert pt.divisors(n) == sympy.divisors(n)
+
+
+def test_cyclotomic_matches_sympy_up_to_400():
+    for m in range(1, 401):
+        assert pt.cyclotomic(m) == constant_first(sympy.cyclotomic_poly(m, X, polys=True)), m
+
+
+def test_kronecker_and_sqrt_mod():
+    for p in (2, 3, 5, 7, 13, 17, 97, 257, 65537):
+        squares = {x * x % p for x in range(p)}
+        for a in range(-40, 40):
+            expected = 0 if a % p == 0 else (1 if a % p in squares else -1)
+            if p == 2:
+                expected = 0 if a % 2 == 0 else (1 if a % 8 in (1, 7) else -1)
+            assert pt.kronecker(a, p) == expected
+            if p > 2 and expected >= 0:
+                r = pt.sqrt_mod(a, p)
+                assert r * r % p == a % p
+
+
+def sympy_factor_mod_p(coeffs, p):
+    _, factors = sympy_poly(coeffs, modulus=p, symmetric=False).factor_list()
+    return sorted(([c % p for c in constant_first(f)], int(k)) for f, k in factors)
+
+
+monic_factors = st.lists(st.integers(0, 40), min_size=0, max_size=4).map(lambda c: c + [1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7, 11, 23, 101, 1000003)),
+       st.lists(st.tuples(monic_factors, st.sampled_from((1, 1, 2, 3))),
+                min_size=1, max_size=4),
+       st.booleans())
+def test_factor_mod_p_matches_sympy(p, parts, pth_power):
+    # repeated factors, and p-th powers (f' = 0 mod p) when pth_power is set
+    f = product(fac for fac, k in parts for _ in range(k * (p if pth_power and p < 6 else 1)))
+    if len(pt._mod(f, p)) < 2:
+        return
+    assert pt.factor_mod_p(f, p) == sympy_factor_mod_p(f, p)
+
+
+@pytest.mark.parametrize("f, p", [
+    (pt.cyclotomic(23), 23),          # (x - 1)^22: p divides the discriminant
+    (pt.cyclotomic(9), 3),            # (x - 1)^6
+    ([1, 0, 0, 0, 1], 2),             # (x + 1)^4: a 2nd power, f' = 0
+    ([5, 0, 1], 5),                   # x^2
+    (product([[1, 1]] * 7 + [[2, 0, 1]] * 2), 7),   # (x+1)^7 (x^2+2)^2
+    ([1, 0, -10, 0, 1], 2), ([1, 0, -10, 0, 1], 3), ([1, 0, -10, 0, 1], 13),
+])
+def test_factor_mod_p_hard_cases(f, p):
+    assert pt.factor_mod_p(f, p) == sympy_factor_mod_p(f, p)
+
+
+def sympy_factor_z(coeffs):
+    _, factors = sympy.factor_list(sympy_poly(coeffs))
+    return [(constant_first(f), int(k)) for f, k in factors]
+
+
+# x^4 + 1 and x^4 - 10x^2 + 1 are reducible mod every prime but irreducible
+# over Q, so only recombination of the lifted factors finds them
+SWINNERTON_DYER = ([1, 0, 0, 0, 1], [1, 0, -10, 0, 1])
+integer_factors = st.tuples(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+    st.sampled_from((1, 1, 1, 2, 3, -1, -2))).map(lambda t: t[0] + [t[1]])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(integer_factors, st.sampled_from((1, 1, 2))), max_size=3),
+       st.lists(st.sampled_from(SWINNERTON_DYER), max_size=2),
+       st.sampled_from((1, -1, 6)))
+def test_factor_z_matches_sympy_in_order(parts, hard, content):
+    f = pt.poly_scale(product([fac for fac, k in parts for _ in range(k)] + hard), content)
+    if len(f) < 2:
+        return
+    assert pt.factor_z(f) == sympy_factor_z(f)
+
+
+@pytest.mark.parametrize("f", [
+    SWINNERTON_DYER[0], SWINNERTON_DYER[1], product(SWINNERTON_DYER),
+    product([SWINNERTON_DYER[1]] * 2 + [[1, 2]]),
+    [-1, 0, 0, 0, 0, 0, 0, 0, 1],                 # x^8 - 1
+    product([[5, 1], [1, 2], [-1, 0, 3]]),        # ties in degree: order by coefficients
+    product([[1, 1], [2, 1], [2, 1]]),            # ties in degree: order by multiplicity
+    [3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2],      # irreducible with lc 2
+])
+def test_factor_z_hard_cases(f):
+    assert pt.factor_z(f) == sympy_factor_z(f)
+
+
+def test_is_irreducible_z_matches_sympy():
+    rng = random.Random(7)
+    for _ in range(200):
+        f = [rng.randint(-6, 6) for _ in range(rng.randint(2, 6))] + [1]
+        assert pt.is_irreducible_z(f) == sympy_poly(f, domain="QQ").is_irreducible, f
+
+
+def test_interpolate_recovers_a_polynomial():
+    f = [Fraction(3, 4), -2, 0, Fraction(1, 3), 5]
+    assert pt.interpolate([pt.poly_eval(f, t) for t in range(5)]) == f
+
+
+@pytest.mark.parametrize("f", [
+    [1, 1, 1], [-2, 0, 1], [1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [-1, -2, 1, 1],
+    pt.cyclotomic(23), pt.cyclotomic(46), pt.cos_minpoly(23), [3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2],
+    [7, 1, 2] + [0] * 12 + [-3, 1],
+])
+def test_complex_roots_match_nroots(f):
+    roots = pt.complex_roots(f)
+    expected = [complex(r) for r in sympy_poly(f).nroots(n=30)]
+    assert len(roots) == len(expected)
+    for r in expected:
+        assert min(abs(r - z) for z in roots) < 1e-9
+    for z in roots:
+        assert min(abs(r - z) for r in expected) < 1e-9
