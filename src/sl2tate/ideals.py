@@ -8,6 +8,7 @@ positive integer, the ideal being (1/den) * rowlattice(num).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -124,14 +125,18 @@ class FractionalIdeal:
     def __pow__(self, e: int) -> "FractionalIdeal":
         if e < 0:
             return self.inverse() ** (-e)
-        acc = FractionalIdeal.unit(self.field)
-        base = self
-        while e:
+        if e == 0:
+            return FractionalIdeal.unit(self.field)
+        # square-and-multiply from the lowest bit, starting from the first
+        # set bit's power and squaring only while higher bits remain
+        acc, base = None, self
+        while True:
             if e & 1:
-                acc = acc * base
-            base = base * base
+                acc = base if acc is None else acc * base
             e >>= 1
-        return acc
+            if not e:
+                return acc
+            base = base * base
 
     def colon(self, other: "FractionalIdeal") -> "FractionalIdeal":
         """(self : other) = {x in K : x * other <= self}."""
@@ -531,27 +536,81 @@ def find_root(coeffs, field: NumberField) -> NFElement | None:
     Cheap candidates (small rationals, and monomials in a built-in root of
     unity) are tried first with exact verification; the general case runs a
     resultant-based factorization, which is exact and needs no precision
-    management."""
+    management.  Reductions modulo degree-one primes (_residue_maps) prove
+    that no root exists, or that a candidate is not one, before any exact
+    arithmetic; they never change the answer."""
     coeffs = [c if isinstance(c, NFElement) else field.rational(c) for c in coeffs]
     coeffs = nf_poly_trim(coeffs)
     if len(coeffs) <= 1:
         raise ValueError("constant polynomial")
 
-    def is_root(el):
-        acc = field.zero()
-        for c in reversed(coeffs):
-            acc = acc * el + c
-        return acc.is_zero()
-
     if len(coeffs) == 2:
         root = -coeffs[0] * coeffs[1].inverse()
         return root
+
+    # g mod P at each degree-one P where every coefficient is P-integral
+    reductions = []
+    for p, images in _residue_maps(field):
+        g_bar = [_residue(c, p, images) for c in coeffs]
+        if None in g_bar:
+            continue
+        if g_bar[-1] and not pt.roots_mod(g_bar, p):
+            # with a P-unit leading coefficient every root is P-integral, and
+            # its residue would be a root of g mod P
+            return None
+        reductions.append((p, images, g_bar))
+
+    def is_root(el):
+        for p, images, g_bar in reductions:
+            r = _residue(el, p, images)
+            if r is not None and pt.eval_mod(g_bar, r, p):
+                return False
+        return _eval_poly_at(coeffs, el).is_zero()
 
     for cand in _cheap_candidates(field):
         if is_root(cand):
             return cand
 
     return _trager_root(coeffs, field)
+
+
+# maps O -> F_p that find_root reduces by: a non-root candidate survives one
+# only by being a root modulo its prime
+RESIDUE_MAPS = 12
+_RESIDUE_PRIME_BOUND = 500
+
+
+@lru_cache(maxsize=None)
+def _residue_maps(field: NumberField) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Up to RESIDUE_MAPS ring maps O -> F_p, one per degree-one prime P,
+    each as (p, images of the integral basis), by increasing p and then
+    root.  For p prime to every denominator of the basis, O lies in
+    Z_(p)[theta], where theta -> r is a ring map for each root r of the
+    minimal polynomial mod p; its kernel on O is a prime of degree one."""
+    den = lcm(*(x.denominator for row in field.basis for x in row))
+    maps = []
+    for p in range(2, _RESIDUE_PRIME_BOUND):
+        if len(maps) >= RESIDUE_MAPS:
+            break
+        if den % p == 0 or not pt.is_prime(p):
+            continue
+        roots = pt.roots_mod(field.min_poly, p)
+        if roots:
+            basis = [[x.numerator * pow(x.denominator, -1, p) for x in row]
+                     for row in field.basis]
+        for r in roots:
+            powers = [pow(r, j, p) for j in range(field.degree)]
+            maps.append((p, tuple(sum(map(operator.mul, row, powers)) % p
+                                  for row in basis)))
+    return tuple(maps[:RESIDUE_MAPS])
+
+
+def _residue(el: NFElement, p: int, images) -> int | None:
+    """The image of el under the map with these basis images, or None when p
+    divides el.den (el may still be P-integral; the map is then skipped)."""
+    if el.den % p == 0:
+        return None
+    return sum(c * x for c, x in zip(el.num, images)) * pow(el.den, -1, p) % p
 
 
 def _cheap_candidates(field):
@@ -596,14 +655,10 @@ def _trager_root(coeffs, field):
 def _shifted_norm(coeffs, field, s):
     """N_{L/Q}(g(T - s*theta)) over Q.  It has degree n * deg g, so it is
     interpolated from its exact values at T = 0, 1, 2, ..."""
-    shift, values = field.gen() * s, []
-    for t in range(field.degree * (len(coeffs) - 1) + 1):
-        x = field.rational(t) - shift
-        acc = field.zero()
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        values.append(acc.norm())
-    return pt.interpolate(values)
+    shift = field.gen() * s
+    return pt.interpolate([
+        _eval_poly_at(coeffs, field.rational(t) - shift).norm()
+        for t in range(field.degree * (len(coeffs) - 1) + 1)])
 
 
 def _shift_poly(q_coeffs, field, s):

@@ -495,16 +495,15 @@ class FieldEmbedding:
     def map(self, el: NFElement) -> NFElement:
         if el.field != self.source:
             raise ValueError("element not in the source field")
-        acc = self.target.zero()
-        for c in reversed(el.coords):
-            acc = acc * self.gen_image + self.target.rational(c)
-        return acc
+        return _eval_poly_at(el.coords, self.gen_image)
 
 
 def _eval_poly_at(coeffs, el: NFElement) -> NFElement:
+    """g(el) by Horner, for coefficients that are rationals or elements of
+    el's field."""
     acc = el.field.zero()
     for c in reversed(list(coeffs)):
-        acc = acc * el + el.field.rational(c)
+        acc = acc * el + c
     return acc
 
 

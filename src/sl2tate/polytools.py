@@ -340,6 +340,20 @@ def _mod(p, m: int) -> list[int]:
     return trim([c % m for c in p])
 
 
+def eval_mod(p, x: int, m: int) -> int:
+    """p(x) mod m, by Horner with every step reduced."""
+    acc = 0
+    for c in reversed(p):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def roots_mod(p, prime: int) -> list[int]:
+    """The roots in F_prime of an integer polynomial, in increasing order, by
+    trying every residue: meant for small primes."""
+    return [r for r in range(prime) if eval_mod(p, r, prime) == 0]
+
+
 def _mul_mod(a, b, m: int) -> list[int]:
     return _mod(poly_mul(a, b), m)
 

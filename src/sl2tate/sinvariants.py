@@ -288,21 +288,37 @@ def _class_group_relations(field: NumberField):
     prev_order = None
     done = False
     seen_box = 0
+    # the canonical HNF of the relations so far, and how many it covers:
+    # being unique, it equals the HNF of all relations when extended by the
+    # new ones only
+    lattice_rows, covered = [], 0
     # for quadratic fields the relation connecting two generator primes p, q
     # comes from an element of norm p*q <= mb^2, whose coordinates stay
     # below about mb; do not accept stability before the box covers that
     min_stable_box = mb + 2 if n == 2 else 0
+    zero = (0,) * n
     for box in _BOX_SCHEDULE:
+        # x and -x have the same |norm| and valuations: box_shell yields the
+        # one whose first nonzero coordinate is negative (combo < zero)
+        # first, and its smooth vector waits under -x for the mirror
+        mirrored = {}
         for combo in box_shell(n, seen_box, box):
-            if math.gcd(*combo) > 1:
-                continue
-            nrm = field.norm_of_int_coords(combo)
-            vec = element_valuations(combo, abs(nrm))
-            if vec is not None and any(vec):
-                relations.append(vec)
+            if combo > zero:
+                vec = mirrored.pop(combo, None)
+                if vec is None:
+                    continue
+            else:
+                if math.gcd(*combo) > 1:
+                    continue
+                vec = element_valuations(combo, abs(field.norm_of_int_coords(combo)))
+                if vec is None or not any(vec):
+                    continue
+                mirrored[tuple(-c for c in combo)] = vec
+            relations.append(vec)
         seen_box = box
         if relations:
-            lattice = hnf_canonical(IntMatrix.from_rows(relations))
+            lattice = hnf_canonical(IntMatrix.from_rows(lattice_rows + relations[covered:]))
+            lattice_rows, covered = list(lattice.entries), len(relations)
             if lattice.nrows == len(gen_primes):
                 order = math.prod(snf(lattice))
                 if order == prev_order and box >= min_stable_box:

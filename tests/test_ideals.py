@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -403,6 +404,128 @@ def test_find_root_in_quartic_field():
     r = find_root([1, 1, 1], L)
     assert r is not None
     assert (r * r + r + L.one()).is_zero()
+
+
+# Q(sqrt(-7)) has the integral basis (1, (1 + sqrt(-7))/2), so p = 2 divides a
+# basis denominator and gives no residue map
+RESIDUE_FIELDS = (
+    quadratic_field(-5),
+    quadratic_field(-7),
+    cyclotomic_field(7),
+    IDEAL_FIELDS[3],
+    cyclotomic_field(23),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_residue_maps_are_ring_maps(data):
+    field = data.draw(st.sampled_from(RESIDUE_FIELDS))
+    maps = ideals._residue_maps(field)
+    assert len(maps) == ideals.RESIDUE_MAPS
+    basis_den = lcm(*(x.denominator for row in field.basis for x in row))
+    coords = st.lists(st.integers(-30, 30), min_size=field.degree, max_size=field.degree)
+    a = field.from_basis_coords(data.draw(coords))
+    b = field.from_basis_coords(data.draw(coords), data.draw(st.sampled_from((1, 2, 3, 5))))
+    for p, images in maps:
+        assert pt.is_prime(p) and basis_den % p
+        phi = lambda x: ideals._residue(x, p, images)
+        # theta goes to a root of the minimal polynomial mod p
+        assert pt.eval_mod(field.min_poly, phi(field.gen()), p) == 0
+        assert phi(field.one()) == 1
+        assert phi(a * a) == phi(a) ** 2 % p
+        if b.den % p:
+            assert phi(a + b) == (phi(a) + phi(b)) % p
+            assert phi(a * b) == phi(a) * phi(b) % p
+        else:
+            assert phi(b) is None
+
+
+def _poly_with_root(field, rng):
+    """(d x - d alpha) h(x) with integral coefficients, alpha with a
+    denominator d among the small primes: modulo a prime above d the
+    leading coefficient vanishes and alpha has no residue."""
+    n = field.degree
+    d = rng.choice((1, 2, 3, 6))
+    alpha = field.from_basis_coords([rng.randint(-4, 4) for _ in range(n)], d)
+    h = [field.from_basis_coords([rng.randint(-3, 3) for _ in range(n)])
+         for _ in range(rng.randint(1, 2))] + [field.rational(rng.choice((1, 2, -3)))]
+    out = [field.zero()] * (len(h) + 1)
+    for i, c in enumerate(h):
+        out[i + 1] = out[i + 1] + c * d
+        out[i] = out[i] - alpha * c * d
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((RESIDUE_FIELDS[0], RESIDUE_FIELDS[1], RESIDUE_FIELDS[3])),
+       st.integers(0, 10**6), st.booleans())
+def test_find_root_matches_the_exact_path(field, seed, with_root):
+    rng = random.Random(seed)
+    if with_root:
+        g = _poly_with_root(field, rng)
+    else:
+        g = [field.from_basis_coords([rng.randint(-5, 5) for _ in range(field.degree)],
+                                     rng.choice((1, 1, 2, 3)))
+             for _ in range(rng.randint(2, 3))] + [field.rational(rng.choice((1, 2, 3)))]
+    fast = find_root(g, field)
+    with mock.patch.object(ideals, "_residue_maps", lambda field: ()):
+        exact = find_root(g, field)
+    assert fast == exact
+    if with_root:
+        assert fast is not None
+
+
+def test_find_root_keeps_a_root_off_the_prime():
+    # modulo the prime above 2 of Q(sqrt(-5)) the leading coefficient of
+    # (2x - 1)(x^2 + x + 1) vanishes and x^2 + x + 1 has no root, yet 1/2 is
+    # a root: that prime cannot rule roots out
+    k = quadratic_field(-5)
+    assert any(p == 2 for p, _ in ideals._residue_maps(k))
+    assert find_root(pt.poly_mul([-1, 2], [1, 1, 1]), k) == k.rational(Fraction(1, 2))
+
+
+def test_sqrt_of_a_non_square_needs_no_trager(monkeypatch):
+    L = IDEAL_FIELDS[3]  # Q(sqrt(-5))(zeta_3)
+    zeta3 = find_root([1, 1, 1], L)
+
+    def no_trager(coeffs, field):
+        raise AssertionError("Trager's method ran")
+
+    monkeypatch.setattr(ideals, "_trager_root", no_trager)
+    # neither i nor sqrt(2) nor a primitive 12th root of unity lies in L
+    for el in (L.rational(-1), L.rational(2), -zeta3):
+        assert sqrt_in_field(el) is None
+
+
+def test_cos_minpoly_root_in_q23_takes_few_exact_evaluations(monkeypatch):
+    k = cyclotomic_field(23)
+    calls = []
+    horner = ideals._eval_poly_at
+    monkeypatch.setattr(ideals, "_eval_poly_at",
+                        lambda coeffs, el: calls.append(el) or horner(coeffs, el))
+    t = find_root(cos_minpoly(23), k)
+    z = k.gen()
+    assert (t - z - z**22).is_zero()
+    # 60 candidates come before the root; the residue maps reject the others
+    assert 1 <= len(calls) <= 2
+
+
+def test_ideal_power_makes_only_the_needed_products(monkeypatch):
+    pr = factor_rational_prime(quadratic_field(-5), 3)[0].ideal
+    powers = [FractionalIdeal.unit(pr.field)]
+    for _ in range(6):
+        powers.append(powers[-1] * pr)
+    calls = []
+    mul = FractionalIdeal.__mul__
+    monkeypatch.setattr(FractionalIdeal, "__mul__",
+                        lambda self, other: calls.append(1) or mul(self, other))
+    # square-and-multiply: squarings up to the top bit plus one product per
+    # further set bit
+    for e, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3)):
+        calls.clear()
+        assert pr ** e == powers[e]
+        assert len(calls) == products
 
 
 @pytest.mark.parametrize("s", [0, 1, 3])

@@ -115,6 +115,27 @@ def test_class_group_relations_searched_once_per_field(monkeypatch):
     assert warm.generator_ideals == cold.generator_ideals
 
 
+def test_relation_search_computes_each_plus_minus_pair_once(monkeypatch):
+    import hashlib
+
+    from sl2tate import sinvariants
+    from sl2tate.numberfield import NumberField, composite_field
+
+    L, _, _ = composite_field(quadratic_field(-5), cyclotomic_field(3))
+    calls = []
+    norm = NumberField.norm_of_int_coords
+    monkeypatch.setattr(NumberField, "norm_of_int_coords",
+                        lambda self, coords: calls.append(coords) or norm(self, coords))
+    sinvariants._class_group_relations.cache_clear()
+    gen_primes, rel_cols = sinvariants._class_group_relations(L)
+    # a search that also computed -x made 25,536 norms and these columns
+    assert len(calls) == 25536 // 2
+    assert all(next(c for c in coords if c) < 0 for coords in calls)
+    assert (len(gen_primes), rel_cols.nrows, rel_cols.ncols) == (8, 8, 2330)
+    digest = hashlib.sha256(repr(rel_cols.entries).encode()).hexdigest()
+    assert digest == "b085adbc222135e57510ce9b44a710d9a4ae19fbeb2cdeab6f06a84b3b09615e"
+
+
 def test_relation_search_makes_no_membership_tests(monkeypatch):
     # valuations come from PrimeIdeal.valuation_coords, not from P^k tests
     from sl2tate import sinvariants
