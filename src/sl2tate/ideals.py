@@ -46,6 +46,16 @@ class FractionalIdeal:
         return FractionalIdeal(field, IntMatrix.identity(field.degree))
 
     @staticmethod
+    def product(field: NumberField, powers) -> "FractionalIdeal":
+        """The product of I**e over the (I, e) pairs with e != 0, starting
+        from the first such power; the unit ideal for the empty product."""
+        acc = None
+        for ideal, e in powers:
+            if e:
+                acc = ideal ** e if acc is None else acc * ideal ** e
+        return FractionalIdeal.unit(field) if acc is None else acc
+
+    @staticmethod
     def from_generators(field: NumberField, gens) -> "FractionalIdeal":
         """The fractional O-ideal generated by the given field elements:
         (1/den) times the rows of the multiplication matrices of the
@@ -302,9 +312,7 @@ def _kummer_dedekind(field: NumberField, p: int, g: NFElement, factors) -> tuple
     if n <= 6:
         # sanity: the product of P^e recovers (p); skipped for large
         # degrees where the e-fold ideal product gets expensive
-        prod = FractionalIdeal.unit(field)
-        for pr in out:
-            prod = prod * pr.ideal ** pr.e
+        prod = FractionalIdeal.product(field, ((pr.ideal, pr.e) for pr in out))
         verify(prod == FractionalIdeal.principal(field, field.rational(p)),
                "product of the P^e must be (p)")
     return tuple(sorted(out, key=lambda pr: (pr.f, pr.e, pr.ideal.num.entries)))
@@ -418,9 +426,7 @@ def _factor_by_algebra_splitting(field: NumberField, p: int) -> tuple[PrimeIdeal
         e = PrimeIdeal(p, ideal, 0, f).valuation_coords([p] + [0] * (n - 1))
         out.append(PrimeIdeal(p, ideal, e=e, f=f))
     verify(sum(pr.e * pr.f for pr in out) == n, "sum of e*f must be the degree")
-    prod = FractionalIdeal.unit(field)
-    for pr in out:
-        prod = prod * pr.ideal ** pr.e
+    prod = FractionalIdeal.product(field, ((pr.ideal, pr.e) for pr in out))
     verify(prod == p_ideal, "product of the P^e must be (p)")
     return tuple(sorted(out, key=lambda pr: (pr.f, pr.e, pr.ideal.num.entries)))
 
@@ -429,12 +435,19 @@ def _factor_by_algebra_splitting(field: NumberField, p: int) -> tuple[PrimeIdeal
 # bounded lattice searches
 
 
-def box_shell(n: int, inner: int, outer: int):
+def box_lines(n: int, inner: int, outer: int):
     """The integer vectors of [-outer, outer]^n outside [-inner, inner]^n,
-    in lexicographic order."""
-    for combo in itertools.product(range(-outer, outer + 1), repeat=n):
-        if max(map(abs, combo)) > inner:
-            yield combo
+    as lines (prefix, range of the last coordinate), in lexicographic order
+    of the vectors.  A prefix inside the inner box gets the two outer
+    segments, every other prefix the full range."""
+    full = range(-outer, outer + 1)
+    below, above = range(-outer, -inner), range(inner + 1, outer + 1)
+    for prefix in itertools.product(full, repeat=n - 1):
+        if max(map(abs, prefix), default=0) > inner:
+            yield prefix, full
+        else:
+            yield prefix, below
+            yield prefix, above
 
 
 BOXES = (1, 2, 3, 5, 8, 13)
@@ -449,9 +462,10 @@ def search_elements(ideal: FractionalIdeal, bounds=BOXES):
     scale = ideal.den ** field.degree
     prev = 0
     for b in bounds:
-        for combo in box_shell(field.degree, prev, b):
-            coords = combine_rows(combo, ideal.num.entries)
-            yield coords, Fraction(field.norm_of_int_coords(coords), scale)
+        for prefix, last in box_lines(field.degree, prev, b):
+            for t in last:
+                coords = combine_rows(prefix + (t,), ideal.num.entries)
+                yield coords, Fraction(field.norm_of_int_coords(coords), scale)
         prev = b
 
 
@@ -635,6 +649,10 @@ def _trager_root(coeffs, field):
     N(T) = N_{L/Q}(g(T - s*theta)) squarefree, each irreducible factor h of
     N gives gcd(g(X), h(X + s*theta)), linear when h has a root in L."""
     n = field.degree
+    # N is squarefree for some shift only when g is: divide out gcd(g, g')
+    repeated = nf_poly_gcd(coeffs, [c * i for i, c in enumerate(coeffs)][1:])
+    if len(repeated) > 1:
+        coeffs = nf_poly_divmod(coeffs, repeated)[0]
     for s in range(0, 10):
         norm_poly = _shifted_norm(coeffs, field, s)
         if pt.degree(pt.poly_gcd(norm_poly, pt.poly_deriv(norm_poly))) > 0:
@@ -644,8 +662,7 @@ def _trager_root(coeffs, field):
                 continue
             # h(T + s*theta) as a polynomial with coefficients in the field
             shifted = _shift_poly([Fraction(c) for c in fac], field, s)
-            g_nf = list(coeffs)
-            common = nf_poly_gcd(g_nf, shifted)
+            common = nf_poly_gcd(coeffs, shifted)
             if len(common) == 2:
                 return -common[0] * common[1].inverse()
         return None

@@ -3,7 +3,8 @@
 An element x is stored as (num, den): the integer integral-basis coordinates
 of den * x and the least positive den that makes them integers, the same
 coordinates the ideal layer uses.  Products go through the integral-basis
-multiplication table, norms through norm_of_int_coords.  Power-basis
+multiplication table, norms through norm_of_int_coords (up to degree 4
+by Horner on norm_line, the norm form restricted to a line).  Power-basis
 coordinates over the defining root theta appear only at the input/output
 boundary (NumberField.element and NFElement.coords).  Integral bases are
 stored as a rational matrix over the power basis; closure under
@@ -52,7 +53,7 @@ class NumberField:
         self._build_mult_table()
         self._disc = None
         self._signature = None
-        self._norm_form = None
+        self._norm_lines = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -175,32 +176,46 @@ class NumberField:
         return self._signature
 
     def norm_form(self):
-        """The multivariate polynomial N(sum x_i b_i) as {exponent: coeff}.
-        Only built for degree <= 4 (used by the bounded searches)."""
-        if self._norm_form is None:
-            n = self.degree
-            if n > 4:
-                raise ValueError("norm form only cached for degree <= 4")
-            # matrix sum_k x_k * M_k where M_k is multiplication by b_k
-            # entry (i, j): coeff of b_i in b_k * b_j = mult_table[k][j][i]
-            entry = [[{(k,): self.mult_table[k][j][i] for k in range(n)
-                       if self.mult_table[k][j][i]}
-                      for j in range(n)] for i in range(n)]
-            self._norm_form = _poly_matrix_det(entry, n)
-        return self._norm_form
+        """The multivariate polynomial N(sum x_i b_i) as {exponent: coeff},
+        exponents as sorted index tuples.  Only for degree <= 4."""
+        n = self.degree
+        if n > 4:
+            raise ValueError("norm form only built for degree <= 4")
+        # matrix sum_k x_k * M_k where M_k is multiplication by b_k
+        # entry (i, j): coeff of b_i in b_k * b_j = mult_table[k][j][i]
+        entry = [[{(k,): self.mult_table[k][j][i] for k in range(n)
+                   if self.mult_table[k][j][i]}
+                  for j in range(n)] for i in range(n)]
+        return _poly_matrix_det(entry, n)
+
+    def norm_line(self, prefix: Sequence[int]) -> list[int]:
+        """Coefficients, constant term first, of the degree-n polynomial
+        t -> N(prefix_0 b_0 + ... + prefix_{n-2} b_{n-2} + t b_{n-1}).  The
+        norm form is split once per field by the power of the last variable
+        (it sits at the end of each sorted exponent).  Only for degree <= 4."""
+        if self._norm_lines is None:
+            last = self.degree - 1
+            lines = [[] for _ in range(self.degree + 1)]
+            for exps, c in self.norm_form().items():
+                k = exps.count(last)
+                lines[k].append((exps[:len(exps) - k], c))
+            self._norm_lines = lines
+        out = []
+        for monomials in self._norm_lines:
+            acc = 0
+            for exps, c in monomials:
+                for i in exps:
+                    c *= prefix[i]
+                acc += c
+            out.append(acc)
+        return out
 
     def norm_of_int_coords(self, coords: Sequence[int]) -> int:
-        """N(sum c_i b_i): the norm form up to degree 4, else the determinant
-        of the multiplication matrix."""
+        """N(sum c_i b_i): Horner on norm_line up to degree 4, else the
+        determinant of the multiplication matrix."""
         if self.degree > 4:
             return IntMatrix.from_rows(self.int_mult_rows(coords)).det()
-        acc = 0
-        for exps, c in self.norm_form().items():
-            term = c
-            for k in exps:
-                term *= coords[k]
-            acc += term
-        return acc
+        return pt.poly_eval(self.norm_line(coords[:-1]), coords[-1])
 
     def __repr__(self):
         return f"NumberField({self.label})"

@@ -492,10 +492,8 @@ def _ocg_split(setup, norms) -> OrientedClassGroup:
     factors = ck.group.invariant_factors
     elements = []
     for coords in ck.group.elements():
-        ideal = FractionalIdeal.unit(setup.field)
-        for c, g in zip(coords, ck.generator_ideals):
-            if c:
-                ideal = ideal * g**c
+        ideal = FractionalIdeal.product(setup.field,
+                                        zip(ck.generator_ideals, coords))
         if not ck.generator_ideals and any(coords):
             ideal = None  # ingested class group without representatives
         elements.append(OrientedElement(tuple(coords), (), tuple(coords),
@@ -531,13 +529,9 @@ def _ocg_field(setup, norms) -> OrientedClassGroup:
     quot_group = FiniteAbelianGroup(quot)
     class_reps = {}
     for kc in quot_group.elements():
-        ideal = FractionalIdeal.unit(setup.rel_field)
-        for c, gvec in zip(kc, norms.ker_nm0_gens):
-            if not c:
-                continue
-            for e, gid in zip(gvec, cl.generator_ideals):
-                if e:
-                    ideal = ideal * gid ** (c * e)
+        ideal = FractionalIdeal.product(setup.rel_field, (
+            (gid, c * e) for c, gvec in zip(kc, norms.ker_nm0_gens)
+            for e, gid in zip(gvec, cl.generator_ideals)))
         if any(kc):
             ideal = _reduce_in_class(ideal)
         nm = relative_ideal_norm(setup, ideal)

@@ -31,7 +31,7 @@ from .errors import (
 from .ideals import (
     FractionalIdeal,
     PrimeIdeal,
-    box_shell,
+    box_lines,
     factor_rational_prime,
     principal_generator,
     search_elements,
@@ -43,7 +43,6 @@ from .intlinalg import (
     cokernel,
     hnf_canonical,
     kernel,
-    snf,
     solve_integer,
     subgroup_quotient,
     xgcd,
@@ -297,30 +296,36 @@ def _class_group_relations(field: NumberField):
     # below about mb; do not accept stability before the box covers that
     min_stable_box = mb + 2 if n == 2 else 0
     zero = (0,) * n
+    horner = pt.poly_eval
     for box in _BOX_SCHEDULE:
-        # x and -x have the same |norm| and valuations: box_shell yields the
-        # one whose first nonzero coordinate is negative (combo < zero)
-        # first, and its smooth vector waits under -x for the mirror
-        mirrored = {}
-        for combo in box_shell(n, seen_box, box):
-            if combo > zero:
-                vec = mirrored.pop(combo, None)
-                if vec is None:
+        # x and -x have the same |norm| and valuations.  A line whose points
+        # are lexicographically negative is evaluated through its norm
+        # polynomial, and its smooth vectors wait on a stack; negation
+        # reverses the line order, so the mirror line of a positive line is
+        # the one on top, and it replays those vectors in reverse
+        mirrored = []
+        for prefix, last in box_lines(n, seen_box, box):
+            if prefix + (last[0],) > zero:
+                relations.extend(reversed(mirrored.pop()))
+                continue
+            line = field.norm_line(prefix)
+            g = math.gcd(*prefix)
+            found = []
+            for t in last:
+                if math.gcd(g, t) > 1:
                     continue
-            else:
-                if math.gcd(*combo) > 1:
-                    continue
-                vec = element_valuations(combo, abs(field.norm_of_int_coords(combo)))
-                if vec is None or not any(vec):
-                    continue
-                mirrored[tuple(-c for c in combo)] = vec
-            relations.append(vec)
+                vec = element_valuations(prefix + (t,), abs(horner(line, t)))
+                if vec is not None and any(vec):
+                    found.append(vec)
+            relations.extend(found)
+            mirrored.append(found)
         seen_box = box
         if relations:
             lattice = hnf_canonical(IntMatrix.from_rows(lattice_rows + relations[covered:]))
             lattice_rows, covered = list(lattice.entries), len(relations)
             if lattice.nrows == len(gen_primes):
-                order = math.prod(snf(lattice))
+                # a full-rank square row HNF: its index is its diagonal product
+                order = math.prod(row[i] for i, row in enumerate(lattice_rows))
                 if order == prev_order and box >= min_stable_box:
                     done = True
                     break
@@ -383,11 +388,8 @@ def _finish_class_group(field, places, gen_primes, rel_cols) -> ClassGroupData:
         for coeff, amb in zip(gvec, ck.generators):
             for i in range(k):
                 exp[i] += coeff * amb[i]
-        ideal = FractionalIdeal.unit(field)
-        for i, e in enumerate(exp):
-            if e:
-                ideal = ideal * gen_primes[i].ideal ** e
-        gens.append(ideal)
+        gens.append(FractionalIdeal.product(
+            field, ((pr.ideal, e) for pr, e in zip(gen_primes, exp))))
     return ClassGroupData(field, places, group, tuple(gens), "computed", dlog)
 
 
@@ -518,10 +520,8 @@ def _s_unit_generators(field: NumberField, places: PlaceSet) -> list[NFElement]:
     verify(lattice.nrows == k, "the valuation lattice of S-units has full rank")
     gens = []
     for i in range(lattice.nrows):
-        ideal = FractionalIdeal.unit(field)
-        for j, e in enumerate(lattice.row(i)):
-            if e:
-                ideal = ideal * places.prime_ideals[j].ideal ** e
+        ideal = FractionalIdeal.product(
+            field, ((pr.ideal, e) for pr, e in zip(places.prime_ideals, lattice.row(i))))
         gens.append(principal_generator(ideal))
     return gens
 

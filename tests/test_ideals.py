@@ -11,6 +11,7 @@ from sl2tate import ideals
 from sl2tate.errors import SearchExhausted
 from sl2tate.ideals import (
     FractionalIdeal,
+    box_lines,
     factor_rational_prime,
     find_root,
     principal_generator,
@@ -305,6 +306,42 @@ def test_search_elements_yields_integer_coords_and_fraction_norms():
             assert ideal.contains(el) and el.norm() == nrm
 
 
+def _box_shell(n, inner, outer):
+    """The walk box_lines replaced: the whole box, less the inner box."""
+    for combo in itertools.product(range(-outer, outer + 1), repeat=n):
+        if max(map(abs, combo)) > inner:
+            yield combo
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_box_lines_walk_the_shell_in_lexicographic_order(n, data):
+    outer = data.draw(st.integers(1, 6))
+    inner = data.draw(st.integers(0, outer - 1))
+    points = [prefix + (t,) for prefix, last in box_lines(n, inner, outer)
+              for t in last]
+    assert points == list(_box_shell(n, inner, outer))
+    assert len(set(points)) == len(points)
+
+
+def test_ideal_product_starts_from_the_first_nonzero_power(monkeypatch):
+    k = quadratic_field(-5)
+    p2, p3 = (factor_rational_prime(k, p)[0].ideal for p in (2, 3))
+    unit = FractionalIdeal.unit(k)
+    assert FractionalIdeal.product(k, ()) == unit
+    assert FractionalIdeal.product(k, [(p2, 0), (p3, 0)]) == unit
+    assert FractionalIdeal.product(k, [(p2, 0), (p3, 2)]) == unit * p3 * p3
+    assert FractionalIdeal.product(k, [(p2, -1), (p3, 1)]) == p2.inverse() * p3
+    expected = p2 * p3
+    calls = []
+    mul = FractionalIdeal.__mul__
+    monkeypatch.setattr(FractionalIdeal, "__mul__",
+                        lambda self, other: calls.append(1) or mul(self, other))
+    # one product per further factor, none with the unit ideal
+    assert FractionalIdeal.product(k, [(p2, 1), (p3, 0), (p3, 1)]) == expected
+    assert len(calls) == 1
+
+
 def test_principal_generator_builds_only_the_accepted_element(monkeypatch):
     k = quadratic_field(-5)
     p3 = factor_rational_prime(k, 3)[0]
@@ -483,6 +520,17 @@ def test_find_root_keeps_a_root_off_the_prime():
     k = quadratic_field(-5)
     assert any(p == 2 for p, _ in ideals._residue_maps(k))
     assert find_root(pt.poly_mul([-1, 2], [1, 1, 1]), k) == k.rational(Fraction(1, 2))
+
+
+def test_find_root_of_a_square_with_no_cheap_root():
+    # Trager's norm of g = (3x + 3 - sqrt(-5))^2 is a square for every
+    # shift; the method runs on the squarefree part of g
+    k = quadratic_field(-5)
+    alpha = k.element([-1, Fraction(1, 3)])
+    lin = [-alpha * 3, k.rational(3)]
+    g = [lin[0] * lin[0], lin[0] * lin[1] * 2, lin[1] * lin[1]]
+    assert find_root(g, k) == alpha
+    assert ideals._trager_root(g, k) == alpha
 
 
 def test_sqrt_of_a_non_square_needs_no_trager(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sl2tate import polytools as pt
 from sl2tate.errors import IntegralBasisRequired, ReduciblePolynomial
-from sl2tate.intlinalg import det_rational
+from sl2tate.intlinalg import IntMatrix, det_rational
 from sl2tate.numberfield import (
     FieldEmbedding,
     composite_field,
@@ -275,6 +275,31 @@ def test_rational_elements(data):
     assert (r * k.one()).is_rational_value() == q
     if k.degree > 1:
         assert (r + k.gen()).is_rational_value() is None
+
+
+NORM_LINE_FIELDS = (
+    make_field([0, 1]),
+    quadratic_field(-5),
+    quadratic_field(5),
+    ELEMENT_FIELDS[-1],
+    cyclotomic_field(5),
+    ELEMENT_FIELDS[3],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(NORM_LINE_FIELDS), st.data())
+def test_norm_line_matches_the_bareiss_determinant(k, data):
+    coords = data.draw(st.lists(st.integers(-40, 40), min_size=k.degree,
+                                max_size=k.degree))
+    line = k.norm_line(coords[:-1])
+    assert len(line) == k.degree + 1
+    det = IntMatrix.from_rows(k.int_mult_rows(coords)).det()
+    assert pt.poly_eval(line, coords[-1]) == det == k.norm_of_int_coords(coords)
+    # the same polynomial along the whole line
+    t = data.draw(st.integers(-40, 40))
+    point = coords[:-1] + [t]
+    assert pt.poly_eval(line, t) == IntMatrix.from_rows(k.int_mult_rows(point)).det()
 
 
 def test_user_basis_without_one_as_first_row():

@@ -1,7 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from sl2tate import polytools as pt
 from sl2tate.errors import ConsistencyFailure, NeedsBackendData, SchemaViolation
 from sl2tate.ideals import FractionalIdeal
 from sl2tate.intlinalg import FiniteAbelianGroup
@@ -102,38 +104,122 @@ def test_class_group_relations_searched_once_per_field(monkeypatch):
     sinvariants._class_group_relations.cache_clear()
     class_group(L, PlaceSet(L, (), ()))
     calls = []
-    norm = NumberField.norm_of_int_coords
+    norm_line = NumberField.norm_line
 
-    def counted(self, coords):
-        calls.append(coords)
-        return norm(self, coords)
+    def counted(self, prefix):
+        calls.append(prefix)
+        return norm_line(self, prefix)
 
-    monkeypatch.setattr(NumberField, "norm_of_int_coords", counted)
+    # norm_of_int_coords goes through norm_line too, so this also sees the
+    # element searches of _finish_class_group
+    monkeypatch.setattr(NumberField, "norm_line", counted)
     warm = class_group(L, s2)
     assert calls == []
     assert warm.group == cold.group == FiniteAbelianGroup((2,))
     assert warm.generator_ideals == cold.generator_ideals
 
 
-def test_relation_search_computes_each_plus_minus_pair_once(monkeypatch):
-    import hashlib
+def _relation_digest(field):
+    from sl2tate import sinvariants
 
+    sinvariants._class_group_relations.cache_clear()
+    _, rel_cols = sinvariants._class_group_relations(field)
+    entries = None if rel_cols is None else rel_cols.entries
+    return hashlib.sha256(repr(entries).encode()).hexdigest()
+
+
+def test_relation_search_computes_each_plus_minus_pair_once(monkeypatch):
     from sl2tate import sinvariants
     from sl2tate.numberfield import NumberField, composite_field
 
     L, _, _ = composite_field(quadratic_field(-5), cyclotomic_field(3))
-    calls = []
-    norm = NumberField.norm_of_int_coords
-    monkeypatch.setattr(NumberField, "norm_of_int_coords",
-                        lambda self, coords: calls.append(coords) or norm(self, coords))
+    # every point the kernel evaluates is a Horner step on a line polynomial
+    lines, points = {}, []
+    norm_line, horner = NumberField.norm_line, pt.poly_eval
+
+    def recorded_line(self, prefix):
+        line = norm_line(self, prefix)
+        lines[id(line)] = (tuple(prefix), line)
+        return line
+
+    def recorded_eval(coeffs, t):
+        if id(coeffs) in lines:
+            points.append(lines[id(coeffs)][0] + (t,))
+        return horner(coeffs, t)
+
+    monkeypatch.setattr(NumberField, "norm_line", recorded_line)
+    monkeypatch.setattr(pt, "poly_eval", recorded_eval)
     sinvariants._class_group_relations.cache_clear()
     gen_primes, rel_cols = sinvariants._class_group_relations(L)
     # a search that also computed -x made 25,536 norms and these columns
-    assert len(calls) == 25536 // 2
-    assert all(next(c for c in coords if c) < 0 for coords in calls)
+    assert len(points) == len(set(points)) == 25536 // 2
+    assert all(next(c for c in coords if c) < 0 for coords in points)
     assert (len(gen_primes), rel_cols.nrows, rel_cols.ncols) == (8, 8, 2330)
     digest = hashlib.sha256(repr(rel_cols.entries).encode()).hexdigest()
     assert digest == "b085adbc222135e57510ce9b44a710d9a4ae19fbeb2cdeab6f06a84b3b09615e"
+
+
+# sha256 of repr(rel_cols.entries), recorded with the point-by-point search
+# (one norm-form evaluation per point) that the line kernel replaced
+RELATION_DIGESTS = {
+    -3: "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
+    -4: "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
+    -7: "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
+    -8: "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
+    -11: "8349bb5d2d44e8d655364829a2ce742165d10f6cb3966ecc05e35fb83ab9f28c",
+    -15: "55aca5bea02ba88edb00924631a0632eaa5016a0873613b380467186dbab9bdb",
+    -19: "8349bb5d2d44e8d655364829a2ce742165d10f6cb3966ecc05e35fb83ab9f28c",
+    -20: "a409626a1eadd36cd16820455496a65162e10ed3a3d7d84eecffcb20bcc73020",
+    -23: "98c7bb5e32f333123bd775d39f118c6188adc8ffdb22976d2abe3064ec0b1d3f",
+    -24: "960fcfafdc47fb9ee44361ad5882e40af4524db7c3af4c1ca0ea89b040a821e5",
+    -31: "041d565cbf9c361b05719b47c2c730a2e2ceb4987688243b525eb4a4102a612c",
+    -35: "7baa469ff8ddcc1f9858261c7c168639fc84eb9b187565ddeb6796d9fff11277",
+    -39: "cb8f00cd003979ed1a5f3c429ce770866a33d083fb37e76a3e3a13bf99fcc7de",
+    -40: "366948b58cab2e4b5547c91c636f4dfb67177b151090f9cb387f1ceb9444ca95",
+    -43: "6080bf66f855b0f98ada9ba7c2e164e3e461d63997ddb9f347a7af461102cb96",
+    -47: "1a307055df37378c92b30f426d984171e719ca07862c596f1027c33fdf54dd50",
+    -51: "29b0ca7fc9abc8dff39eafa33ec7309a15c8f2e67b99f7c971c580ecd89128be",
+    -52: "366948b58cab2e4b5547c91c636f4dfb67177b151090f9cb387f1ceb9444ca95",
+    -55: "8610b5b1e54fc2b431feab2981ca0393e9cbd0e01bfb3787f7fa1fbd686a32af",
+    -56: "43629247ce21e706e39c540e26465f384b86b451ba24f643a7eff7dce210d38f",
+    -59: "6fcb16895bc5b7e376ccd7ea52ef74ae07b1f083b902fe0298055344a691d76b",
+    -67: "66f4e13a0182c3b0206cedbd4ecb0528422c977d6e5f417ef63dfd843c937fe0",
+    -68: "57efabdfd67abc5b9e11b85cc9d80745fe7c5f329160560d271d1196e0fb0fa8",
+    -71: "dfb8fe8f8a005f45d48b37c0fd6e53deb3ff9596576b58377dec4b6292dd67d6",
+    -79: "302684b39514b827a9878711ae8057c2d9230154d30e2dd67985af0ecef4e503",
+    -83: "09fcbfd8a3e83ee10334f7d1d057a63db686f48a2059a83174c734120b81c54a",
+    -84: "c4126e19b2745713e8c34d0f861e9ae294f764ef6f7fbea11b220e504b865bdd",
+    -87: "37d550d448731912071fa1194cb67166f83165a9e4d74a3a3fb8d578f765581a",
+    -88: "15a88a4aa5d8d2156b5ba831bc997f572a4edec1832e8ebd70878f4d6db72c99",
+    -91: "fba6714ff879d74c956445bc0fede2bdf8df4340bf7dd7f15b4ec1a3081a9c99",
+    -95: "01998d8799395b32ce14d6990d9d3aa6938de88b4a5f2e2325718653e87845bb",
+}
+
+
+def test_relation_digests_cover_every_imaginary_quadratic_disc_to_100():
+    assert sorted(RELATION_DIGESTS, reverse=True) == [
+        d for d in range(-3, -101, -1)
+        if d % 4 in (0, 1) and pt.fundamental_discriminant(d) == (d, 1)]
+
+
+@pytest.mark.parametrize("disc", sorted(RELATION_DIGESTS, reverse=True))
+def test_relation_columns_of_imaginary_quadratic_fields(disc):
+    m = disc if disc % 4 == 1 else disc // 4
+    assert _relation_digest(quadratic_field(m)) == RELATION_DIGESTS[disc]
+
+
+QUARTIC_RELATION_DIGESTS = {  # K = Q(sqrt d), L = K(zeta_3)
+    -2: "d39cffe87cf569dc429871b2c2da74dc6da77218dc7a87f3c97d9241747b7009",
+    -14: "00e069d3db14988559c6c0dbf221e574e4d2eefa6e34fe16e4d636eb620fcc30",
+}
+
+
+@pytest.mark.parametrize("d", sorted(QUARTIC_RELATION_DIGESTS))
+def test_relation_columns_of_quartic_fields(d):
+    from sl2tate.numberfield import composite_field
+
+    L, _, _ = composite_field(quadratic_field(d), cyclotomic_field(3))
+    assert _relation_digest(L) == QUARTIC_RELATION_DIGESTS[d]
 
 
 def test_relation_search_makes_no_membership_tests(monkeypatch):
