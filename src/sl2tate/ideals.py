@@ -507,42 +507,6 @@ def principal_generator(ideal: FractionalIdeal, s_prime_ideals=()) -> NFElement:
 # exact root finding in a number field
 
 
-def nf_poly_trim(p):
-    p = list(p)
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def nf_poly_divmod(p, q):
-    p = nf_poly_trim(p)
-    q = nf_poly_trim(q)
-    if not q:
-        raise ZeroDivisionError
-    field = q[-1].field
-    inv_lead = q[-1].inverse()
-    quot = [field.zero()] * max(0, len(p) - len(q) + 1)
-    while len(p) >= len(q):
-        c = p[-1] * inv_lead
-        shift = len(p) - len(q)
-        quot[shift] = c
-        for i in range(len(q)):
-            p[shift + i] = p[shift + i] - c * q[i]
-        p = nf_poly_trim(p[:-1])
-    return quot, p
-
-
-def nf_poly_gcd(p, q):
-    p, q = nf_poly_trim(p), nf_poly_trim(q)
-    while q:
-        _, r = nf_poly_divmod(p, q)
-        p, q = q, r
-    if p:
-        lead_inv = p[-1].inverse()
-        p = [c * lead_inv for c in p]
-    return p
-
-
 def find_root(coeffs, field: NumberField) -> NFElement | None:
     """First root in `field` of the polynomial with the given coefficients
     (NFElements or rationals, constant-first), or None.
@@ -553,8 +517,7 @@ def find_root(coeffs, field: NumberField) -> NFElement | None:
     management.  Reductions modulo degree-one primes (_residue_maps) prove
     that no root exists, or that a candidate is not one, before any exact
     arithmetic; they never change the answer."""
-    coeffs = [c if isinstance(c, NFElement) else field.rational(c) for c in coeffs]
-    coeffs = nf_poly_trim(coeffs)
+    coeffs = pt.trim([c if isinstance(c, NFElement) else field.rational(c) for c in coeffs])
     if len(coeffs) <= 1:
         raise ValueError("constant polynomial")
 
@@ -647,26 +610,27 @@ def _cheap_candidates(field):
 def _trager_root(coeffs, field):
     """A root of g in the field by Trager's norm method: for a shift s with
     N(T) = N_{L/Q}(g(T - s*theta)) squarefree, each irreducible factor h of
-    N gives gcd(g(X), h(X + s*theta)), linear when h has a root in L."""
+    N gives gcd(g(X), h(X + s*theta)), linear when h has a root in L.  None
+    is proven (no factor has a root); raises SearchExhausted when no shift
+    tried gives a squarefree norm."""
     n = field.degree
+    ring = field.poly_ring()
     # N is squarefree for some shift only when g is: divide out gcd(g, g')
-    repeated = nf_poly_gcd(coeffs, [c * i for i, c in enumerate(coeffs)][1:])
+    repeated = pt.gcd_over(coeffs, [c * i for i, c in enumerate(coeffs)][1:], *ring)
     if len(repeated) > 1:
-        coeffs = nf_poly_divmod(coeffs, repeated)[0]
-    for s in range(0, 10):
+        coeffs = pt.divmod_over(coeffs, repeated, *ring)[0]
+    for s in range(10):
         norm_poly = _shifted_norm(coeffs, field, s)
         if pt.degree(pt.poly_gcd(norm_poly, pt.poly_deriv(norm_poly))) > 0:
             continue  # not squarefree; shift again
         for fac, _mult in pt.factor_z(norm_poly):
             if pt.degree(fac) > n:
                 continue
-            # h(T + s*theta) as a polynomial with coefficients in the field
-            shifted = _shift_poly([Fraction(c) for c in fac], field, s)
-            common = nf_poly_gcd(coeffs, shifted)
+            common = pt.gcd_over(coeffs, _shift_poly(fac, field, s), *ring)
             if len(common) == 2:
                 return -common[0] * common[1].inverse()
         return None
-    return None
+    raise SearchExhausted("no squarefree norm N(g(T - s*theta)) for the shifts s = 0..9")
 
 
 def _shifted_norm(coeffs, field, s):
@@ -679,20 +643,11 @@ def _shifted_norm(coeffs, field, s):
 
 
 def _shift_poly(q_coeffs, field, s):
-    """q(T + s*theta) as an NFElement-coefficient polynomial in T."""
-    theta = field.gen()
-    shift = theta * s
-    # Horner in T: q(T + a) built by repeated multiplication by (T + a)
-    acc = [field.zero()]
+    """q(T + s*theta) as an NFElement-coefficient polynomial in T, by Horner."""
+    acc, lin = [], [field.gen() * s, field.one()]
     for c in reversed(q_coeffs):
-        # acc = acc * (T + shift) + c
-        new = [field.zero()] * (len(acc) + 1)
-        for i, a in enumerate(acc):
-            new[i + 1] = new[i + 1] + a
-            new[i] = new[i] + a * shift
-        new[0] = new[0] + field.rational(c)
-        acc = new
-    return nf_poly_trim(acc)
+        acc = pt.poly_add(pt.poly_mul(acc, lin), [field.rational(c)])
+    return acc
 
 
 def sqrt_in_field(el: NFElement) -> NFElement | None:

@@ -12,6 +12,8 @@ multiplication is verified at construction time.
 
 Built-in maximal orders: Q, quadratic fields, cyclotomic fields.  Anything
 else must come with a user-supplied basis (which is still verified).
+composite_field works in k1[y]/(f2): polynomials in y with NFElement
+coefficients, multiplied and reduced by the polytools division core.
 """
 from __future__ import annotations
 
@@ -58,19 +60,10 @@ class NumberField:
     # -- construction helpers ------------------------------------------------
 
     def _reduce_poly(self, coeffs: list[Fraction]) -> list[Fraction]:
-        """Reduce a polynomial in theta of any degree modulo the min poly."""
-        n = self.degree
-        f = self.min_poly
-        coeffs = list(coeffs)
-        for i in range(len(coeffs) - 1, n - 1, -1):
-            c = coeffs[i]
-            if c:
-                for j in range(n):
-                    coeffs[i - n + j] -= c * f[j]
-            coeffs.pop()
-        while len(coeffs) < n:
-            coeffs.append(Fraction(0))
-        return coeffs
+        """A polynomial in theta of any degree modulo the min poly, as n
+        power-basis coordinates."""
+        rem = pt.poly_divmod(coeffs, self.min_poly)[1]
+        return rem + [Fraction(0)] * (self.degree - len(rem))
 
     def _to_basis(self, power_coords) -> list[Fraction]:
         out = [Fraction(0)] * self.degree
@@ -174,6 +167,11 @@ class NumberField:
             r1 = pt.sturm_real_roots(list(self.min_poly))
             self._signature = (r1, (self.degree - r1) // 2)
         return self._signature
+
+    def poly_ring(self) -> tuple:
+        """(inverse, reduce) for polytools.divmod_over and gcd_over on
+        polynomials with coefficients in this field."""
+        return NFElement.inverse, self.zero()._coerce
 
     def norm_form(self):
         """The multivariate polynomial N(sum x_i b_i) as {exponent: coeff},
@@ -365,6 +363,9 @@ class NFElement:
     def is_zero(self) -> bool:
         return not any(self.num)
 
+    def __bool__(self) -> bool:
+        return any(self.num)
+
     def norm(self) -> Fraction:
         return Fraction(self.field.norm_of_int_coords(self.num),
                         self.den ** self.field.degree)
@@ -528,62 +529,32 @@ def composite_field(k1: NumberField, k2: NumberField, label=None):
     The product basis is genuinely an integral basis when the discriminants
     are coprime; closure is verified either way.
 
+    The tensor algebra Q[x]/(f1) (x) Q[y]/(f2) is worked in as k1[y]/(f2):
+    polynomials in y with coefficients in k1, coordinates on x^i y^j i-major.
+
     Returns (L, embed_k1, embed_k2).
     """
     n1, n2 = k1.degree, k2.degree
     n = n1 * n2
-    f1, f2 = list(k1.min_poly), list(k2.min_poly)
+    f2 = [k1.rational(c) for c in k2.min_poly]
 
-    # arithmetic in the tensor algebra Q[x]/(f1) (x) Q[y]/(f2), basis x^i y^j
-    def tmul(a, b):
-        out = [[Fraction(0)] * (2 * n2 - 1) for _ in range(2 * n1 - 1)]
-        for i in range(n1):
-            for j in range(n2):
-                if a[i][j]:
-                    for s in range(n1):
-                        for t in range(n2):
-                            if b[s][t]:
-                                out[i + s][j + t] += a[i][j] * b[s][t]
-        # reduce x-degree then y-degree
-        for i in range(2 * n1 - 2, n1 - 1, -1):
-            row = out[i]
-            if any(row):
-                for u in range(n1):
-                    for j in range(len(row)):
-                        out[i - n1 + u][j] -= f1[u] * row[j]
-            out.pop()
-        for row in out:
-            for j in range(2 * n2 - 2, n2 - 1, -1):
-                c = row[j]
-                if c:
-                    for v in range(n2):
-                        row[j - n2 + v] -= f2[v] * c
-                row.pop()
-        return out
-
-    def tzero():
-        return [[Fraction(0)] * n2 for _ in range(n1)]
+    def mod_f2(a):
+        rem = pt.divmod_over(a, f2, *k1.poly_ring())[1]
+        return rem + [k1.zero()] * (n2 - len(rem))
 
     def flatten(a):
-        return [a[i][j] for i in range(n1) for j in range(n2)]
+        coords = [b.coords for b in a]
+        return [coords[j][i] for i in range(n1) for j in range(n2)]
 
+    gen1, gen2 = mod_f2([k1.gen()]), mod_f2([k1.zero(), k1.one()])
     for c in (1, -1, 2, -2, 3, -3, 4, -4, 5, -5):
-        gamma = tzero()
-        if n1 > 1:
-            gamma[1][0] += 1
-        else:
-            gamma[0][0] += Fraction(-f1[0])
-        if n2 > 1:
-            gamma[0][1] += c
-        else:
-            gamma[0][0] += Fraction(-f2[0]) * c
+        gamma = pt.poly_add(gen1, pt.poly_scale(gen2, c))
         # powers of gamma in the tensor basis
         powers = []
-        cur = tzero()
-        cur[0][0] = Fraction(1)
+        cur = mod_f2([k1.one()])
         for _ in range(n):
             powers.append(flatten(cur))
-            cur = tmul(cur, gamma)
+            cur = mod_f2(pt.poly_mul(cur, gamma))
         mat = [[powers[k][idx] for k in range(n)] for idx in range(n)]
         try:
             inv = inverse_rational(mat)
@@ -599,32 +570,16 @@ def composite_field(k1: NumberField, k2: NumberField, label=None):
         if not pt.is_irreducible_z(g):
             continue
 
-        def to_gamma_coords(tensor_flat):
-            return [sum(inv[k][idx] * tensor_flat[idx] for idx in range(n))
-                    for k in range(n)]
+        def to_gamma_coords(a):
+            flat = flatten(a)
+            return [sum(inv[k][idx] * flat[idx] for idx in range(n)) for k in range(n)]
 
         # integral basis: products of the two integral bases
-        basis_rows = []
-        for bi in k1.basis:
-            for bj in k2.basis:
-                el = tzero()
-                for i in range(n1):
-                    for j in range(n2):
-                        el[i][j] = bi[i] * bj[j]
-                basis_rows.append(to_gamma_coords(flatten(el)))
+        basis_rows = [to_gamma_coords([k1.basis_element(i) * b for b in bj])
+                      for i in range(n1) for bj in k2.basis]
         L = NumberField(g, basis_rows, label=label or f"({k1.label})({k2.label})",
                         root_of_unity_order=_cyclo_order(g))
-        t1 = tzero()
-        if n1 > 1:
-            t1[1][0] = Fraction(1)
-        else:
-            t1[0][0] = Fraction(-f1[0])
-        t2 = tzero()
-        if n2 > 1:
-            t2[0][1] = Fraction(1)
-        else:
-            t2[0][0] = Fraction(-f2[0])
-        e1 = FieldEmbedding(k1, L, L.element(to_gamma_coords(flatten(t1))))
-        e2 = FieldEmbedding(k2, L, L.element(to_gamma_coords(flatten(t2))))
+        e1 = FieldEmbedding(k1, L, L.element(to_gamma_coords(gen1)))
+        e2 = FieldEmbedding(k2, L, L.element(to_gamma_coords(gen2)))
         return L, e1, e2
     raise ValueError("no primitive element found; is f2 irreducible over k1?")

@@ -1,7 +1,10 @@
-"""Polynomial and integer helpers over Z, Q and F_p.
+"""Polynomial and integer helpers over Z, Q, F_p and number fields.
 
 Polynomials are lists of coefficients, constant term first.  This matches the
-JSON wire format used elsewhere; trailing zeros are trimmed.
+JSON wire format used elsewhere; trailing zeros (falsy coefficients) are
+trimmed.  Division with remainder and the monic gcd are written once, for any
+coefficient field given as an (inverse, reduce) pair: Q, F_p and number
+fields all use divmod_over and gcd_over.
 
 Everything here is exact (Cohen GTM 138, Ch. 1 and 3): primality by
 deterministic Miller-Rabin, factoring over F_p by squarefree decomposition
@@ -23,7 +26,7 @@ from .intlinalg import IntMatrix, kernel_mod
 
 
 def trim(p: list) -> list:
-    while p and p[-1] == 0:
+    while p and not p[-1]:
         p.pop()
     return p
 
@@ -56,25 +59,42 @@ def poly_mul(p, q):
     return trim(out)
 
 
-def poly_divmod(p, q):
-    """Division with remainder over a field (coefficients must support /)."""
-    p = list(p)
+def divmod_over(p, q, inverse, reduce):
+    """(quot, rem) with p = quot * q + rem and deg rem < deg q, over the field
+    where inverse(c) is 1/c and reduce(c) is the normal form of c (Cohen GTM
+    138, Algorithm 3.1.1).  Only the quotient and the remainder are reduced."""
     if not q:
         raise ZeroDivisionError
+    p = list(p)
     dq = len(q) - 1
-    lead = q[-1]
+    inv = inverse(q[-1])
     quot = [0] * max(0, len(p) - dq)
-    while len(p) - 1 >= dq and any(x != 0 for x in p):
-        if p[-1] == 0:
-            p.pop()
-            continue
-        shift = len(p) - 1 - dq
-        c = Fraction(p[-1], 1) / lead if not isinstance(p[-1], Fraction) else p[-1] / lead
-        quot[shift] = c
-        for i in range(dq + 1):
-            p[shift + i] -= c * q[i]
-        p.pop()
-    return trim(quot), trim(p)
+    for i in range(len(p) - 1 - dq, -1, -1):
+        c = quot[i] = reduce(p[i + dq] * inv)
+        if c:
+            for j in range(dq):
+                p[i + j] -= c * q[j]
+    return trim(quot), trim([reduce(c) for c in p[:dq]])
+
+
+def gcd_over(p, q, inverse, reduce) -> list:
+    """The monic gcd over the field of divmod_over ([] when both are zero)."""
+    p, q = trim([reduce(c) for c in p]), trim([reduce(c) for c in q])
+    while q:
+        p, q = q, divmod_over(p, q, inverse, reduce)[1]
+    if p:
+        inv = inverse(p[-1])
+        p = [reduce(c * inv) for c in p]
+    return p
+
+
+# the (inverse, reduce) pair of Q
+_Q = (lambda c: 1 / Fraction(c), Fraction)
+
+
+def poly_divmod(p, q):
+    """Division with remainder over Q."""
+    return divmod_over(p, q, *_Q)
 
 
 def poly_eval(p, x):
@@ -90,10 +110,7 @@ def poly_deriv(p):
 
 def poly_gcd(p, q) -> list[Fraction]:
     """The monic gcd over Q ([] when both are zero)."""
-    a, b = trim([Fraction(c) for c in p]), trim([Fraction(c) for c in q])
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return [c / a[-1] for c in a]
+    return gcd_over(p, q, *_Q)
 
 
 def primitive_part(p) -> list[int]:
@@ -364,28 +381,12 @@ def _sub_mod(a, b, m: int) -> list[int]:
 
 def _divmod_mod(a, b, m: int) -> tuple[list[int], list[int]]:
     """Quotient and remainder mod m; lc(b) must be a unit mod m."""
-    a = [c % m for c in a]
-    db = len(b) - 1
-    inv = pow(b[-1], -1, m)
-    q = [0] * max(0, len(a) - db)
-    for i in range(len(a) - 1 - db, -1, -1):
-        c = q[i] = a[i + db] * inv % m
-        if c:
-            for j, bj in enumerate(b):
-                a[i + j] = (a[i + j] - c * bj) % m
-    return trim(q), trim(a[:db])
-
-
-def _monic_mod(a, p: int) -> list[int]:
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
+    return divmod_over(a, b, lambda c: pow(c, -1, m), lambda c: c % m)
 
 
 def _gcd_mod(a, b, p: int) -> list[int]:
     """The monic gcd over F_p of polynomials that are not both zero."""
-    while b:
-        a, b = b, _divmod_mod(a, b, p)[1]
-    return _monic_mod(a, p)
+    return gcd_over(a, b, lambda c: pow(c, -1, p), lambda c: c % p)
 
 
 def _xgcd_mod(a, b, p: int) -> tuple[list[int], list[int]]:
@@ -523,7 +524,8 @@ def _good_prime(f) -> tuple[int, list[list[int]]]:
         p += 1
         if not is_prime(p) or f[-1] % p == 0:
             continue
-        fp = _monic_mod(_mod(f, p), p)
+        inv = pow(f[-1], -1, p)
+        fp = [c * inv % p for c in f]
         dfp = _mod(poly_deriv(fp), p)
         if not dfp or len(_gcd_mod(fp, dfp, p)) > 1:
             continue

@@ -26,6 +26,7 @@ from .errors import (
     RelationSearchIncomplete,
     SchemaViolation,
     SearchExhausted,
+    UnsupportedCase,
     verify,
 )
 from .ideals import (
@@ -44,6 +45,7 @@ from .intlinalg import (
     hnf_canonical,
     kernel,
     solve_integer,
+    solve_rational,
     subgroup_quotient,
     xgcd,
 )
@@ -473,24 +475,27 @@ def _unit_group_builtin(field: NumberField, places: PlaceSet) -> UnitGroupData:
 
 
 def _real_quadratic_fundamental_unit(field: NumberField) -> NFElement:
+    """The fundamental unit eps > 1, from the continued fraction of
+    omega = (e + sqrt(d0))/2, e = d0 mod 2 (Cohen GTM 138, Section 5.7).  The
+    units p - q omega with q > 0 and |p - q omega| < 1 are convergents; the
+    first one is eps^-1 up to sign, so eps is its conjugate p - q omega'."""
     d0 = field.discriminant
-    y = 1
-    while y <= 10**6:
-        for s in (-4, 4):
-            x2 = d0 * y * y + s
-            if x2 > 0:
-                x = math.isqrt(x2)
-                if x * x == x2:
-                    if d0 % 4 == 1:
-                        # omega = (1+sqrt(d0))/2, eps = (x + y sqrt(d0))/2
-                        el = field.from_basis_coords([Fraction(x - y, 2), y])
-                    else:
-                        # omega = sqrt(d0)/2
-                        el = field.from_basis_coords([Fraction(x, 2), y])
-                    verify(abs(el.norm()) == 1, "the fundamental unit has norm +-1")
-                    return el
-        y += 1
-    raise SearchExhausted(f"no fundamental unit found for discriminant {d0}")
+    e, r = d0 % 2, math.isqrt(d0)
+    # omega_k = (pk + sqrt(d0)) / qk with 0 < qk | d0 - pk^2 (omega_k is
+    # reduced from k = 1 on); convergents p/q
+    pk, qk = e, 2
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    while True:
+        a = (pk + r) // qk
+        p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
+        if abs((2 * p - e * q) ** 2 - d0 * q * q) == 4:
+            break
+        pk = a * qk - pk
+        qk = (d0 - pk * pk) // qk
+    # omega' = e - omega
+    el = field.from_basis_coords([p - e * q, q])
+    verify(abs(el.norm()) == 1, "the fundamental unit has norm +-1")
+    return el
 
 
 def _s_unit_generators(field: NumberField, places: PlaceSet) -> list[NFElement]:
@@ -527,19 +532,47 @@ def _s_unit_generators(field: NumberField, places: PlaceSet) -> list[NFElement]:
 
 
 @lru_cache(maxsize=None)
-def _complex_embeddings(min_poly: tuple[int, ...]):
-    return tuple(pt.complex_roots(min_poly))
+def _infinite_places(min_poly: tuple[int, ...], r1: int) -> tuple[tuple[complex, int], ...]:
+    """(root, n_v) for each infinite place: the r1 real roots with n_v = 1,
+    then one root of each complex pair with n_v = 2."""
+    roots = sorted(pt.complex_roots(min_poly), key=lambda z: abs(z.imag))
+    places = tuple((z.real, 1) for z in roots[:r1]) + tuple(
+        (z, 2) for z in roots[r1:] if z.imag > 0)
+    verify(r1 + 2 * (len(places) - r1) == len(min_poly) - 1,
+           "the complex roots come in conjugate pairs")
+    return places
 
 
-def _embed_numeric(el: NFElement):
-    roots = _complex_embeddings(el.field.min_poly)
-    out = []
-    for r in roots:
-        acc = 0j
-        for c in reversed(el.coords):
-            acc = acc * r + complex(c)
-        out.append(acc)
-    return out
+def _float_logs(el: NFElement, places) -> list[float | None]:
+    """log |sigma_v(el)| per place, None where Horner in floats cancels
+    (|sigma_v(el)| tiny next to its terms)."""
+    coords = [complex(c) for c in el.coords]
+    logs = []
+    for z, _ in places:
+        value = abs(pt.poly_eval(coords, z))
+        terms = pt.poly_eval([abs(c) for c in coords], abs(z))
+        logs.append(math.log(value) if value > 1e-6 * terms else None)
+    return logs
+
+
+def _unit_logs(u: NFElement) -> list[float]:
+    """log |sigma_v(u)| at each infinite place v of the unit u.  Where Horner
+    cancels, u^-1 is large and its log is taken instead; one place lost in
+    both follows from sum_v n_v log |sigma_v(u)| = log |N(u)| = 0, and more
+    raise UnsupportedCase."""
+    places = _infinite_places(u.field.min_poly, u.field.signature[0])
+    logs = _float_logs(u, places)
+    if None in logs:
+        logs = [-y if x is None and y is not None else x
+                for x, y in zip(logs, _float_logs(u.inverse(), places))]
+    lost = [i for i, x in enumerate(logs) if x is None]
+    if len(lost) > 1:
+        raise UnsupportedCase(f"{len(lost)} conjugates of a unit are lost to float "
+                              "cancellation in the log stage of the unit dlog")
+    for i in lost:
+        known = sum(n * x for (_, n), x in zip(places, logs) if x is not None)
+        logs[i] = -known / places[i][1]
+    return logs
 
 
 def _unit_dlog(data: UnitGroupData, u: NFElement) -> tuple[int, tuple[int, ...]]:
@@ -567,10 +600,8 @@ def _unit_dlog(data: UnitGroupData, u: NFElement) -> tuple[int, tuple[int, ...]]
         raise ValueError("element is not a unit")
     # 2. infinite part: round a float log solve, then verify exactly below
     if field_unit_idx:
-        logs_u = [math.log(abs(z)) for z in _embed_numeric(u)]
-        cols = [[math.log(abs(z)) for z in _embed_numeric(data.free_gens[j])]
-                for j in field_unit_idx]
-        guess = _round_log_solve(cols, logs_u)
+        cols = [_unit_logs(data.free_gens[j]) for j in field_unit_idx]
+        guess = _round_log_solve(cols, _unit_logs(u))
         if guess is None:
             raise ValueError("unit does not lie in the generated group")
         for j, e in zip(field_unit_idx, guess):
@@ -587,16 +618,16 @@ def _unit_dlog(data: UnitGroupData, u: NFElement) -> tuple[int, tuple[int, ...]]
 
 
 def _round_log_solve(cols, target):
-    """Solve sum_j e_j cols[j] = target with integer e by float least squares
-    plus rounding; the caller re-verifies exactly."""
+    """Solve sum_j e_j cols[j] = target with integer e by least squares on
+    the float logs (the normal equations solved exactly) plus rounding; the
+    caller re-verifies exactly."""
     k = len(cols)
     n = len(target)
     a = [[sum(cols[i][t] * cols[j][t] for t in range(n)) for j in range(k)]
          for i in range(k)]
     b = [sum(cols[i][t] * target[t] for t in range(n)) for i in range(k)]
-    try:
-        sol = _float_solve(a, b)
-    except ZeroDivisionError:
+    sol = solve_rational(a, b)
+    if sol is None:
         return None
     out = [round(x) for x in sol]
     for t in range(n):
@@ -604,21 +635,6 @@ def _round_log_solve(cols, target):
         if abs(resid) > 1e-5:
             return None
     return out
-
-
-def _float_solve(a, b):
-    n = len(a)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for c in range(n):
-        piv = max(range(c, n), key=lambda i: abs(m[i][c]))
-        if abs(m[piv][c]) < 1e-12:
-            raise ZeroDivisionError
-        m[c], m[piv] = m[piv], m[c]
-        for i in range(n):
-            if i != c:
-                f = m[i][c] / m[c][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return [m[i][n] / m[i][i] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

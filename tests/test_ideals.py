@@ -533,6 +533,17 @@ def test_find_root_of_a_square_with_no_cheap_root():
     assert ideals._trager_root(g, k) == alpha
 
 
+def test_trager_root_does_not_claim_no_root_without_a_squarefree_norm(monkeypatch):
+    k = quadratic_field(-5)
+    alpha = k.element([-1, Fraction(1, 3)])
+    g = pt.poly_mul([-alpha, k.one()], [-alpha * 2, k.one()])
+    assert find_root(g, k) == alpha
+    # a norm that is a square for every shift proves nothing
+    monkeypatch.setattr(ideals, "_shifted_norm", lambda coeffs, field, s: [1, 2, 1])
+    with pytest.raises(SearchExhausted, match="s = 0..9"):
+        find_root(g, k)
+
+
 def test_sqrt_of_a_non_square_needs_no_trager(monkeypatch):
     L = IDEAL_FIELDS[3]  # Q(sqrt(-5))(zeta_3)
     zeta3 = find_root([1, 1, 1], L)

@@ -154,6 +154,51 @@ def test_composite_real_quadratic():
     assert L.discriminant == 25 * 9
 
 
+# composite_field(Q(sqrt d), Q(zeta_3)), recorded before it moved to k1[y]/(f2):
+# min_poly, the basis rows and the images of sqrt(d) and zeta_3, all in
+# power-basis coordinates over the primitive element
+COMPOSITES_WITH_ZETA3 = {
+    -5: ((21, 12, 13, 2, 1),
+         '1 0 0 0 | -16/17 -16/17 -3/17 -2/17 | 16/17 33/17 3/17 2/17 | 43/17 -8/17 7/17 -1/17',
+         '16/17 33/17 3/17 2/17', '-16/17 -16/17 -3/17 -2/17'),
+    -7: ((43, 16, 17, 2, 1),
+         '1 0 0 0 | -22/25 -4/5 -3/25 -2/25 | 47/50 9/10 3/50 1/25 | 67/50 -3/5 4/25 -3/50',
+         '22/25 9/5 3/25 2/25', '-22/25 -4/5 -3/25 -2/25'),
+    -14: ((183, 30, 31, 2, 1),
+          '1 0 0 0 | -43/53 -34/53 -3/53 -2/53 | 43/53 87/53 3/53 2/53 | 376/53 -17/53 25/53 -1/53',
+          '43/53 87/53 3/53 2/53', '-43/53 -34/53 -3/53 -2/53'),
+    -2: ((3, 6, 7, 2, 1),
+         '1 0 0 0 | -7/5 -2 -3/5 -2/5 | 7/5 3 3/5 2/5 | 4/5 -1 1/5 -1/5',
+         '7/5 3 3/5 2/5', '-7/5 -2 -3/5 -2/5'),
+    -1: ((1, 4, 5, 2, 1),
+         '1 0 0 0 | -4 -8 -3 -2 | 4 9 3 2 | -1 -4 -1 -1',
+         '4 9 3 2', '-4 -8 -3 -2'),
+    2: ((7, -2, -1, 2, 1),
+        '1 0 0 0 | -5/11 2/11 3/11 2/11 | 5/11 9/11 -3/11 -2/11 | -8/11 1/11 7/11 1/11',
+        '5/11 9/11 -3/11 -2/11', '-5/11 2/11 3/11 2/11'),
+    3: ((13, -4, -3, 2, 1),
+        '1 0 0 0 | -8/15 0 1/5 2/15 | 8/15 1 -1/5 -2/15 | -19/15 0 3/5 1/15',
+        '8/15 1 -1/5 -2/15', '-8/15 0 1/5 2/15'),
+    5: ((31, -8, -7, 2, 1),
+        '1 0 0 0 | -14/23 -4/23 3/23 2/23 | 37/46 27/46 -3/46 -1/23 | -67/46 -3/23 8/23 3/46',
+        '14/23 27/23 -3/23 -2/23', '-14/23 -4/23 3/23 2/23'),
+}
+
+
+@pytest.mark.parametrize("d", sorted(COMPOSITES_WITH_ZETA3))
+def test_composite_with_zeta3_is_pinned(d):
+    min_poly, basis, sqrt_d, zeta3 = COMPOSITES_WITH_ZETA3[d]
+    L, e1, e2 = composite_field(quadratic_field(d), cyclotomic_field(3))
+
+    def row(text):
+        return tuple(Fraction(x) for x in text.split())
+
+    assert L.min_poly == min_poly
+    assert L.basis == tuple(row(r) for r in basis.split("|"))
+    assert e1.gen_image.coords == row(sqrt_d)
+    assert e2.gen_image.coords == row(zeta3)
+
+
 def _trace_form_discriminant(k):
     n = k.degree
     return det_rational([[(k.basis_element(i) * k.basis_element(j)).trace()

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sl2tate import polytools as pt
 from sl2tate.errors import UnsupportedCase
+from sl2tate.numberfield import composite_field, cyclotomic_field, quadratic_field
 
 X = sympy.Symbol("x")
 
@@ -26,15 +27,58 @@ def product(factors) -> list[int]:
     return out
 
 
+def _field_rings():
+    """name -> (random coefficient, random nonzero coefficient, divmod, gcd,
+    normal form) for Q, F_p and two number fields."""
+    rings = {"Q": (lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                   lambda rng: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)),
+                   pt.poly_divmod, pt.poly_gcd, Fraction)}
+    for p in (2, 3, 7):
+        rings[f"F_{p}"] = (lambda rng, p=p: rng.randrange(p),
+                           lambda rng, p=p: rng.randrange(1, p),
+                           lambda a, b, p=p: pt._divmod_mod(a, b, p),
+                           lambda a, b, p=p: pt._gcd_mod(a, b, p),
+                           lambda c, p=p: c % p)
+    for k in (quadratic_field(-5), composite_field(quadratic_field(-5), cyclotomic_field(3))[0]):
+        ring = k.poly_ring()
+
+        def coeff(rng, k=k):
+            return k.from_basis_coords([rng.randint(-3, 3) for _ in range(k.degree)],
+                                       rng.randint(1, 2))
+
+        def nonzero(rng, coeff=coeff):
+            c = coeff(rng)
+            while not c:
+                c = coeff(rng)
+            return c
+
+        rings[k.label] = (coeff, nonzero, lambda a, b, ring=ring: pt.divmod_over(a, b, *ring),
+                          lambda a, b, ring=ring: pt.gcd_over(a, b, *ring), ring[1])
+    return rings
+
+
 def test_poly_mul_divmod_roundtrip():
-    rng = random.Random(1)
-    for _ in range(30):
-        p = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 5))]
-        q = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))] + [Fraction(1)]
-        quot, rem = pt.poly_divmod(pt.poly_add(pt.poly_mul(p, q), [Fraction(1)]), q)
-        # p*q + 1 = quot*q + rem
-        lhs = pt.poly_add(pt.poly_mul(quot, q), rem)
-        assert lhs == pt.poly_add(pt.poly_mul(p, q), [Fraction(1)])
+    for name, (coeff, nonzero, divmod_, gcd, normal) in _field_rings().items():
+        rng = random.Random(1)
+
+        def poly(deg):
+            return [coeff(rng) for _ in range(deg)] + [nonzero(rng)]
+
+        def is_zero(p):
+            return not pt.trim([normal(c) for c in p])
+
+        for _ in range(30):
+            p, q = poly(rng.randint(0, 5)), poly(rng.randint(0, 3))
+            quot, rem = divmod_(p, q)
+            # p = quot * q + rem with deg rem < deg q
+            assert len(rem) < len(q), name
+            assert is_zero(pt.poly_add(pt.poly_add(pt.poly_mul(quot, q), rem), pt.poly_neg(p))), name
+            # the gcd of p c and q c is monic and a multiple of c dividing both
+            c = poly(rng.randint(0, 2))
+            a, b = pt.poly_mul(p, c), pt.poly_mul(q, c)
+            g = gcd(a, b)
+            assert normal(g[-1]) == normal(1) and len(g) >= len(c), name
+            assert is_zero(divmod_(a, g)[1]) and is_zero(divmod_(b, g)[1]), name
 
 
 def test_resultant_and_discriminant():

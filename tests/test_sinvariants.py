@@ -4,13 +4,20 @@ from fractions import Fraction
 import pytest
 
 from sl2tate import polytools as pt
-from sl2tate.errors import ConsistencyFailure, NeedsBackendData, SchemaViolation
+from sl2tate.errors import (
+    ConsistencyFailure,
+    NeedsBackendData,
+    SchemaViolation,
+    UnsupportedCase,
+)
 from sl2tate.ideals import FractionalIdeal
 from sl2tate.intlinalg import FiniteAbelianGroup
 from sl2tate.numberfield import cyclotomic_field, make_field, quadratic_field
 from sl2tate.sinvariants import (
     BackendStore,
     PlaceSet,
+    UnitGroupData,
+    _real_quadratic_fundamental_unit,
     class_group,
     forms_class_group_oracle,
     ingest_backend,
@@ -299,6 +306,64 @@ def test_unit_group_real_quadratic():
     assert (t, e) == (1, (-2,))
     with pytest.raises(ValueError):
         u.dlog(k.rational(2))
+
+
+def _sympy_fundamental_unit(k):
+    # the least (x + y sqrt(d0))/2 > 1 with x^2 - d0 y^2 = +-4
+    from sympy.solvers.diophantine.diophantine import diop_DN
+
+    d0 = k.discriminant
+    x, y = min(((abs(x), abs(y)) for n in (-4, 4) for x, y in diop_DN(d0, n) if y),
+               key=lambda xy: (xy[1], xy[0]))
+    return k.from_basis_coords([Fraction(x - d0 % 2 * y, 2), y])
+
+
+def test_real_quadratic_fundamental_units_match_sympy():
+    # the continued fraction of omega; a search over y <= 10^6 missed m = 83 * 3
+    # (disc 249), 139, 151, 163, 166 and 199
+    checked = 0
+    for m in range(2, 301):
+        if pt.squarefree_decompose(m)[1] != 1:
+            continue
+        k = quadratic_field(m)
+        assert _real_quadratic_fundamental_unit(k) == _sympy_fundamental_unit(k), m
+        checked += 1
+    assert checked == 182
+    assert quadratic_field(249).discriminant == 249
+
+
+def test_unit_dlog_of_a_unit_with_a_cancelling_conjugate():
+    # eps of Q(sqrt 151) is about 3.5e9; eps^2 has a conjugate near 1e-19
+    # that Horner in floats rounds to 0
+    k = quadratic_field(151)
+    eps = _sympy_fundamental_unit(k)
+    u = UnitGroupData(k, PlaceSet.make(k), 1, 2, k.rational(-1), (eps,), "test")
+    assert u.dlog(eps**2) == (0, (2,))
+    assert u.dlog(-(eps ** -3)) == (1, (-3,))
+
+
+def test_unit_dlog_reads_tiny_conjugates_off_the_inverse():
+    # (a b)^40 in Q(zeta_7) is tiny at two of its three places, where u^-1
+    # is large
+    k = cyclotomic_field(7)
+    u = unit_group(k, PlaceSet.make(k))
+    a, b = u.free_gens
+    assert u.dlog((a * b) ** 40) == (0, (40, 40))
+    assert u.dlog(-(a ** -40) * b ** 13) == (7, (-40, 13))
+
+
+def test_unit_dlog_names_the_float_stage_when_it_cannot_decide():
+    # cyclotomic units of Q(zeta_11); u has logs about (60, 30, 0, -30, -60)
+    # at the five places, so three are lost to cancellation in u and u^-1
+    k = cyclotomic_field(11)
+    z, one = k.gen(), k.one()
+    gens = tuple((one - z**a) / (one - z) for a in range(2, 6))
+    units = UnitGroupData(k, PlaceSet.make(k), 4, 22, -z, gens, "test")
+    u = one
+    for g, e in zip(gens, (-72, 7, 42, 17)):
+        u = u * g**e
+    with pytest.raises(UnsupportedCase, match="3 conjugates .* float cancellation"):
+        units.dlog(u)
 
 
 def test_unit_group_s_units_quadratic():
