@@ -154,7 +154,8 @@ def restriction_map(setup_k: RelativeSetup, field_l: NumberField,
     along a verified embedding K -> L.  The target classes are re-resolved
     over L; currently the pushforward is computed when the target oriented
     class group is trivial (every class lands on the unique target class) or
-    when the extension is the identity."""
+    when the extension is the identity.  A source without order-ell torsion
+    has no classes, so every target class is new."""
     K = setup_k.field
     if not _eval_poly_at(K.min_poly, gen_image).is_zero():
         raise EmbeddingInvalid(f"{K.label} generator image fails its minimal "
@@ -162,28 +163,36 @@ def restriction_map(setup_k: RelativeSetup, field_l: NumberField,
     identity = (field_l.min_poly == K.min_poly
                 and (gen_image - field_l.gen()).is_zero()
                 and places_l.rational_primes == setup_k.places.rational_primes)
+    setup_l = setup_k if identity else build_setup(field_l, places_l, setup_k.ell)
+    setup_l.require_regular()
+    src_elements, src_classes = _oriented_classes(setup_k, store)
     if identity:
         # the target setup is the source setup
-        src = tgt = class_pipeline(setup_k, store=store)
-        assignment = {el.coords: str(list(el.coords))
-                      for el in src.ocg.elements}
+        tgt_elements, tgt_classes = src_elements, src_classes
+        assignment = {el.coords: str(list(el.coords)) for el in src_elements}
     else:
-        setup_l = build_setup(field_l, places_l, setup_k.ell)
-        setup_l.require_regular()
-        src = class_pipeline(setup_k, store=store)
-        tgt = class_pipeline(setup_l, store=store)
-        if tgt.ocg.order != 1:
+        tgt_elements, tgt_classes = _oriented_classes(setup_l, store)
+        if src_elements and len(tgt_elements) != 1:
             raise NeedsBackendData(
                 "general pushforward needs a trivial target class group or a "
                 "capitulation fixture")
-        target = str(list(tgt.ocg.elements[0].coords))
-        assignment = {el.coords: target for el in src.ocg.elements}
-    inv_labels = [str(list(c)) for cls in tgt.classes if cls.galois_invariant
+        assignment = {el.coords: str(list(tgt_elements[0].coords))
+                      for el in src_elements}
+    inv_labels = [str(list(c)) for cls in tgt_classes if cls.galois_invariant
                   for c in cls.orbit]
-    all_labels = [str(list(el.coords)) for el in tgt.ocg.elements]
-    return _finish_restriction(assignment, src.classes, inv_labels,
+    all_labels = [str(list(el.coords)) for el in tgt_elements]
+    return _finish_restriction(assignment, src_classes, inv_labels,
                                all_labels, field_l.degree // K.degree, False,
                                ())
+
+
+def _oriented_classes(setup: RelativeSetup, store):
+    """The oriented class group elements and subgroup classes of a setup;
+    none without order-ell torsion."""
+    if setup.case == "NoTorsion":
+        return (), ()
+    res = class_pipeline(setup, store=store)
+    return res.ocg.elements, res.classes
 
 
 def restriction_scenario(doc: dict, store=None) -> RestrictionReport:

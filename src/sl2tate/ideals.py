@@ -4,6 +4,10 @@ factorization of rational primes, and exact root finding in number fields.
 An ideal is stored as (num, den): num is an n x n matrix in canonical row
 HNF whose rows are lattice vectors in integral-basis coordinates, den a
 positive integer, the ideal being (1/den) * rowlattice(num).
+
+Inverses go through the trace dual, I^-1 = (I O^v)^v with the codifferent
+O^v.  The primes above p come from Kummer-Dedekind when some generator has
+index prime to p, else from the idempotents of O/pO.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ from math import gcd, isqrt, lcm
 
 from . import polytools as pt
 from .errors import NotInvertible, SearchExhausted, verify
-from .intlinalg import IntMatrix, hnf_canonical, hnf_solve, kernel, kernel_mod, rref_mod
+from .intlinalg import IntMatrix, hnf_canonical, hnf_solve, inverse_rational, kernel_mod
 from .numberfield import NFElement, NumberField, _eval_poly_at, combine_rows
 
 
@@ -148,39 +152,18 @@ class FractionalIdeal:
                 return acc
             base = base * base
 
-    def colon(self, other: "FractionalIdeal") -> "FractionalIdeal":
-        """(self : other) = {x in K : x * other <= self}."""
-        field = self.field
-        n = field.degree
-        # work with the integral generators w of other's numerator lattice;
-        # the answer then gets rescaled by other.den at the end
-        blocks = [field.int_mult_rows(w) for w in other.num.entries]
-        # any solution x' of x' * L_int <= self has basis coords with
-        # denominator dividing m = self.den * |N(w0)|, w0 the first generator
-        m = self.den * abs(IntMatrix.from_rows(blocks[0]).det())
-        # write x' = z/m; condition per generator w, with A_w the transpose
-        # of its multiplication rows:
-        #   self.den * A_w z = m * (H^T c) for some integer vector c
-        k = len(blocks)
-        ht = self.num.transpose()
-        rows = []
-        for bi, w_rows in enumerate(blocks):
-            for i in range(n):
-                row = [self.den * w_rows[j][i] for j in range(n)]
-                for cj in range(k):
-                    for j in range(n):
-                        row.append(-m * ht[i, j] if cj == bi else 0)
-                rows.append(row)
-        kern = kernel(IntMatrix.from_rows(rows))
-        z_rows = [list(kern.row(i)[:n]) for i in range(kern.nrows)]
-        z_rows = [r for r in z_rows if any(r)]
-        if len(z_rows) < n:
-            raise ValueError("colon ideal degenerate")
-        scaled = [[x * other.den for x in r] for r in z_rows]
-        return FractionalIdeal(field, IntMatrix.from_rows(scaled), m)
+    def dual(self) -> "FractionalIdeal":
+        """The trace dual {x : Tr(x I) <= Z}.  With T the trace form, x with
+        basis coordinates y has Tr(x a_i) = (num T y)_i / den on the basis
+        a_i of I, so the dual has the basis rows den * (T num^T)^-1."""
+        inv = inverse_rational((self.field.trace_form * self.num.transpose()).entries)
+        d = lcm(*(x.denominator for row in inv for x in row))
+        return FractionalIdeal(self.field, IntMatrix.from_rows(
+            [[int(x * d) * self.den for x in row] for row in inv]), d)
 
     def inverse(self) -> "FractionalIdeal":
-        inv = FractionalIdeal.unit(self.field).colon(self)
+        """I^-1 = (I O^v)^v, the dual of I times the codifferent O^v."""
+        inv = (self * _codifferent(self.field)).dual()
         if inv * self != FractionalIdeal.unit(self.field):
             raise NotInvertible("ideal is not invertible in this order")
         return inv
@@ -190,6 +173,11 @@ class FractionalIdeal:
         v_P(den)."""
         v = min(prime.valuation_coords(row) for row in self.num.entries)
         return v - prime.e * _rational_valuation(self.den, prime.p)
+
+
+@lru_cache(maxsize=None)
+def _codifferent(field: NumberField) -> FractionalIdeal:
+    return FractionalIdeal.unit(field).dual()
 
 
 def _rational_valuation(n: int, p: int) -> int:
@@ -307,128 +295,79 @@ def _kummer_dedekind(field: NumberField, p: int, g: NFElement, factors) -> tuple
         gen_el = _eval_poly_at(lift, g)
         ideal = FractionalIdeal.from_generators(field, [field.rational(p), gen_el])
         out.append(PrimeIdeal(p, ideal, e=mult, f=pt.degree(fac)))
-    verify(sum(pr.e * pr.f for pr in out) == n, "sum of e*f must be the degree")
-    verify(all(pr.ideal.norm() == p**pr.f for pr in out), "N(P) must be p^f")
-    if n <= 6:
-        # sanity: the product of P^e recovers (p); skipped for large
-        # degrees where the e-fold ideal product gets expensive
-        prod = FractionalIdeal.product(field, ((pr.ideal, pr.e) for pr in out))
+    return _verified_primes(field, p, out, n <= 6)
+
+
+def _verified_primes(field, p, primes, check_product) -> tuple[PrimeIdeal, ...]:
+    """The primes above p in a canonical order, once sum e f = n, N(P) = p^f
+    and prod P^e = (p) are verified; the product only when check_product,
+    as the e-fold ideal product gets expensive in large degrees."""
+    verify(sum(pr.e * pr.f for pr in primes) == field.degree,
+           "sum of e*f must be the degree")
+    verify(all(pr.ideal.norm() == p**pr.f for pr in primes), "N(P) must be p^f")
+    if check_product:
+        prod = FractionalIdeal.product(field, ((pr.ideal, pr.e) for pr in primes))
         verify(prod == FractionalIdeal.principal(field, field.rational(p)),
                "product of the P^e must be (p)")
-    return tuple(sorted(out, key=lambda pr: (pr.f, pr.e, pr.ideal.num.entries)))
-
-
-def _mod_solve_span(span, vec, p):
-    """Express vec in the span of the given vectors mod p (must succeed)."""
-    n = len(vec)
-    rows = [[span[c][r] for c in range(len(span))] + [vec[r]]
-            for r in range(n)]
-    rref, piv = rref_mod(rows, p)
-    verify(len(span) not in piv, "vector must lie in the span")
-    sol = [0] * len(span)
-    for r, j in enumerate(piv):
-        sol[j] = rref[r][len(span)]
-    return sol
+    return tuple(sorted(primes, key=lambda pr: (pr.f, pr.e, pr.ideal.num.entries)))
 
 
 def _factor_by_algebra_splitting(field: NumberField, p: int) -> tuple[PrimeIdeal, ...]:
-    """Factor (p) without a monogenic generator: decompose A = O/pO into
-    local pieces along eigenspaces of Frobenius-fixed elements; the maximal
-    ideal of each piece together with the other pieces lifts to a prime
-    above p."""
+    """Factor (p) without a monogenic generator, through the idempotents of
+    A = O/pO.  The x with x^p = x are the F_p-span of the primitive
+    idempotents e_i, one for each P_i | p: the kernel of Frobenius less the
+    identity.  Refining 1 by each kernel vector b (the part of e where
+    b = lam is e (1 - (b - lam)^(p-1))) gives the e_i, and then
+    P_i = pO + (1 - e_i)O + rad A, where rad A is the kernel of x -> x^(p^n)
+    (a nilpotent of A vanishes at its n-th power)."""
     n = field.degree
-    verify(field.one().num == (1,) + (0,) * (n - 1),
-           "integral basis must start with 1 for the splitting fallback")
+    one = [c % p for c in field.one().num]
 
-    def a_mul(v, w):
-        return [c % p for c in combine_rows(w, field.int_mult_rows(v))]
+    def mul(x, y):
+        return [c % p for c in combine_rows(y, field.int_mult_rows(x))]
 
-    def a_pow_p(v):
-        out = [1] + [0] * (n - 1)
-        base, e = v, p
-        while e:
-            if e & 1:
-                out = a_mul(out, base)
-            base = a_mul(base, base)
-            e >>= 1
-        return out
+    def power(x, k):
+        acc = one
+        for bit in bin(k)[2:]:
+            acc = mul(acc, acc)
+            if bit == "1":
+                acc = mul(acc, x)
+        return acc
 
-    def lift(span, v):
-        return [sum(c * span[j][i] for j, c in enumerate(v)) % p
-                for i in range(n)]
+    def frobenius_kernel(q, shift):
+        # the kernel of x -> x^q - shift * x, which is F_p-linear
+        images = [power([int(i == j) for i in range(n)], q) for j in range(n)]
+        return kernel_mod([[images[j][i] - shift * (i == j) for j in range(n)]
+                           for i in range(n)], p, n)
 
-    # components: subspaces of A (spanned by A-coordinate vectors) that are
-    # ideal-subalgebras whose direct sum is A; split until each is local
-    components = [[[1 if i == j else 0 for i in range(n)] for j in range(n)]]
-    local = []  # (span, radical vectors in component coordinates)
-    while components:
-        span = components.pop()
-        k = len(span)
-        frob_cols = [_mod_solve_span(span, a_pow_p(v), p) for v in span]
-        frob = [[frob_cols[c][r] for c in range(k)] for r in range(k)]
-        fr_pow = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-        q = 1
-        while q < n:
-            fr_pow = [[sum(fr_pow[i][t] * frob[t][j] for t in range(k)) % p
-                       for j in range(k)] for i in range(k)]
-            q *= p
-        rad = kernel_mod(fr_pow, p, k)
-        # Frobenius-fixed elements mod radical: solve (F - 1)x = R y over
-        # the stacked system and keep the x parts
-        fmi = [[(frob[i][j] - (1 if i == j else 0)) % p for j in range(k)]
-               for i in range(k)]
-        stacked = [[fmi[i][j] for j in range(k)] +
-                   [(-rad[c][i]) % p for c in range(len(rad))]
-                   for i in range(k)]
-        fix = [v[:k] for v in kernel_mod(stacked, p, k + len(rad))]
-        fix_dim = len(rref_mod(fix, p)[1])
-        if fix_dim - len(rad) <= 1:
-            local.append((span, rad))
-            continue
-        # some fixed element has at least two eigenvalues and splits the
-        # component into its generalized eigenspaces (all eigenvalues lie in
-        # F_p because b^p = b modulo nilpotents)
-        for b in fix:
-            mb = [[0] * k for _ in range(k)]
-            for j in range(k):
-                col = _mod_solve_span(span, a_mul(lift(span, b), span[j]), p)
-                for i in range(k):
-                    mb[i][j] = col[i]
-            pieces = []
+    fixed = frobenius_kernel(p, 1)
+    idempotents = [one]
+    for b in fixed:
+        refined = []
+        for idem in idempotents:
+            rest = idem
             for lam in range(p):
-                m_l = [[(mb[i][j] - (lam if i == j else 0)) % p
-                        for j in range(k)] for i in range(k)]
-                m_pow = m_l
-                for _ in range(k - 1):
-                    m_pow = [[sum(m_pow[i][t] * m_l[t][j]
-                                  for t in range(k)) % p
-                              for j in range(k)] for i in range(k)]
-                eig = kernel_mod(m_pow, p, k)
-                if eig:
-                    pieces.append([lift(span, v) for v in eig])
-            if len(pieces) >= 2:
-                verify(sum(len(pc) for pc in pieces) == k,
-                       "eigenspaces must fill the component")
-                components.extend(pieces)
-                break
-        else:
-            verify(False, "non-local component admits no splitting")
+                if not any(rest):
+                    break
+                away = power([(x - lam * o) % p for x, o in zip(b, one)], p - 1)
+                part = mul(idem, [(o - x) % p for o, x in zip(one, away)])
+                if any(part):
+                    refined.append(part)
+                    rest = [(x - y) % p for x, y in zip(rest, part)]
+        idempotents = refined
+    verify(len(idempotents) == len(fixed), "one primitive idempotent per prime above p")
+    rad = frobenius_kernel(p ** n, 0)
 
     out = []
-    p_ideal = FractionalIdeal.principal(field, field.rational(p))
-    for idx, (span, rad) in enumerate(local):
-        f = len(span) - len(rad)
-        gens = [[p] + [0] * (n - 1)] + [lift(span, v) for v in rad]
-        gens += [v for j, (other, _) in enumerate(local) if j != idx for v in other]
+    p_coords = [p * c for c in field.one().num]
+    for idem in idempotents:
+        gens = [p_coords, [o - x for o, x in zip(one, idem)]] + rad
         ideal = FractionalIdeal(field, IntMatrix.from_rows(
             [row for g in gens for row in field.int_mult_rows(g)]))
-        verify(ideal.norm() == p**f, "N(P) must be p^f")
-        e = PrimeIdeal(p, ideal, 0, f).valuation_coords([p] + [0] * (n - 1))
+        f = _rational_valuation(ideal.norm().numerator, p)
+        e = PrimeIdeal(p, ideal, 0, f).valuation_coords(p_coords)
         out.append(PrimeIdeal(p, ideal, e=e, f=f))
-    verify(sum(pr.e * pr.f for pr in out) == n, "sum of e*f must be the degree")
-    prod = FractionalIdeal.product(field, ((pr.ideal, pr.e) for pr in out))
-    verify(prod == p_ideal, "product of the P^e must be (p)")
-    return tuple(sorted(out, key=lambda pr: (pr.f, pr.e, pr.ideal.num.entries)))
+    return _verified_primes(field, p, out, True)
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +417,7 @@ def principal_generator(ideal: FractionalIdeal, s_prime_ideals=()) -> NFElement:
     inv = None
     for coords, nrm in search_elements(ideal):
         ratio = nrm / target
-        num, den = abs(ratio.numerator), ratio.denominator
-        for p in rational_s:
-            while num % p == 0:
-                num //= p
-            while den % p == 0:
-                den //= p
-        if num != 1 or den != 1:
+        if pt.prime_to(abs(ratio.numerator) * ratio.denominator, rational_s) != 1:
             continue
         quot = ideal.element_ideal(coords)
         if s_prime_ideals:

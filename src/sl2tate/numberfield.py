@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Sequence
 
@@ -53,9 +53,6 @@ class NumberField:
         except ValueError:
             raise InvalidInput("basis rows are linearly dependent") from None
         self._build_mult_table()
-        self._disc = None
-        self._signature = None
-        self._norm_lines = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -145,28 +142,25 @@ class NumberField:
 
     # -- invariants ----------------------------------------------------------
 
-    @property
-    def discriminant(self) -> int:
-        if self._disc is None:
-            # the trace form on the integral basis from the structure
-            # constants: Tr(b_k) = sum_i T[k][i][i] and
-            # Tr(b_i b_j) = sum_k T[i][j][k] Tr(b_k)
-            n = self.degree
-            t = self.mult_table
-            tr = [sum(t[k][i][i] for i in range(n)) for k in range(n)]
-            form = [[sum(c * x for c, x in zip(t[i][j], tr)) for j in range(n)]
-                    for i in range(n)]
-            d = IntMatrix.from_rows(form).det()
-            verify(d != 0, "the discriminant is non-zero")
-            self._disc = d
-        return self._disc
+    @cached_property
+    def trace_form(self) -> IntMatrix:
+        """Tr(b_i b_j) on the integral basis, from the structure constants:
+        Tr(b_k) = sum_i T[k][i][i] and Tr(b_i b_j) = sum_k T[i][j][k] Tr(b_k)."""
+        n, t = self.degree, self.mult_table
+        tr = [sum(t[k][i][i] for i in range(n)) for k in range(n)]
+        return IntMatrix.from_rows([[sum(c * x for c, x in zip(t[i][j], tr))
+                                     for j in range(n)] for i in range(n)])
 
-    @property
+    @cached_property
+    def discriminant(self) -> int:
+        d = self.trace_form.det()
+        verify(d != 0, "the discriminant is non-zero")
+        return d
+
+    @cached_property
     def signature(self) -> tuple[int, int]:
-        if self._signature is None:
-            r1 = pt.sturm_real_roots(list(self.min_poly))
-            self._signature = (r1, (self.degree - r1) // 2)
-        return self._signature
+        r1 = pt.sturm_real_roots(list(self.min_poly))
+        return r1, (self.degree - r1) // 2
 
     def poly_ring(self) -> tuple:
         """(inverse, reduce) for polytools.divmod_over and gcd_over on
@@ -186,18 +180,20 @@ class NumberField:
                   for j in range(n)] for i in range(n)]
         return _poly_matrix_det(entry, n)
 
+    @cached_property
+    def _norm_lines(self) -> list[list]:
+        last = self.degree - 1
+        lines = [[] for _ in range(self.degree + 1)]
+        for exps, c in self.norm_form().items():
+            k = exps.count(last)
+            lines[k].append((exps[:len(exps) - k], c))
+        return lines
+
     def norm_line(self, prefix: Sequence[int]) -> list[int]:
         """Coefficients, constant term first, of the degree-n polynomial
         t -> N(prefix_0 b_0 + ... + prefix_{n-2} b_{n-2} + t b_{n-1}).  The
         norm form is split once per field by the power of the last variable
         (it sits at the end of each sorted exponent).  Only for degree <= 4."""
-        if self._norm_lines is None:
-            last = self.degree - 1
-            lines = [[] for _ in range(self.degree + 1)]
-            for exps, c in self.norm_form().items():
-                k = exps.count(last)
-                lines[k].append((exps[:len(exps) - k], c))
-            self._norm_lines = lines
         out = []
         for monomials in self._norm_lines:
             acc = 0

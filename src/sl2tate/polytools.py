@@ -307,6 +307,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_to(n: int, primes) -> int:
+    """n with every factor from the given primes divided out."""
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n
+
+
 def divisors(n: int) -> list[int]:
     """The positive divisors of n >= 1 in increasing order, by trial division."""
     small, large = [], []

@@ -6,6 +6,7 @@ O x O when zeta_ell already lies in K ("Split" case).  This module decides
 the case, verifies the regularity condition that keeps R a maximal order,
 computes the norm maps on units and ideal classes with their kernels and
 cokernels, and assembles the oriented class group with its Galois involution.
+The relative ideal norm is the contraction to K of I sigma(I).
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .intlinalg import (
     FiniteAbelianGroup,
     FinGenAbGroup,
     IntMatrix,
+    kernel,
     presented_hom_cokernel,
     presented_hom_kernel,
     snf,
@@ -152,6 +154,12 @@ def _attach_relative_field(setup: RelativeSetup):
         embed = FieldEmbedding(field, L, gen_image)
         zeta = L.gen()
     else:
+        if field.discriminant % ell == 0:
+            # the product basis would span a proper suborder of O_L (index 3
+            # for Q(sqrt(-15))(zeta_3)), where valuations never terminate
+            raise UnsupportedCase(
+                f"ell = {ell} divides disc(K) = {field.discriminant}: no "
+                f"integral basis of K(zeta_{ell}) is built for this case")
         L, embed, e2 = composite_field(field, cyc)
         zeta = e2.map(cyc.gen())
     t_img = embed.map(setup.t)
@@ -413,34 +421,34 @@ def _diag(factors) -> IntMatrix:
 
 def relative_ideal_norm(setup: RelativeSetup, ideal: FractionalIdeal
                         ) -> FractionalIdeal:
-    """N_{L/K} of a fractional ideal, prime by prime: a prime Q of L above
-    the prime P of K contributes P^{v_Q(I) f(Q|P)}."""
-    K, L = setup.field, setup.rel_field
-    nrm = ideal.norm()
-    support = abs(nrm.numerator) * nrm.denominator
-    out = FractionalIdeal.unit(K)
-    p = 2
-    while support > 1:
-        if support % p == 0:
-            while support % p == 0:
-                support //= p
-            primes_l = factor_rational_prime(L, p)
-            primes_k = factor_rational_prime(K, p)
-            for qr in primes_l:
-                v = ideal.valuation(qr)
-                if v == 0:
-                    continue
-                below = _prime_below(setup, qr, primes_k)
-                f_rel = qr.f // below.f
-                out = out * below.ideal ** (v * f_rel)
-        p += 1 if p == 2 else 2
-    return out
+    """N_{L/K}(I), read off I sigma(I) = N_{L/K}(I) O_L by contraction to K
+    (a O_L meets K in a)."""
+    return _contract(setup, ideal * _conjugate(setup, ideal))
+
+
+def _conjugate(setup: RelativeSetup, ideal: FractionalIdeal) -> FractionalIdeal:
+    """sigma(I), generated by the images of a Z-basis of I."""
+    return FractionalIdeal.from_generators(
+        setup.rel_field, [setup.sigma.map(b) for b in ideal.basis_elements()])
+
+
+def _contract(setup: RelativeSetup, ideal: FractionalIdeal) -> FractionalIdeal:
+    """The ideal meets K in (1/den) times the integer combinations a of the
+    integral basis b of K with sum a_k embed(b_k) in the lattice num: the
+    kernel of the rows [embed(b_k); num], cut to its first deg K entries."""
+    K = setup.field
+    images = [setup.embed.map(K.basis_element(k)) for k in range(K.degree)]
+    verify(all(x.is_integral() for x in images), "O_K must embed into O_L")
+    kern = kernel(IntMatrix.from_rows(
+        [x.num for x in images] + list(ideal.num.entries)).transpose())
+    return FractionalIdeal(K, IntMatrix.from_rows(
+        [row[:K.degree] for row in kern.entries]), ideal.den)
 
 
 def _prime_below(setup, qr, primes_k):
+    below = _contract(setup, qr.ideal)
     for pr in primes_k:
-        if all(qr.ideal.contains(setup.embed.map(b))
-               for b in pr.ideal.basis_elements()):
+        if pr.ideal == below:
             return pr
     raise ConsistencyFailure("prime of L has no prime of K below it")
 
@@ -574,8 +582,7 @@ def _iota_field(ocg: OrientedClassGroup, el: OrientedElement) -> tuple:
     setup, norms = ocg.setup, ocg.norms
     sigma, embed = setup.sigma, setup.embed
     cl, uk = norms.class_l, norms.unit_k
-    conj = FractionalIdeal.from_generators(
-        setup.rel_field, [sigma.map(b) for b in el.ideal.basis_elements()])
+    conj = _conjugate(setup, el.ideal)
     # locate the conjugate's class among the kernel representatives
     kc2 = tuple(_express_in_kernel(norms, cl.dlog(conj)))
     target = ocg.element((0,) * len(ocg.sub_factors) + kc2)
@@ -646,10 +653,8 @@ def inert_place_count(setup: RelativeSetup) -> int:
     count += r1_k - r1_l // 2
     for p in setup.places.rational_primes:
         primes_k = factor_rational_prime(K, p)
-        primes_l = factor_rational_prime(L, p)
-        for pr in primes_k:
-            above = [qr for qr in primes_l
-                     if _prime_below(setup, qr, primes_k) is pr]
-            if len(above) == 1 and above[0].e == pr.e and above[0].f == 2 * pr.f:
-                count += 1
+        for qr in factor_rational_prime(L, p):
+            # e(Q|P) f(Q|P) summed over the Q | P is 2, so Q is the only one
+            below = _prime_below(setup, qr, primes_k)
+            count += qr.e == below.e and qr.f == 2 * below.f
     return count

@@ -348,26 +348,19 @@ def _finish_class_group(field, places, gen_primes, rel_cols) -> ClassGroupData:
 
     ck = cokernel(rel_cols)
     verify(ck.group.free_rank == 0, "the relation lattice has full rank")
+    gen_ps = [pr.p for pr in gen_primes]
 
     def exponents_of(ideal: FractionalIdeal) -> list[int]:
         """Factor an ideal class over the generator primes, via an auxiliary
         element when the ideal's own norm is not smooth."""
         nrm = ideal.norm()
-        m = abs(nrm.numerator) * nrm.denominator
-        for pr in gen_primes:
-            while m % pr.p == 0:
-                m //= pr.p
-        if m == 1:
+        if pt.prime_to(abs(nrm.numerator) * nrm.denominator, gen_ps) == 1:
             return [ideal.valuation(pr) for pr in gen_primes]
         for coords, enrm in search_elements(ideal):
             ratio = enrm / nrm
             if ratio.denominator != 1:
                 continue
-            cof = abs(int(ratio))
-            for pr in gen_primes:
-                while cof % pr.p == 0:
-                    cof //= pr.p
-            if cof == 1:
+            if pt.prime_to(abs(int(ratio)), gen_ps) == 1:
                 # (x) = ideal * cofactor with a smooth integral cofactor, so
                 # [ideal] = -[cofactor] = v(ideal) - v(x)
                 x = ideal.element_ideal(coords)

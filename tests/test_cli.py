@@ -1,12 +1,18 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from sl2tate.cli import EXIT_CONSISTENCY, EXIT_INPUT, EXIT_UNSUPPORTED, main
+from sl2tate.classify import class_pipeline
+from sl2tate.cli import EXIT_CONSISTENCY, EXIT_INPUT, EXIT_UNSUPPORTED, int_list, main
+from sl2tate.numberfield import make_field
+from sl2tate.relative import build_setup
+from sl2tate.sinvariants import PlaceSet
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "sl2tate",
-                        "fixtures")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+FIXTURES = os.path.join(SRC, "sl2tate", "fixtures")
 
 
 def _run_json(tmp_path, argv):
@@ -143,10 +149,47 @@ def test_consistency_failure_exit_code(tmp_path, capsys):
 
 
 def test_unsupported_case_exit_code(tmp_path, capsys):
-    # no ell-torsion over Q at ell = 5: the norm maps are empty
+    # ell = 3 divides disc(Q(sqrt(-15))) = -15: no integral basis of
+    # K(zeta_3) is built for that case
     out = tmp_path / "r.json"
-    assert main(["restrict", "--field", "0,1", "--ell", "5", "--target-field",
-                 "0,1", "--embedding", "0", "--out", str(out)]) == EXIT_UNSUPPORTED
+    assert main(["analyze", "--field=15,0,1", "--ell", "3", "--places", "3",
+                 "--out", str(out)]) == EXIT_UNSUPPORTED
     err = capsys.readouterr().err
-    assert err.startswith("unsupported case: ") and err.count("\n") == 1
+    assert err.startswith("unsupported case: ell = 3 divides disc(K)")
+    assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["15,0,1", "6,0,1", "-6,0,1", "-33,0,1"])
+def test_ell_dividing_disc_k_exits_unsupported_without_a_hang(field):
+    # the product basis of K and Q(zeta_3) is a proper suborder of O_L here,
+    # on which the prime factorization of 3 used to loop forever
+    proc = subprocess.run(
+        [sys.executable, "-m", "sl2tate.cli", "analyze", f"--field={field}",
+         "--ell", "3", "--places", "3"],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == EXIT_UNSUPPORTED
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("unsupported case: ell = 3 divides disc(K)")
+
+
+@pytest.mark.parametrize("target", [["0,1", "0"], ["-5,0,1", "0,0"]])
+def test_restrict_without_source_torsion_is_empty(tmp_path, target):
+    # Q has no 5-torsion in SL_2: no source classes, every target class new
+    field, embedding = target
+    code, rep, _ = _run_json(tmp_path, [
+        "restrict", "--field", "0,1", "--ell", "5", f"--target-field={field}",
+        "--embedding", embedding])
+    assert code == 0
+    k = make_field(int_list(field))
+    setup = build_setup(k, PlaceSet.make(k, []), 5)
+    labels = ([] if setup.case == "NoTorsion" else
+              [str(list(el.coords)) for el in class_pipeline(setup).ocg.elements])
+    assert labels == ([] if field == "0,1" else ["[0, 0]", "[0, 1]", "[1, 0]", "[1, 1]"])
+    res = rep["restriction"]
+    assert res["assignment"] == {} and res["merges"] == []
+    assert res["invariance_gains"] == []
+    assert res["new_target_classes"] == labels
+    assert res["degree"] == k.degree
+    assert rep["transfer_obstruction"] is None

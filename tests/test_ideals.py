@@ -211,6 +211,84 @@ def test_factor_common_index_divisor_splits_the_algebra(monkeypatch):
         FractionalIdeal.principal(L, L.rational(2))
 
 
+# fields for the closed forms below: quadratic, cyclotomic and K(zeta_3)
+SPLITTING_FIELDS = (
+    [quadratic_field(d) for d in (-1, -2, -5, -7, -14, -23, 2, 3, 5, 13)]
+    + [cyclotomic_field(m) for m in (3, 4, 5, 7, 8, 12)]
+    + [composite_field(quadratic_field(d), cyclotomic_field(3))[0]
+       for d in (-14, -5, -2, -1, 2, 5)])
+
+
+def test_idempotent_splitting_matches_kummer_dedekind(monkeypatch):
+    # the primes from the idempotents of O/pO against Kummer-Dedekind, for
+    # every p < 40 where a generator of index prime to p is found
+    split = ideals._factor_by_algebra_splitting
+    monkeypatch.setattr(ideals, "_factor_by_algebra_splitting",
+                        lambda field, p: None)
+    pairs, no_generator = 0, []
+    for field in SPLITTING_FIELDS:
+        for p in range(2, 40):
+            if not pt.is_prime(p):
+                continue
+            expected = factor_rational_prime.__wrapped__(field, p)
+            if expected is None:
+                no_generator.append((field.label, p))
+                continue
+            assert split(field, p) == expected
+            pairs += 1
+    # 2 is inert in both Q(sqrt(5)) and Q(zeta_3): two primes of degree 2
+    assert no_generator == [("(Q(sqrt(5)))(Q(zeta_3))", 2)]
+    assert pairs == 22 * 12 - 1
+
+
+def test_idempotent_splitting_needs_no_basis_starting_with_1():
+    # the basis (1 + i, 2 + 3i) of Z[i]: 1 = 3(1 + i) - (2 + 3i)
+    k = make_field([1, 0, 1], basis=[[1, 1], [2, 3]])
+    for p in (2, 3, 5, 13):
+        primes = ideals._factor_by_algebra_splitting(k, p)
+        assert primes == factor_rational_prime(k, p)
+    assert [(pr.e, pr.f) for pr in ideals._factor_by_algebra_splitting(k, 2)] == [(2, 1)]
+
+
+INVERSE_FIELDS = (
+    quadratic_field(-5), quadratic_field(5), quadratic_field(-14),
+    cyclotomic_field(5), cyclotomic_field(7),
+    composite_field(quadratic_field(-5), cyclotomic_field(3))[0],
+    composite_field(quadratic_field(2), cyclotomic_field(3))[0],
+)
+
+
+def _prime_inverse(field, pr):
+    """P^-1 = (1/p) P^(e-1) prod_{Q != P} Q^e(Q), from (p) = prod Q^e(Q),
+    by multiplication alone."""
+    others = [(q.ideal, q.e - (q is pr)) for q in factor_rational_prime(field, pr.p)]
+    return FractionalIdeal.product(field, others) * FractionalIdeal.principal(
+        field, field.rational(Fraction(1, pr.p)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_inverse_through_the_trace_dual(data):
+    field = data.draw(st.sampled_from(INVERSE_FIELDS))
+    primes = [pr for p in (2, 3, 5, 7) for pr in factor_rational_prime(field, p)]
+    chosen = data.draw(st.lists(st.sampled_from(primes), min_size=1, max_size=3,
+                                unique_by=lambda pr: pr.ideal.num.entries))
+    exps = [data.draw(st.integers(-2, 3)) for _ in chosen]
+    ideal = inverse = FractionalIdeal.unit(field)
+    for pr, e in zip(chosen, exps):
+        pinv = _prime_inverse(field, pr)
+        ideal = ideal * (pr.ideal if e > 0 else pinv) ** abs(e)
+        inverse = inverse * (pinv if e > 0 else pr.ideal) ** abs(e)
+    assert ideal.inverse() == inverse
+    assert ideal * ideal.inverse() == FractionalIdeal.unit(field)
+    # the dual pairs to integers under the trace and has the inverse norm
+    # times 1/|disc|
+    dual = ideal.dual()
+    assert dual.norm() == 1 / (ideal.norm() * abs(field.discriminant))
+    assert all((x * y).trace().denominator == 1
+               for x in ideal.basis_elements() for y in dual.basis_elements())
+
+
 def test_factor_23_in_cyclotomic_23():
     k = cyclotomic_field(23)
     primes = factor_rational_prime(k, 23)

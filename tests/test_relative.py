@@ -1,6 +1,11 @@
-import pytest
+from functools import lru_cache
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sl2tate import relative
 from sl2tate.errors import RegularityViolated
+from sl2tate.ideals import FractionalIdeal, factor_rational_prime
 from sl2tate.numberfield import cyclotomic_field, make_field, quadratic_field
 from sl2tate.relative import (
     build_setup,
@@ -163,8 +168,6 @@ def test_split_norm_maps_and_ocg():
 
 def test_relative_ideal_norm_principal():
     # N(alpha R) = (N(alpha)): check on a principal ideal of Q(zeta_3)/Q
-    from sl2tate.ideals import FractionalIdeal
-
     q = make_field([0, 1])
     s = _setup(q, [], 3)
     L = s.rel_field
@@ -172,6 +175,65 @@ def test_relative_ideal_norm_principal():
     ideal = FractionalIdeal.principal(L, alpha)
     nm = relative_ideal_norm(s, ideal)
     assert nm == FractionalIdeal.principal(q, q.rational(3))
+
+
+def _norm_prime_by_prime(setup, ideal, support):
+    """N_{L/K}(I) as prod P^(v_Q(I) f(Q|P)) over the primes Q above the
+    rational primes in support, each P found by containment of its basis in
+    Q."""
+    K, L = setup.field, setup.rel_field
+    out = FractionalIdeal.unit(K)
+    for p in support:
+        for qr in factor_rational_prime(L, p):
+            v = ideal.valuation(qr)
+            if v:
+                below, = [pr for pr in factor_rational_prime(K, p)
+                          if all(qr.ideal.contains(setup.embed.map(b))
+                                 for b in pr.ideal.basis_elements())]
+                out = out * below.ideal ** (v * (qr.f // below.f))
+    return out
+
+
+NORM_SETUPS = (
+    ((0, 1), [], 3), ((5, 0, 1), [], 3), ((1, 0, 1), [], 3),
+    ((-2, 0, 1), [], 3), ((2, 0, 1), [2], 3), ((-5, 0, 1), [], 5),
+)
+
+
+@lru_cache(maxsize=None)
+def _norm_setup(i):
+    poly, primes, ell = NORM_SETUPS[i]
+    return _setup(make_field(poly), primes, ell)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_relative_ideal_norm_by_contraction(data):
+    s = _norm_setup(data.draw(st.integers(0, len(NORM_SETUPS) - 1)))
+    L = s.rel_field
+    support = (2, 3, 5, 7)
+    primes = [qr for p in support for qr in factor_rational_prime(L, p)]
+    chosen = data.draw(st.lists(st.sampled_from(primes), min_size=1, max_size=3))
+    ideal = FractionalIdeal.product(
+        L, [(qr.ideal, data.draw(st.integers(-2, 3))) for qr in chosen])
+    nm = relative_ideal_norm(s, ideal)
+    assert nm == _norm_prime_by_prime(s, ideal, support)
+    # N_{K/Q}(N_{L/K}(I)) = N_{L/Q}(I)
+    assert nm.norm() == ideal.norm()
+
+
+def test_relative_norm_of_a_prime_above_a_large_p(monkeypatch):
+    # no rational prime is factored in K: the norm of Q above p is P^f(Q|P)
+    s = _setup(quadratic_field(-5), [], 3)
+    p = 10_000_019
+    primes_l = factor_rational_prime(s.rel_field, p)
+    primes_k = factor_rational_prime(s.field, p)
+    monkeypatch.setattr(relative, "factor_rational_prime", None)
+    for qr in primes_l:
+        nm = relative_ideal_norm(s, qr.ideal)
+        below = relative._prime_below(s, qr, primes_k)
+        assert nm == below.ideal ** (qr.f // below.f)
+        assert nm.norm() == qr.ideal.norm()
 
 
 def test_s_unit_norm_maps_rational():
