@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from . import polytools as pt
 from .errors import SearchExhausted, verify
 from .intlinalg import FinGenAbGroup
 from .numberfield import NFElement
@@ -175,11 +176,7 @@ def _checked(setup, rows) -> RepresentativeMatrix:
 
 def _is_s_integral(el: NFElement, places) -> bool:
     # S-integral iff every prime factor of the denominator is inverted
-    den = el.den
-    for p in places.rational_primes:
-        while den % p == 0:
-            den //= p
-    return den == 1
+    return pt.prime_to(el.den, places.rational_primes) == 1
 
 
 def _mat_mul(field, m1, m2):

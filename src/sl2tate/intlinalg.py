@@ -58,8 +58,14 @@ class IntMatrix:
         return IntMatrix(tuple(rows))
 
     @staticmethod
+    def diagonal(factors: Sequence[int]) -> "IntMatrix":
+        n = len(factors)
+        return IntMatrix(tuple(tuple(int(d) if i == j else 0 for j in range(n))
+                               for i, d in enumerate(factors)))
+
+    @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntMatrix.diagonal((1,) * n)
 
     @property
     def nrows(self) -> int:

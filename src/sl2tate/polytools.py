@@ -308,9 +308,9 @@ def is_prime(n: int) -> bool:
 
 
 def prime_to(n: int, primes) -> int:
-    """n with every factor from the given primes divided out."""
+    """n with every factor from the given primes divided out (0 stays 0)."""
     for p in primes:
-        while n % p == 0:
+        while n and n % p == 0:
             n //= p
     return n
 

@@ -253,12 +253,14 @@ def _quartic_cm_unit_group(setup: RelativeSetup) -> UnitGroupData:
     if K.signature[0] == 2:
         eta = setup.embed.map(unit_group(K, PlaceSet(K, (), ())).free_gens[0])
     else:
-        d = K.discriminant  # negative
-        s, _ = squarefree_decompose(-3 * d)
+        # theta^2 + b theta + c = 0 generates K, and (2 zeta_3 + 1)^2 = -3,
+        # so (2 zeta_3 + 1)(2 theta + b) squares to -3(b^2 - 4c) = s t^2
+        c, b, _ = K.min_poly
+        s, t = squarefree_decompose(-3 * (b * b - 4 * c))
         F = quadratic_field(s)
         eps = unit_group(F, PlaceSet(F, (), ())).free_gens[0]
-        r = find_root([L.rational(c) for c in F.min_poly], L)
-        verify(r is not None, "real quadratic subfield must embed")
+        r = (2 * setup.zeta + 1) * setup.embed.map(2 * K.gen() + b) / t
+        verify(r * r == L.rational(s), "sqrt(s) must lie in L")
         eta = FieldEmbedding(F, L, r).map(eps)
     verify(abs(eta.norm()) == 1 and eta.is_integral(),
            "the lifted fundamental unit must be a unit of L")
@@ -338,13 +340,10 @@ def _norm_maps_split(setup, uk, ck, prov) -> NormMapsData:
     verify(coker.group.torsion.is_trivial and coker.group.free_rank == 0,
            "the split unit norm map must be surjective")
     ker = uk.group()
-    ker_gens = tuple(tuple(1 if i == j else 0 for i in range(nk))
-                     for j in range(nk))
+    ker_gens = ident.entries
     # Nm0: Pic(R) = Pic x Pic -> Pic is addition; kernel is the antidiagonal
-    nfac = len(ck.group.invariant_factors)
     ker0 = ck.group
-    ker0_gens = tuple(tuple(1 if i == j else 0 for i in range(nfac))
-                      for j in range(nfac))
+    ker0_gens = IntMatrix.identity(len(ck.group.invariant_factors)).entries
     prov["nm1"] = prov["nm0"] = "computed"
     return NormMapsData(setup, uk, ck, None, None, None, ker, ker_gens, coker,
                         None, ker0, ker0_gens, prov)
@@ -380,8 +379,8 @@ def _norm_maps_field(setup, uk, ck, prov, store) -> NormMapsData:
     # Nm0 on class-group generators of L
     nfac_l = len(cl.group.invariant_factors)
     nfac_k = len(ck.group.invariant_factors)
-    rel0_l = _diag(cl.group.invariant_factors)
-    rel0_k = _diag(ck.group.invariant_factors)
+    rel0_l = IntMatrix.diagonal(cl.group.invariant_factors)
+    rel0_k = IntMatrix.diagonal(ck.group.invariant_factors)
     if nfac_l == 0:
         nm0 = IntMatrix.from_rows([[] for _ in range(nfac_k)])
         ker0, ker0_gens = FiniteAbelianGroup(()), ()
@@ -411,12 +410,6 @@ def _asserted_nm1(setup, store, nk, nl) -> IntMatrix:
             return IntMatrix.from_rows([[c[i] for c in cols] for i in range(nk)])
     raise NeedsBackendData(
         "unit norm map needs explicit unit elements or fixture-supplied images")
-
-
-def _diag(factors) -> IntMatrix:
-    n = len(factors)
-    return IntMatrix.from_rows([[factors[i] if i == j else 0 for j in range(n)]
-                                for i in range(n)])
 
 
 def relative_ideal_norm(setup: RelativeSetup, ideal: FractionalIdeal
@@ -531,7 +524,7 @@ def _ocg_field(setup, norms) -> OrientedClassGroup:
     # carrier order |coker Nm1| * |ker Nm0|; the product labeling is a
     # bookkeeping choice (the extension class is not computed; nothing
     # downstream consumes the group law on orientations)
-    combined = snf(_diag(sub + quot)) if (sub + quot) else ()
+    combined = snf(IntMatrix.diagonal(sub + quot))
     carrier = FiniteAbelianGroup(tuple(d for d in combined if d > 1))
     cl = norms.class_l
     quot_group = FiniteAbelianGroup(quot)
@@ -603,14 +596,11 @@ def _express_in_kernel(norms: NormMapsData, ambient_coords) -> list:
     """Coordinates of a ker_nm0 member in the kernel generators."""
     gens = norms.ker_nm0_gens
     factors = norms.class_l.group.invariant_factors
-    n = len(factors)
     if not gens:
         verify(all(c % d == 0 for c, d in zip(ambient_coords, factors)),
                "conjugate class must stay in ker Nm0")
         return []
-    cols = [list(g) for g in gens] + [
-        [factors[i] if i == j else 0 for i in range(n)] for j in range(n)]
-    m = IntMatrix.from_rows([[c[i] for c in cols] for i in range(n)])
+    m = IntMatrix.from_rows(gens).transpose().augment(IntMatrix.diagonal(factors))
     sol = solve_integer(m, list(ambient_coords))
     verify(sol is not None, "conjugate class must stay in ker Nm0")
     x = sol[:len(gens)]

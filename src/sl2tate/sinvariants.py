@@ -248,8 +248,9 @@ def class_group(field: NumberField, places: PlaceSet, store=None) -> ClassGroupD
 @lru_cache(maxsize=None)
 def _class_group_relations(field: NumberField):
     """The generator primes (all primes up to the Minkowski bound) and the
-    relation columns among them.  Neither depends on S, so the search runs
-    once per field; the S-quotient is taken in _finish_class_group."""
+    relation lattice among them, as the columns of the transposed canonical
+    HNF.  Neither depends on S, so the search runs once per field; the
+    S-quotient is taken in _finish_class_group."""
     n = field.degree
     mb = minkowski_bound(field)
     gen_primes: list[PrimeIdeal] = []
@@ -282,17 +283,12 @@ def _class_group_relations(field: NumberField):
         return vec
 
     # (p) itself is a relation; needed since the primitive-element search
-    # below never sees elements divisible by an inert prime
-    relations: list[list[int]] = [
-        [pr.e if pr.p == p else 0 for pr in gen_primes] for p in rationals
-    ]
+    # below never sees elements divisible by an inert prime.  The rows are
+    # kept as the canonical HNF of the relations so far; being unique, it
+    # does not depend on their order or multiplicity
+    lattice_rows = [[pr.e if pr.p == p else 0 for pr in gen_primes] for p in rationals]
     prev_order = None
-    done = False
     seen_box = 0
-    # the canonical HNF of the relations so far, and how many it covers:
-    # being unique, it equals the HNF of all relations when extended by the
-    # new ones only
-    lattice_rows, covered = [], 0
     # for quadratic fields the relation connecting two generator primes p, q
     # comes from an element of norm p*q <= mb^2, whose coordinates stay
     # below about mb; do not accept stability before the box covers that
@@ -300,44 +296,32 @@ def _class_group_relations(field: NumberField):
     zero = (0,) * n
     horner = pt.poly_eval
     for box in _BOX_SCHEDULE:
-        # x and -x have the same |norm| and valuations.  A line whose points
-        # are lexicographically negative is evaluated through its norm
-        # polynomial, and its smooth vectors wait on a stack; negation
-        # reverses the line order, so the mirror line of a positive line is
-        # the one on top, and it replays those vectors in reverse
-        mirrored = []
         for prefix, last in box_lines(n, seen_box, box):
+            # x and -x have the same valuations, so only the lexicographically
+            # negative line of each mirror pair is evaluated
             if prefix + (last[0],) > zero:
-                relations.extend(reversed(mirrored.pop()))
                 continue
             line = field.norm_line(prefix)
             g = math.gcd(*prefix)
-            found = []
             for t in last:
                 if math.gcd(g, t) > 1:
                     continue
                 vec = element_valuations(prefix + (t,), abs(horner(line, t)))
                 if vec is not None and any(vec):
-                    found.append(vec)
-            relations.extend(found)
-            mirrored.append(found)
+                    lattice_rows.append(vec)
         seen_box = box
-        if relations:
-            lattice = hnf_canonical(IntMatrix.from_rows(lattice_rows + relations[covered:]))
-            lattice_rows, covered = list(lattice.entries), len(relations)
-            if lattice.nrows == len(gen_primes):
-                # a full-rank square row HNF: its index is its diagonal product
-                order = math.prod(row[i] for i, row in enumerate(lattice_rows))
-                if order == prev_order and box >= min_stable_box:
-                    done = True
-                    break
-                prev_order = order
-    if not done:
-        raise RelationSearchIncomplete(
-            f"class-group relations of {field.label} did not stabilize "
-            f"up to box {_BOX_SCHEDULE[-1]}"
-        )
-    return tuple(gen_primes), IntMatrix.from_rows(relations).transpose()
+        lattice = hnf_canonical(IntMatrix.from_rows(lattice_rows))
+        lattice_rows = list(lattice.entries)
+        if lattice.nrows == len(gen_primes):
+            # a full-rank square row HNF: its index is its diagonal product
+            order = math.prod(row[i] for i, row in enumerate(lattice_rows))
+            if order == prev_order and box >= min_stable_box:
+                return tuple(gen_primes), lattice.transpose()
+            prev_order = order
+    raise RelationSearchIncomplete(
+        f"class-group relations of {field.label} did not stabilize "
+        f"up to box {_BOX_SCHEDULE[-1]}"
+    )
 
 
 def _finish_class_group(field, places, gen_primes, rel_cols) -> ClassGroupData:
@@ -507,11 +491,7 @@ def _s_unit_generators(field: NumberField, places: PlaceSet) -> list[NFElement]:
         coords = [cl.dlog(pr.ideal) for pr in places.prime_ideals]
         nf = len(cl.group.invariant_factors)
         t = IntMatrix.from_rows([[c[i] for c in coords] for i in range(nf)])
-        rel = IntMatrix.from_rows(
-            [[d if i == j else 0 for j in range(nf)]
-             for i, d in enumerate(cl.group.invariant_factors)]
-        )
-        kern = kernel(t.augment(rel))
+        kern = kernel(t.augment(IntMatrix.diagonal(cl.group.invariant_factors)))
         lattice = hnf_canonical(
             IntMatrix.from_rows([list(kern.row(i)[:k]) for i in range(kern.nrows)])
         )
@@ -756,11 +736,8 @@ def ingest_backend(store: BackendStore, document: dict):
             raise ConsistencyFailure("free generator count does not match the rank")
         for g in free_gens:
             nrm = g.norm()
-            m = abs(nrm.numerator) * nrm.denominator
-            for p in places.rational_primes:
-                while m % p == 0:
-                    m //= p
-            if m != 1:
+            if pt.prime_to(abs(nrm.numerator) * nrm.denominator,
+                           places.rational_primes) != 1:
                 raise ConsistencyFailure("claimed generator is not an S-unit")
         un_data = UnitGroupData(field, places, rank, w, torsion_gen, free_gens,
                                 provenance)

@@ -26,6 +26,11 @@ CASES = {
     # the class group of the quartic K(zeta_3) dominates these two
     "qsqrt-5_ell3": ["analyze", "--field=5,0,1", "--ell", "3"],
     "qsqrt-14_ell3": ["analyze", "--field=14,0,1", "--ell", "3"],
+    # these two pin the generator ideals of Cl(L) that the Smith transform
+    # picks: Cl(L) = (2, 2) with ker Nm0 = (2) and a proven "not principal"
+    # class, and Cl(L) = Z/8
+    "qsqrt-13_ell3": ["analyze", "--field=13,0,1", "--ell", "3"],
+    "qsqrt-41_ell3": ["analyze", "--field=41,0,1", "--ell", "3"],
     "q23_ell23": ["analyze", "--field", Q23, "--places", "23", "--ell", "23",
                   "--fixtures", os.path.join(FIXTURES, "q23.json")],
     "q23_hilbert_restrict": [

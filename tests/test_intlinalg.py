@@ -187,6 +187,14 @@ def test_kernel_canonical():
 # --- cokernel and groups --------------------------------------------------
 
 
+def test_diagonal_matrix():
+    assert IntMatrix.diagonal((2, 0, 6)) == IntMatrix.from_rows(
+        [[2, 0, 0], [0, 0, 0], [0, 0, 6]])
+    assert IntMatrix.diagonal(()) == IntMatrix.from_rows([])
+    assert IntMatrix.identity(3) == IntMatrix.diagonal((1, 1, 1))
+    assert cokernel(IntMatrix.diagonal((1, 2, 6))).group.torsion.invariant_factors == (2, 6)
+
+
 def test_cokernel_spec_example():
     ck = cokernel(IntMatrix.from_rows([[2, 1], [0, 3]]))
     assert ck.group.free_rank == 0

@@ -109,6 +109,27 @@ def test_relative_units_quartic_cm():
         t = t * u.torsion_gen
 
 
+@pytest.mark.parametrize("min_poly", ([5, 0, 1], [6, 1, 1], [2, 0, 1]))
+def test_quartic_cm_units_embed_the_real_subfield_without_a_root_search(
+        monkeypatch, min_poly):
+    # sqrt(s) of the real quadratic subfield is (2 zeta_3 + 1)(2 theta + b)/t;
+    # the one root left to search for is i (x^2 + 1), for the torsion
+    s = _setup(make_field(min_poly), [], 3)
+    searched = []
+    find_root = relative.find_root
+
+    def recorded(coeffs, field):
+        searched.append(tuple(c.is_rational_value() for c in coeffs))
+        return find_root(coeffs, field)
+
+    monkeypatch.setattr(relative, "find_root", recorded)
+    u = relative_unit_group(s)
+    assert searched == [(1, 0, 1)]
+    assert u.rank == 1 and u.torsion_order == 6
+    eta = u.free_gens[0]
+    assert abs(eta.norm()) == 1 and eta.is_integral()
+
+
 def test_relative_units_gaussian_ell3():
     # Q(i, zeta_3) = Q(zeta_12) has torsion of order 12
     k = quadratic_field(-1)

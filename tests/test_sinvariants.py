@@ -131,7 +131,7 @@ def _relation_digest(field):
 
     sinvariants._class_group_relations.cache_clear()
     _, rel_cols = sinvariants._class_group_relations(field)
-    entries = None if rel_cols is None else rel_cols.entries
+    entries = None if rel_cols is None else rel_cols.transpose().entries
     return hashlib.sha256(repr(entries).encode()).hexdigest()
 
 
@@ -158,48 +158,50 @@ def test_relation_search_computes_each_plus_minus_pair_once(monkeypatch):
     monkeypatch.setattr(pt, "poly_eval", recorded_eval)
     sinvariants._class_group_relations.cache_clear()
     gen_primes, rel_cols = sinvariants._class_group_relations(L)
-    # a search that also computed -x made 25,536 norms and these columns
+    # a search that also computed -x would make 25,536 norms; the lattice
+    # comes back as its 8 x 8 HNF
     assert len(points) == len(set(points)) == 25536 // 2
     assert all(next(c for c in coords if c) < 0 for coords in points)
-    assert (len(gen_primes), rel_cols.nrows, rel_cols.ncols) == (8, 8, 2330)
-    digest = hashlib.sha256(repr(rel_cols.entries).encode()).hexdigest()
-    assert digest == "b085adbc222135e57510ce9b44a710d9a4ae19fbeb2cdeab6f06a84b3b09615e"
+    assert (len(gen_primes), rel_cols.nrows, rel_cols.ncols) == (8, 8, 8)
+    digest = hashlib.sha256(repr(rel_cols.transpose().entries).encode()).hexdigest()
+    assert digest == "ae03d2de12820dc102bf04c998e297e09dd9ac8df64d27805d092518454c606c"
 
 
-# sha256 of repr(rel_cols.entries), recorded with the point-by-point search
-# (one norm-form evaluation per point) that the line kernel replaced
+# sha256 of the rows of the canonical HNF of the relation lattice, recorded
+# as hnf_canonical(rel_cols.transpose()) of the full relation stack that the
+# search returned before it kept only the HNF: the lattice is the same
 RELATION_DIGESTS = {
     -3: "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
     -4: "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
     -7: "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
     -8: "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
     -11: "8349bb5d2d44e8d655364829a2ce742165d10f6cb3966ecc05e35fb83ab9f28c",
-    -15: "55aca5bea02ba88edb00924631a0632eaa5016a0873613b380467186dbab9bdb",
+    -15: "5ae3b71bb92e23f400384bf27882f8cfabd904339a838dd4c6dc21f893b0f841",
     -19: "8349bb5d2d44e8d655364829a2ce742165d10f6cb3966ecc05e35fb83ab9f28c",
     -20: "a409626a1eadd36cd16820455496a65162e10ed3a3d7d84eecffcb20bcc73020",
-    -23: "98c7bb5e32f333123bd775d39f118c6188adc8ffdb22976d2abe3064ec0b1d3f",
-    -24: "960fcfafdc47fb9ee44361ad5882e40af4524db7c3af4c1ca0ea89b040a821e5",
-    -31: "041d565cbf9c361b05719b47c2c730a2e2ceb4987688243b525eb4a4102a612c",
-    -35: "7baa469ff8ddcc1f9858261c7c168639fc84eb9b187565ddeb6796d9fff11277",
-    -39: "cb8f00cd003979ed1a5f3c429ce770866a33d083fb37e76a3e3a13bf99fcc7de",
+    -23: "c647ac0dd6905cd89f56fecb88aff78300413284366c8bd0e93d288a9c981934",
+    -24: "5ae3b71bb92e23f400384bf27882f8cfabd904339a838dd4c6dc21f893b0f841",
+    -31: "ce43614fe03ecdc19c45c588313b832e44f4d8f2e2d7ffea4f61ee6fb5795ad6",
+    -35: "7487613874490d229258b69ba5027e70fb7008a4daf485912f6049c120e529a1",
+    -39: "7c1dc1db3414544a7079b56fa55a34a40eb52b965672c5caefff22fbed036c18",
     -40: "366948b58cab2e4b5547c91c636f4dfb67177b151090f9cb387f1ceb9444ca95",
     -43: "6080bf66f855b0f98ada9ba7c2e164e3e461d63997ddb9f347a7af461102cb96",
-    -47: "1a307055df37378c92b30f426d984171e719ca07862c596f1027c33fdf54dd50",
+    -47: "e1be9287e3ea02176341dec0943cf79067027f9c8f08f108e390b302f07d6b8a",
     -51: "29b0ca7fc9abc8dff39eafa33ec7309a15c8f2e67b99f7c971c580ecd89128be",
     -52: "366948b58cab2e4b5547c91c636f4dfb67177b151090f9cb387f1ceb9444ca95",
-    -55: "8610b5b1e54fc2b431feab2981ca0393e9cbd0e01bfb3787f7fa1fbd686a32af",
-    -56: "43629247ce21e706e39c540e26465f384b86b451ba24f643a7eff7dce210d38f",
-    -59: "6fcb16895bc5b7e376ccd7ea52ef74ae07b1f083b902fe0298055344a691d76b",
+    -55: "d50ac851e9cc7a36a55490e06dab688918cd8c3e0ccb1632e55fb48d09e6898b",
+    -56: "f174bb707dbcf9eb8275cabbce5e979c393aaf53e56c5d78e639751157558e4a",
+    -59: "02a72dbf82f0c588c6d0129d2dcde809cade48bc5964f5aaaf85deb6a346a8ae",
     -67: "66f4e13a0182c3b0206cedbd4ecb0528422c977d6e5f417ef63dfd843c937fe0",
-    -68: "57efabdfd67abc5b9e11b85cc9d80745fe7c5f329160560d271d1196e0fb0fa8",
-    -71: "dfb8fe8f8a005f45d48b37c0fd6e53deb3ff9596576b58377dec4b6292dd67d6",
-    -79: "302684b39514b827a9878711ae8057c2d9230154d30e2dd67985af0ecef4e503",
-    -83: "09fcbfd8a3e83ee10334f7d1d057a63db686f48a2059a83174c734120b81c54a",
-    -84: "c4126e19b2745713e8c34d0f861e9ae294f764ef6f7fbea11b220e504b865bdd",
-    -87: "37d550d448731912071fa1194cb67166f83165a9e4d74a3a3fb8d578f765581a",
+    -68: "b2a023f00749cfb03328dcf84be1309d88c5745c8dfb455be05cb01d24967335",
+    -71: "6c573bdc10046de8313c8f53818d23ce7b03743e652c727b0e98014f0dd0066e",
+    -79: "a87e0e7adb541a222dfbd79c1c0ab2063a4f38335e18424e0c9d13ed7819f968",
+    -83: "ae1a5f5aa08d4a7aa6106f1537bc3663c1e6c06c8014cfdf552f45ec42de459e",
+    -84: "0e6b1ef154fc31a08ca610cc334c5d0cd0e0e45f42fc79bd101fc4e2f5c8d7bd",
+    -87: "986d4d89d5f5ad3bc76bdefcc873503900aa22d2280764425db61a994532fa81",
     -88: "15a88a4aa5d8d2156b5ba831bc997f572a4edec1832e8ebd70878f4d6db72c99",
-    -91: "fba6714ff879d74c956445bc0fede2bdf8df4340bf7dd7f15b4ec1a3081a9c99",
-    -95: "01998d8799395b32ce14d6990d9d3aa6938de88b4a5f2e2325718653e87845bb",
+    -91: "9748f7b9bfe6af338fb61d912608acbd77cdb1c49a868296fb924dd4616dd497",
+    -95: "d05853bdb3d17a61a022240f97a4b814d7b1ce04360bceb710cf03b67f0ba8c3",
 }
 
 
@@ -216,8 +218,8 @@ def test_relation_columns_of_imaginary_quadratic_fields(disc):
 
 
 QUARTIC_RELATION_DIGESTS = {  # K = Q(sqrt d), L = K(zeta_3)
-    -2: "d39cffe87cf569dc429871b2c2da74dc6da77218dc7a87f3c97d9241747b7009",
-    -14: "00e069d3db14988559c6c0dbf221e574e4d2eefa6e34fe16e4d636eb620fcc30",
+    -2: "66f4e13a0182c3b0206cedbd4ecb0528422c977d6e5f417ef63dfd843c937fe0",
+    -14: "068fc16586b5c55d1cf78466750e2e211d3669f0f11575a5e2758ce238eec3b1",
 }
 
 
@@ -240,8 +242,32 @@ def test_relation_search_makes_no_membership_tests(monkeypatch):
     sinvariants._class_group_relations.cache_clear()
     gen_primes, rel_cols = sinvariants._class_group_relations(quadratic_field(-14))
     assert calls == []
-    # more relations than the seeded (p) per rational prime
-    assert rel_cols.ncols > len({pr.p for pr in gen_primes})
+    # a full-rank square HNF, one column per generator prime: more columns
+    # than the seeded (p) per rational prime
+    k = len(gen_primes)
+    assert rel_cols.nrows == rel_cols.ncols == k > len({pr.p for pr in gen_primes})
+
+
+def test_class_group_takes_no_smith_form_of_a_wide_matrix(monkeypatch):
+    # the cokernel runs on the k x k relation HNF, never on the k x R stack
+    # of raw relations (8 x 2330 for this L)
+    from sl2tate import intlinalg, sinvariants
+    from sl2tate.numberfield import composite_field
+
+    L, _, _ = composite_field(quadratic_field(-5), cyclotomic_field(3))
+    shapes = []
+    snf_with_transforms = intlinalg.snf_with_transforms
+
+    def recorded(m):
+        shapes.append((m.nrows, m.ncols))
+        return snf_with_transforms(m)
+
+    monkeypatch.setattr(intlinalg, "snf_with_transforms", recorded)
+    sinvariants._class_group_relations.cache_clear()
+    cl = class_group(L, PlaceSet.make(L))
+    assert cl.group == FiniteAbelianGroup((2,))
+    assert all(ncols <= nrows for nrows, ncols in shapes)
+    assert (8, 8) in shapes
 
 
 def test_minkowski_bound():
@@ -440,6 +466,22 @@ def test_ingest_wrong_rank_rejected():
         "unit_group": {"rank": 10, "torsion_order": 46},
     }
     with pytest.raises(ConsistencyFailure):
+        ingest_backend(store, doc)
+
+
+@pytest.mark.parametrize("gen", ([0, 0], [3, 0]))
+def test_ingest_rejects_a_free_generator_that_is_not_an_s_unit(gen):
+    # norms 0 and 9 over Q(i) with S = {2}; 0 must not hang the stripping of
+    # the S-primes
+    store = BackendStore()
+    doc = {
+        "schema": "sl2tate-fixture-1",
+        "trust": "synthetic",
+        "field": {"min_poly": [1, 0, 1]},
+        "places": [2],
+        "unit_group": {"rank": 1, "torsion_order": 4, "free_gens": [gen]},
+    }
+    with pytest.raises(ConsistencyFailure, match="not an S-unit"):
         ingest_backend(store, doc)
 
 
