@@ -20,8 +20,9 @@ from math import gcd, isqrt, lcm
 
 from . import polytools as pt
 from .errors import NotInvertible, SearchExhausted, verify
-from .intlinalg import IntMatrix, hnf_canonical, hnf_solve, inverse_rational, kernel_mod
-from .numberfield import NFElement, NumberField, _eval_poly_at, combine_rows
+from .intlinalg import (IntMatrix, combine_rows, hnf_canonical, hnf_solve, inverse_rational,
+                        kernel_mod)
+from .numberfield import NFElement, NumberField, _eval_poly_at
 
 
 class FractionalIdeal:

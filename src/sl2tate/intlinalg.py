@@ -46,22 +46,32 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class IntMatrix:
+    """Integer matrix stored by rows.  The width is stored too, so an r x 0
+    or 0 x c matrix keeps its shape through every operation."""
     entries: tuple[tuple[int, ...], ...]
+    ncols: int
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        rows = [tuple(int(x) for x in r) for r in rows]
-        if rows:
-            n = len(rows[0])
-            if any(len(r) != n for r in rows):
-                raise ValueError("ragged rows")
-        return IntMatrix(tuple(rows))
+        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        n = len(rows[0]) if rows else 0
+        if any(len(r) != n for r in rows):
+            raise ValueError("ragged rows")
+        return IntMatrix(rows, n)
+
+    @staticmethod
+    def from_cols(cols: Sequence[Sequence[int]], nrows: int) -> "IntMatrix":
+        """The nrows x len(cols) matrix with the given columns."""
+        cols = [tuple(int(x) for x in c) for c in cols]
+        if any(len(c) != nrows for c in cols):
+            raise ValueError("column length differs from nrows")
+        return IntMatrix(tuple(zip(*cols)) if cols else ((),) * nrows, len(cols))
 
     @staticmethod
     def diagonal(factors: Sequence[int]) -> "IntMatrix":
         n = len(factors)
         return IntMatrix(tuple(tuple(int(d) if i == j else 0 for j in range(n))
-                               for i, d in enumerate(factors)))
+                               for i, d in enumerate(factors)), n)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -70,10 +80,6 @@ class IntMatrix:
     @property
     def nrows(self) -> int:
         return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
 
     def __getitem__(self, ij):
         i, j = ij
@@ -86,7 +92,8 @@ class IntMatrix:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)) if self.entries else ())
+        return IntMatrix(tuple(zip(*self.entries)) if self.entries else ((),) * self.ncols,
+                         self.nrows)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
@@ -96,12 +103,11 @@ class IntMatrix:
             tuple(
                 tuple(sum(a * b for a, b in zip(row, col)) for col in ot.entries)
                 for row in self.entries
-            )
+            ),
+            other.ncols,
         )
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
-        if self.nrows == 0:
-            return ()
         if len(v) != self.ncols:
             raise ValueError("shape mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
@@ -109,7 +115,8 @@ class IntMatrix:
     def augment(self, other: "IntMatrix") -> "IntMatrix":
         if self.nrows != other.nrows:
             raise ValueError("shape mismatch")
-        return IntMatrix(tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return IntMatrix(tuple(a + b for a, b in zip(self.entries, other.entries)),
+                         self.ncols + other.ncols)
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -204,13 +211,13 @@ def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     rows = [list(r) for r in M.entries]
     track = [list(r) for r in IntMatrix.identity(M.nrows).entries]
     _hnf_rows(rows, track)
-    return IntMatrix.from_rows(rows), IntMatrix.from_rows(track)
+    return IntMatrix(tuple(map(tuple, rows)), M.ncols), IntMatrix.from_rows(track)
 
 
 def hnf_canonical(M: IntMatrix) -> IntMatrix:
     """HNF with zero rows dropped: the canonical basis of the row lattice."""
     rows = [list(r) for r in M.entries]
-    return IntMatrix.from_rows(rows[:_hnf_rows(rows)])
+    return IntMatrix(tuple(map(tuple, rows[:_hnf_rows(rows)])), M.ncols)
 
 
 def rank(M: IntMatrix) -> int:
@@ -313,10 +320,8 @@ def kernel(M: IntMatrix) -> IntMatrix:
     """Canonical basis (rows, in HNF) of {v : M v = 0}.  Saturated by
     construction since it comes from a unimodular transform."""
     ht, ut = hnf(M.transpose())
-    vecs = [ut.row(i) for i in range(ht.nrows) if all(x == 0 for x in ht.row(i))]
-    if not vecs:
-        return IntMatrix.from_rows([])
-    return hnf_canonical(IntMatrix.from_rows(vecs))
+    vecs = tuple(ut.row(i) for i in range(ht.nrows) if not any(ht.row(i)))
+    return hnf_canonical(IntMatrix(vecs, M.ncols))
 
 
 def solve_integer(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
@@ -404,7 +409,7 @@ def cokernel(M: IntMatrix) -> Cokernel:
     # new generators: columns of U^-1 (solve U * g_i = e_i exactly)
     uinv = _unimodular_inverse(u)
     gens = tuple(uinv.col(i) for i in keep)
-    basis_change = IntMatrix.from_rows([u.row(i) for i in keep])
+    basis_change = IntMatrix(tuple(u.row(i) for i in keep), n)
     group = FinGenAbGroup(free, FiniteAbelianGroup(torsion))
     return Cokernel(group, basis_change, factors, gens)
 
@@ -427,8 +432,6 @@ def _unimodular_inverse(u: IntMatrix) -> IntMatrix:
 
 def presented_hom_cokernel(T: IntMatrix, R_target: IntMatrix) -> Cokernel:
     """Cokernel of the induced map: target / (image + target relations)."""
-    if R_target.ncols == 0:
-        return cokernel(T)
     return cokernel(T.augment(R_target))
 
 
@@ -440,47 +443,27 @@ def presented_hom_kernel(
     Returns the abstract kernel and source-coordinate vectors generating it.
     """
     k = T.ncols  # number of source generators
-    # x in ker iff T x lies in colspan(R_target): solve [T | R_target] (x, y) = 0
-    big = T.augment(R_target) if R_target.ncols else T
-    kern = kernel(big)
-    lat_rows = [kern.row(i)[:k] for i in range(kern.nrows)]
-    # source relations always sit inside the kernel lattice
-    lat_rows += [R_source.col(j) for j in range(R_source.ncols)]
-    lat = hnf_canonical(IntMatrix.from_rows([r for r in lat_rows if any(r)]))
-    if lat.nrows == 0:
-        return FinGenAbGroup(0, FiniteAbelianGroup(())), ()
+    # x in ker iff T x lies in colspan(R_target): solve [T | R_target] (x, y) = 0;
+    # the source relations always sit inside the kernel lattice
+    kern = kernel(T.augment(R_target))
+    lat = hnf_canonical(IntMatrix(
+        tuple(r[:k] for r in kern.entries) + R_source.transpose().entries, k))
     # kernel group = lat / colspan(R_source), presented on lat's basis
-    if R_source.ncols:
-        coords = [hnf_solve(lat, R_source.col(j)) for j in range(R_source.ncols)]
-        verify(None not in coords, "source relations lie in the kernel lattice")
-        rel_in_lat = IntMatrix.from_rows(coords).transpose()
-    else:
-        rel_in_lat = IntMatrix.from_rows([[] for _ in range(lat.nrows)])
-    ck = cokernel(rel_in_lat)
-    gens = []
-    for g in ck.generators:
-        # g is in lat-basis coordinates; expand to source coordinates
-        vec = [0] * k
-        for coeff, row in zip(g, lat.entries):
-            for j in range(k):
-                vec[j] += coeff * row[j]
-        gens.append(tuple(vec))
-    return ck.group, tuple(gens)
+    coords = [hnf_solve(lat, R_source.col(j)) for j in range(R_source.ncols)]
+    verify(None not in coords, "source relations lie in the kernel lattice")
+    ck = cokernel(IntMatrix.from_cols(coords, lat.nrows))
+    # generators are in lat-basis coordinates; expand to source coordinates
+    return ck.group, tuple(tuple(combine_rows(g, lat.entries)) for g in ck.generators)
 
 
-def subgroup_quotient(factors: Sequence[int], vectors: Sequence[Sequence[int]]) -> Cokernel:
-    """Quotient of prod Z/factors (0 = free factor Z) by the subgroup the
-    given coordinate vectors generate."""
-    n = len(factors)
-    cols = [list(v) for v in vectors]
-    for i, d in enumerate(factors):
-        if d:
-            cols.append([d if j == i else 0 for j in range(n)])
-    if cols:
-        m = IntMatrix.from_rows([[c[i] for c in cols] for i in range(n)])
-    else:
-        m = IntMatrix.from_rows([[] for _ in range(n)])
-    return cokernel(m)
+def combine_rows(coeffs, rows) -> list[int]:
+    """sum_j coeffs[j] * rows[j] over the integers (rows non-empty)."""
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            for i, x in enumerate(row):
+                out[i] += c * x
+    return out
 
 
 # ---------------------------------------------------------------------------

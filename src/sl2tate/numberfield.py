@@ -31,7 +31,7 @@ from .errors import (
     ReduciblePolynomial,
     verify,
 )
-from .intlinalg import IntMatrix, inverse_rational, rref_rational, solve_rational
+from .intlinalg import IntMatrix, combine_rows, inverse_rational, rref_rational, solve_rational
 
 
 class NumberField:
@@ -220,16 +220,6 @@ class NumberField:
 
     def __hash__(self):
         return hash((self.min_poly, self.basis))
-
-
-def combine_rows(coeffs, rows) -> list[int]:
-    """sum_j coeffs[j] * rows[j] over the integers."""
-    out = [0] * len(rows[0])
-    for c, row in zip(coeffs, rows):
-        if c:
-            for i, x in enumerate(row):
-                out[i] += c * x
-    return out
 
 
 def _poly_matrix_det(entry, n):

@@ -364,7 +364,7 @@ def _norm_maps_field(setup, uk, ck, prov, store) -> NormMapsData:
             nm = g * setup.sigma.map(g)
             t, e = uk.dlog(pullback(setup.embed, nm))
             cols.append((t,) + tuple(e))
-        nm1 = IntMatrix.from_rows([[c[i] for c in cols] for i in range(nk)])
+        nm1 = IntMatrix.from_cols(cols, nk)
         prov["nm1"] = "computed" if ul.provenance == "computed" else ul.provenance
     else:
         nm1 = _asserted_nm1(setup, store, nk, nl)
@@ -377,22 +377,18 @@ def _norm_maps_field(setup, uk, ck, prov, store) -> NormMapsData:
     ker, ker_gens = presented_hom_kernel(rel_l, nm1, rel_k)
 
     # Nm0 on class-group generators of L
-    nfac_l = len(cl.group.invariant_factors)
-    nfac_k = len(ck.group.invariant_factors)
     rel0_l = IntMatrix.diagonal(cl.group.invariant_factors)
     rel0_k = IntMatrix.diagonal(ck.group.invariant_factors)
-    if nfac_l == 0:
-        nm0 = IntMatrix.from_rows([[] for _ in range(nfac_k)])
-        ker0, ker0_gens = FiniteAbelianGroup(()), ()
-    else:
-        cols = []
-        for g in cl.generator_ideals:
-            img = relative_ideal_norm(setup, g)
-            cols.append(ck.dlog(img))
-        nm0 = IntMatrix.from_rows([[c[i] for c in cols] for i in range(nfac_k)])
-        kg, ker0_gens = presented_hom_kernel(rel0_l, nm0, rel0_k)
-        verify(kg.free_rank == 0, "kernel of the class norm map must be finite")
-        ker0 = kg.torsion
+    nm0 = IntMatrix.from_cols([ck.dlog(relative_ideal_norm(setup, g))
+                               for g in cl.generator_ideals], rel0_k.nrows)
+    kg, ker0_gens = presented_hom_kernel(rel0_l, nm0, rel0_k)
+    verify(kg.free_rank == 0, "kernel of the class norm map must be finite")
+    ker0 = kg.torsion
+    # exactness of 0 -> ker -> Cl(L_S) -> Cl(K_S) -> coker -> 0
+    coker0 = presented_hom_cokernel(nm0, rel0_k).group
+    verify(coker0.free_rank == 0 and ker0.order * ck.group.order
+           == cl.group.order * coker0.torsion_order,
+           "|ker Nm0| * |Cl(K_S)| must equal |Cl(L_S)| * |coker Nm0|")
     prov["nm0"] = "computed" if cl.provenance == "computed" else cl.provenance
     return NormMapsData(setup, uk, ck, ul, cl, nm1, ker, ker_gens, coker,
                         nm0, ker0, ker0_gens, prov)
@@ -407,7 +403,7 @@ def _asserted_nm1(setup, store, nk, nl) -> IntMatrix:
             cols = doc["norm_images"]["nm1"]
             if len(cols) != nl or any(len(c) != nk for c in cols):
                 raise ConsistencyFailure("nm1 image table has wrong shape")
-            return IntMatrix.from_rows([[c[i] for c in cols] for i in range(nk)])
+            return IntMatrix.from_cols(cols, nk)
     raise NeedsBackendData(
         "unit norm map needs explicit unit elements or fixture-supplied images")
 
@@ -596,11 +592,7 @@ def _express_in_kernel(norms: NormMapsData, ambient_coords) -> list:
     """Coordinates of a ker_nm0 member in the kernel generators."""
     gens = norms.ker_nm0_gens
     factors = norms.class_l.group.invariant_factors
-    if not gens:
-        verify(all(c % d == 0 for c, d in zip(ambient_coords, factors)),
-               "conjugate class must stay in ker Nm0")
-        return []
-    m = IntMatrix.from_rows(gens).transpose().augment(IntMatrix.diagonal(factors))
+    m = IntMatrix.from_cols(gens, len(factors)).augment(IntMatrix.diagonal(factors))
     sol = solve_integer(m, list(ambient_coords))
     verify(sol is not None, "conjugate class must stay in ker Nm0")
     x = sol[:len(gens)]
@@ -611,10 +603,8 @@ def _express_in_kernel(norms: NormMapsData, ambient_coords) -> list:
 def _coker_rep(norms: NormMapsData, coords) -> NFElement:
     """A unit of K representing the given coker_nm1 coset."""
     uk = norms.unit_k
-    amb = [0] * (1 + len(uk.free_gens))
-    for c, gvec in zip(coords, norms.coker_nm1.generators):
-        for i, g in enumerate(gvec):
-            amb[i] += c * g
+    gens = IntMatrix.from_cols(norms.coker_nm1.generators, 1 + len(uk.free_gens))
+    amb = gens.apply(coords)
     u = uk.torsion_gen ** amb[0]
     for g, e in zip(uk.free_gens, amb[1:]):
         if e:

@@ -42,11 +42,12 @@ from .intlinalg import (
     FinGenAbGroup,
     IntMatrix,
     cokernel,
+    combine_rows,
     hnf_canonical,
-    kernel,
+    presented_hom_cokernel,
+    presented_hom_kernel,
     solve_integer,
     solve_rational,
-    subgroup_quotient,
     xgcd,
 )
 from .numberfield import NFElement, NumberField
@@ -325,8 +326,7 @@ def _class_group_relations(field: NumberField):
 
 
 def _finish_class_group(field, places, gen_primes, rel_cols) -> ClassGroupData:
-    k = len(gen_primes)
-    if k == 0:
+    if not gen_primes:
         group = FiniteAbelianGroup(())
         return ClassGroupData(field, places, group, (), "computed", lambda ideal: ())
 
@@ -353,7 +353,8 @@ def _finish_class_group(field, places, gen_primes, rel_cols) -> ClassGroupData:
 
     # S-quotient: kill the classes of the S-primes
     s_coords = [ck.project(exponents_of(pr.ideal)) for pr in places.prime_ideals]
-    sub = subgroup_quotient(list(ck.factors), s_coords)
+    sub = presented_hom_cokernel(IntMatrix.from_cols(s_coords, len(ck.factors)),
+                                 IntMatrix.diagonal(ck.factors))
     verify(sub.group.free_rank == 0, "the S-class group is finite")
     group = sub.group.torsion
 
@@ -363,10 +364,7 @@ def _finish_class_group(field, places, gen_primes, rel_cols) -> ClassGroupData:
     gens = []
     for gvec in sub.generators:
         # pull back: sub generator -> ck generator coords -> prime exponents
-        exp = [0] * k
-        for coeff, amb in zip(gvec, ck.generators):
-            for i in range(k):
-                exp[i] += coeff * amb[i]
+        exp = combine_rows(gvec, ck.generators)
         gens.append(FractionalIdeal.product(
             field, ((pr.ideal, e) for pr, e in zip(gen_primes, exp))))
     return ClassGroupData(field, places, group, tuple(gens), "computed", dlog)
@@ -485,21 +483,17 @@ def _s_unit_generators(field: NumberField, places: PlaceSet) -> list[NFElement]:
     no_s = PlaceSet(field, (), ())
     cl = class_group(field, no_s)
     k = len(places.prime_ideals)
-    if cl.group.is_trivial:
-        lattice = IntMatrix.identity(k)
-    else:
-        coords = [cl.dlog(pr.ideal) for pr in places.prime_ideals]
-        nf = len(cl.group.invariant_factors)
-        t = IntMatrix.from_rows([[c[i] for c in coords] for i in range(nf)])
-        kern = kernel(t.augment(IntMatrix.diagonal(cl.group.invariant_factors)))
-        lattice = hnf_canonical(
-            IntMatrix.from_rows([list(kern.row(i)[:k]) for i in range(kern.nrows)])
-        )
-    verify(lattice.nrows == k, "the valuation lattice of S-units has full rank")
+    factors = cl.group.invariant_factors
+    t = IntMatrix.from_cols([cl.dlog(pr.ideal) for pr in places.prime_ideals], len(factors))
+    # Z^{S_f} has no relations, so the kernel is generated by the rows of the
+    # canonical HNF of the valuation lattice
+    _, lattice = presented_hom_kernel(IntMatrix.from_cols([], k), t,
+                                      IntMatrix.diagonal(factors))
+    verify(len(lattice) == k, "the valuation lattice of S-units has full rank")
     gens = []
-    for i in range(lattice.nrows):
+    for row in lattice:
         ideal = FractionalIdeal.product(
-            field, ((pr.ideal, e) for pr, e in zip(places.prime_ideals, lattice.row(i))))
+            field, ((pr.ideal, e) for pr, e in zip(places.prime_ideals, row)))
         gens.append(principal_generator(ideal))
     return gens
 
@@ -558,9 +552,7 @@ def _unit_dlog(data: UnitGroupData, u: NFElement) -> tuple[int, tuple[int, ...]]
         uval = [FractionalIdeal.principal(field, u).valuation(pr) for pr in prs]
         gval = [[FractionalIdeal.principal(field, g).valuation(pr) for pr in prs]
                 for g in data.free_gens]
-        mat = IntMatrix.from_rows([[gval[j][i] for j in range(len(data.free_gens))]
-                                   for i in range(len(prs))])
-        sol = solve_integer(mat, uval)
+        sol = solve_integer(IntMatrix.from_cols(gval, len(prs)), uval)
         if sol is None:
             raise ValueError("element is not an S-unit for this place set")
         exps = list(sol)

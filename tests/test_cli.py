@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
+from sl2tate import relative
 from sl2tate.classify import class_pipeline
 from sl2tate.cli import EXIT_CONSISTENCY, EXIT_INPUT, EXIT_UNSUPPORTED, int_list, main
+from sl2tate.intlinalg import FiniteAbelianGroup, FinGenAbGroup
 from sl2tate.numberfield import make_field
 from sl2tate.relative import build_setup
 from sl2tate.sinvariants import PlaceSet
@@ -146,6 +148,18 @@ def test_consistency_failure_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2
     assert all(line.startswith("consistency check failed: ") for line in err)
+
+
+def test_lost_ker_nm0_fails_the_exactness_check(tmp_path, capsys, monkeypatch):
+    # Q(sqrt 13) at ell = 3 has ker Nm0 = Cl(L) = Z/2 and Cl(K) = 1; a
+    # kernel routine that loses it must end in exit 7, not in a report
+    trivial = (FinGenAbGroup(0, FiniteAbelianGroup(())), ())
+    monkeypatch.setattr(relative, "presented_hom_kernel", lambda *args: trivial)
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--field=-13,0,1", "--ell", "3",
+                 "--out", str(out)]) == EXIT_CONSISTENCY
+    assert capsys.readouterr().err.startswith("consistency check failed: |ker Nm0|")
+    assert not out.exists()
 
 
 def test_unsupported_case_exit_code(tmp_path, capsys):

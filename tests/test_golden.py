@@ -31,6 +31,9 @@ CASES = {
     # class, and Cl(L) = Z/8
     "qsqrt-13_ell3": ["analyze", "--field=13,0,1", "--ell", "3"],
     "qsqrt-41_ell3": ["analyze", "--field=41,0,1", "--ell", "3"],
+    # real quadratic with Cl(K) = 1: Nm0 maps Cl(L) = Z/2 to the trivial
+    # group, so ker Nm0 is all of Cl(L)
+    "qsqrt13_ell3": ["analyze", "--field=-13,0,1", "--ell", "3"],
     "q23_ell23": ["analyze", "--field", Q23, "--places", "23", "--ell", "23",
                   "--fixtures", os.path.join(FIXTURES, "q23.json")],
     "q23_hilbert_restrict": [

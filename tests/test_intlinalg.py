@@ -23,7 +23,6 @@ from sl2tate.intlinalg import (
     snf_with_transforms,
     solve_integer,
     solve_rational,
-    subgroup_quotient,
     xgcd,
 )
 
@@ -184,6 +183,56 @@ def test_kernel_canonical():
     assert k.nrows == 2
 
 
+# --- shapes: r x 0 and 0 x c matrices keep their width -------------------
+
+DIMS = st.integers(0, 4)
+
+
+def shaped(nr, nc):
+    """nr x nc matrices, built from columns so that no shape is lost."""
+    return st.lists(st.lists(st.integers(-6, 6), min_size=nr, max_size=nr),
+                    min_size=nc, max_size=nc).map(lambda cols: IntMatrix.from_cols(cols, nr))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_shapes_survive_transpose_augment_and_product(data):
+    nr, nc, nc2 = data.draw(DIMS), data.draw(DIMS), data.draw(DIMS)
+    m, n = data.draw(shaped(nr, nc)), data.draw(shaped(nr, nc2))
+    assert (m.nrows, m.ncols) == (nr, nc)
+    assert (m.transpose().nrows, m.transpose().ncols) == (nc, nr)
+    assert m.transpose().transpose() == m
+    assert m.augment(n).ncols == nc + nc2
+    assert (m.transpose() * n).ncols == nc2
+    assert hnf(m)[0].ncols == hnf_canonical(m).ncols == nc
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kernel_keeps_the_width(data):
+    m = data.draw(shaped(data.draw(DIMS), data.draw(DIMS)))
+    k = kernel(m)
+    assert k.ncols == m.ncols
+    assert k.nrows == m.ncols - rank(m)
+    assert all(not any(m.apply(v)) for v in k.entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_presented_homs_with_an_empty_side(data):
+    k, m = data.draw(DIMS), data.draw(DIMS)
+    r = data.draw(shaped(k, m))
+    # every element maps into the trivial group: the kernel is the source
+    group, gens = presented_hom_kernel(r, IntMatrix.from_cols([()] * k, 0),
+                                       IntMatrix.from_cols([], 0))
+    assert group == cokernel(r).group
+    assert all(len(g) == k for g in gens)
+    # no source generators: the cokernel is the target
+    ck = presented_hom_cokernel(IntMatrix.from_cols([], k), r)
+    assert ck.group == cokernel(r).group
+    assert ck.basis_change.ncols == k
+
+
 # --- cokernel and groups --------------------------------------------------
 
 
@@ -240,9 +289,9 @@ def test_finite_abelian_group_basics():
         FiniteAbelianGroup((4, 6))  # not a divisibility chain
 
 
-def test_subgroup_quotient_and_membership():
+def test_quotient_by_subgroup_and_membership():
     # Z/4 x Z/8 modulo <(2, 0)>: x lies in the subgroup iff it projects to 0
-    ck = subgroup_quotient([4, 8], [[2, 0]])
+    ck = presented_hom_cokernel(IntMatrix.from_cols([[2, 0]], 2), IntMatrix.diagonal((4, 8)))
     assert ck.group.torsion_order == 16
     zero = ck.project((0, 0))
     assert ck.project((2, 0)) == zero

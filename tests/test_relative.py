@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sl2tate import relative
+from sl2tate.classify import class_pipeline, element_class_count
 from sl2tate.errors import RegularityViolated
 from sl2tate.ideals import FractionalIdeal, factor_rational_prime
 from sl2tate.numberfield import cyclotomic_field, make_field, quadratic_field
@@ -91,6 +92,24 @@ def test_norm_maps_rational_ell3():
     assert nm.coker_nm1_group.invariant_factors == (2,)
     assert nm.ker_nm0.invariant_factors == ()
     assert inert_place_count(s) == 1  # the real place becomes complex
+
+
+@pytest.mark.parametrize("min_poly, primes, cl_l, elements", [
+    ([-13, 0, 1], [], (2,), 8),   # Q(sqrt 13)
+    ([-29, 0, 1], [], (3,), 12),  # Q(sqrt 29)
+    ([-37, 0, 1], [], (4,), 16),  # Q(sqrt 37)
+    ([5, 0, 1], [2], (2,), 4),    # Q(sqrt -5), S = {2}
+])
+def test_ker_nm0_is_all_of_cl_l_when_cl_k_is_trivial(min_poly, primes, cl_l, elements):
+    # Cl(K_S) = 1, so Nm0 maps Cl(L_S) to the trivial group: a 0 x k matrix
+    # whose kernel is the whole source
+    s = _setup(make_field(min_poly), primes, 3)
+    pipeline = class_pipeline(s)
+    nm = pipeline.norms
+    assert nm.class_k.group.is_trivial
+    assert nm.class_l.group.invariant_factors == cl_l
+    assert nm.ker_nm0.invariant_factors == cl_l
+    assert element_class_count(pipeline.classes) == elements
 
 
 def test_relative_units_quartic_cm():
