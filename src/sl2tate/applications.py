@@ -13,7 +13,7 @@ from .errors import EmbeddingInvalid, NeedsBackendData, verify
 from .numberfield import NumberField, _eval_poly_at, make_field
 from .relative import RelativeSetup, build_setup
 from .classify import class_pipeline, element_class_count
-from .sinvariants import PlaceSet
+from .sinvariants import PlaceSet, schema_entry
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +199,20 @@ def restriction_scenario(doc: dict, store=None) -> RestrictionReport:
     """Fixture-driven restriction when the target field is out of reach
     (e.g. a Hilbert class field): the fixture supplies the relative degree
     and the capitulation of the source classes."""
-    src = doc["source"]
-    field_k = make_field(src["min_poly"], label=src.get("label"))
-    places = PlaceSet.make(field_k, src.get("places", []))
-    src_res = class_pipeline(build_setup(field_k, places, src["ell"]),
-                             store=store)
-    tgt = doc["target"]
-    degree = tgt["relative_degree"]
+    min_poly = schema_entry(doc, "source.min_poly", list)
+    ell = schema_entry(doc, "source.ell", int)
+    degree = schema_entry(doc, "target.relative_degree", int)
+    src, tgt = doc["source"], doc["target"]
+    primes = schema_entry(doc, "source.places", list) if "places" in src else []
+    tgt_group = schema_entry(doc, "target.class_group", dict) if "class_group" in tgt else {}
+    field_k = make_field(min_poly, label=src.get("label"))
+    places = PlaceSet.make(field_k, primes)
+    src_res = class_pipeline(build_setup(field_k, places, ell), store=store)
     notes = [f"target {tgt.get('label', '?')} ingested; embedding "
              f"{tgt.get('embedding', 'asserted')}"]
     if doc.get("capitulation") != "all":
         raise NeedsBackendData("scenario must state the capitulation map")
-    if tgt.get("class_group", {}).get("invariant_factors"):
+    if tgt_group.get("invariant_factors"):
         raise NeedsBackendData("capitulation 'all' needs a trivial target "
                                "class group")
     # trivial target class group: a single invariant target class

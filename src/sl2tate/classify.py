@@ -152,7 +152,7 @@ def representative_matrix(element: OrientedElement, setup: RelativeSetup,
             raise SearchExhausted(
                 "ingested class has no ideal representative")
         g = principal_generator(
-            element.ideal, s_prime_ideals=setup.rel_places.prime_ideals)
+            element.ideal, setup.rel_places.rational_primes)
         basis = (g, setup.zeta * g)
     columns = [coordinates_over_k(setup.embed, basis, setup.zeta * v) for v in basis]
     if None in columns:

@@ -199,9 +199,8 @@ def cmd_restrict(args) -> int:
     store = _load_fixtures(args.fixtures)
     if args.scenario:
         scenario = _read_json(args.scenario)
-        if scenario.get("kind") != "restriction-scenario":
-            raise SchemaViolation("scenario file must have kind "
-                                  "restriction-scenario")
+        if not isinstance(scenario, dict) or scenario.get("kind") != "restriction-scenario":
+            raise SchemaViolation("scenario file must be an object of kind restriction-scenario")
         rep = restriction_scenario(scenario, store=store)
         ell = scenario["source"]["ell"]
     else:

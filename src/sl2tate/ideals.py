@@ -7,7 +7,9 @@ positive integer, the ideal being (1/den) * rowlattice(num).
 
 Inverses go through the trace dual, I^-1 = (I O^v)^v with the codifferent
 O^v.  The primes above p come from Kummer-Dedekind when some generator has
-index prime to p, else from the idempotents of O/pO.
+index prime to p, else from the idempotents of O/pO.  Every bounded search
+walks shells of coefficient boxes through search_elements; smooth_element
+accepts a point by its norm alone, with no ideal arithmetic.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from . import polytools as pt
 from .errors import NotInvertible, SearchExhausted, verify
@@ -103,12 +105,6 @@ class FractionalIdeal:
 
     def contains(self, el: NFElement) -> bool:
         return self.contains_coords(el.basis_coords())
-
-    def element_ideal(self, coords) -> "FractionalIdeal":
-        """The principal ideal of the element coords / den, for integer
-        coordinates such as those search_elements yields."""
-        return FractionalIdeal(self.field, IntMatrix.from_rows(
-            self.field.int_mult_rows(coords)), self.den)
 
     def __eq__(self, other):
         return (isinstance(other, FractionalIdeal) and self.field == other.field
@@ -211,6 +207,10 @@ class PrimeIdeal:
         system = [col for w in self.ideal.num.entries
                   for col in zip(*field.int_mult_rows(w))]
         return field.int_mult_rows(kernel_mod(system, self.p, field.degree)[0])
+
+    def valuation(self, el: NFElement) -> int:
+        """v_P of the nonzero field element el = num / den."""
+        return self.valuation_coords(el.num) - self.e * _rational_valuation(el.den, self.p)
 
     def valuation_coords(self, coords) -> int:
         """v_P of the nonzero integral element with these integer
@@ -390,51 +390,63 @@ def box_lines(n: int, inner: int, outer: int):
             yield prefix, above
 
 
+# Each search asks a question that holds for -x when it holds for x, and for
+# y when it holds for k*y (k > 1).  So the walk skips the positive line of
+# each +- pair and every non-primitive vector, and the first answer stays
+# that of a walk over every point: -x comes first in lexicographic order, and
+# k*y lies in a later shell than y since each box is at most twice the last.
 BOXES = (1, 2, 3, 5, 8, 13)
 
 
-def search_elements(ideal: FractionalIdeal, bounds=BOXES):
-    """Yield (coords, norm) over nonzero lattice combinations with
-    coefficients in growing boxes, in a deterministic order.  coords are the
-    integer integral-basis coordinates of den * x, norm = N(x); no field
-    element is built (see FractionalIdeal.element_ideal)."""
-    field = ideal.field
-    scale = ideal.den ** field.degree
-    prev = 0
-    for b in bounds:
-        for prefix, last in box_lines(field.degree, prev, b):
-            for t in last:
-                coords = combine_rows(prefix + (t,), ideal.num.entries)
-                yield coords, Fraction(field.norm_of_int_coords(coords), scale)
-        prev = b
-
-
-def principal_generator(ideal: FractionalIdeal, s_prime_ideals=()) -> NFElement:
-    """Find a generator of the ideal, exactly, or -- when S-primes are given --
-    up to S-units: (el) must equal ideal * (product of the S-primes to some
-    powers).  Raises SearchExhausted when the coefficient boxes run out."""
-    target = ideal.norm()
-    rational_s = sorted({pr.p for pr in s_prime_ideals})
-    inv = None
-    for coords, nrm in search_elements(ideal):
-        ratio = nrm / target
-        if pt.prime_to(abs(ratio.numerator) * ratio.denominator, rational_s) != 1:
+def search_elements(ideal: FractionalIdeal, inner: int, outer: int):
+    """Yield (coords, norm) for the primitive coefficient vectors on the HNF
+    basis in [-outer, outer]^n outside [-inner, inner]^n, the negative one
+    of each +- pair, in lexicographic order: coords of den * x on the
+    integral basis and the integer N(den * x).  The last HNF row is
+    (0, ..., 0, h), so up to degree 4 a line takes one norm polynomial."""
+    field, rows = ideal.field, ideal.num.entries
+    n, h = field.degree, rows[-1][-1]
+    zero = (0,) * n
+    horner = pt.poly_eval
+    for prefix, last in box_lines(n, inner, outer):
+        if prefix + (last[0],) > zero:
             continue
-        quot = ideal.element_ideal(coords)
-        if s_prime_ideals:
-            if inv is None:
-                inv = ideal.inverse()
-            quot = quot * inv
-            for pr in s_prime_ideals:
-                v = quot.valuation(pr)
-                if v:
-                    quot = quot * pr.ideal ** (-v)
-            accepted = quot == FractionalIdeal.unit(ideal.field)
-        else:
-            accepted = quot == ideal
-        if accepted:
-            return ideal.field.from_basis_coords(coords, ideal.den)
-    raise SearchExhausted(f"no principal generator in boxes up to {BOXES[-1]}")
+        head = combine_rows(prefix, rows)
+        start = head.pop()
+        g = gcd(*prefix)
+        line = field.norm_line(head) if n <= 4 else None
+        for t in last:
+            if gcd(g, t) > 1:
+                continue
+            c = start + t * h
+            coords = head + [c]
+            yield coords, (field.norm_of_int_coords(coords) if line is None
+                           else horner(line, c))
+
+
+def smooth_element(ideal: FractionalIdeal, primes):
+    """coords of den * x for the first x of the walk over BOXES whose
+    cofactor N(x)/N(I) = |N(den * x)| / det(num) is a product of the given
+    rational primes, or None.  Then (x) = I J with J integral of that norm
+    (Cohen GTM 138, 6.5): a product of primes above the given ones."""
+    det = prod(row[i] for i, row in enumerate(ideal.num.entries))
+    inner = 0
+    for outer in BOXES:
+        for coords, nrm in search_elements(ideal, inner, outer):
+            if pt.prime_to(abs(nrm) // det, primes) == 1:
+                return coords
+        inner = outer
+    return None
+
+
+def principal_generator(ideal: FractionalIdeal, s_primes=()) -> NFElement:
+    """x with (x) = ideal times primes above the rational primes s_primes
+    (exactly the ideal when there are none).  Raises SearchExhausted when
+    the coefficient boxes run out."""
+    coords = smooth_element(ideal, s_primes)
+    if coords is None:
+        raise SearchExhausted(f"no principal generator in boxes up to {BOXES[-1]}")
+    return ideal.field.from_basis_coords(coords, ideal.den)
 
 
 # ---------------------------------------------------------------------------

@@ -506,11 +506,9 @@ def _reduce_in_class(ideal: FractionalIdeal) -> FractionalIdeal:
     (gamma) I^-1 in the inverse class; repeating lands back in [I]."""
     cur = ideal
     for _ in range(2):
-        best = None
-        for coords, nrm in search_elements(cur, (2,)):
-            if best is None or abs(nrm) < abs(best[1]):
-                best = (coords, nrm)
-        cur = cur.element_ideal(best[0]) * cur.inverse()
+        coords, _ = min(search_elements(cur, 0, 2), key=lambda point: abs(point[1]))
+        gamma = cur.field.from_basis_coords(coords, cur.den)
+        cur = FractionalIdeal.principal(cur.field, gamma) * cur.inverse()
     return cur
 
 
@@ -532,7 +530,7 @@ def _ocg_field(setup, norms) -> OrientedClassGroup:
         if any(kc):
             ideal = _reduce_in_class(ideal)
         nm = relative_ideal_norm(setup, ideal)
-        g = principal_generator(nm, s_prime_ideals=setup.places.prime_ideals)
+        g = principal_generator(nm, setup.places.rational_primes)
         class_reps[tuple(kc)] = (ideal, g)
     sub_group = FiniteAbelianGroup(sub)
     elements = []
@@ -577,7 +575,7 @@ def _iota_field(ocg: OrientedClassGroup, el: OrientedElement) -> tuple:
     target = ocg.element((0,) * len(ocg.sub_factors) + kc2)
     # conj = (tau) * target.ideal as O_{L, S-tilde}-ideals
     diff = conj * target.ideal.inverse()
-    tau = principal_generator(diff, s_prime_ideals=setup.rel_places.prime_ideals)
+    tau = principal_generator(diff, setup.rel_places.rational_primes)
     ntau = pullback(embed, tau * sigma.map(tau))
     # orientation u*g of el transports to -u*g on conj (det sigma = -1),
     # which reads v = -u * g / (N(tau) * g') against the target generator

@@ -32,10 +32,10 @@ from .errors import (
 from .ideals import (
     FractionalIdeal,
     PrimeIdeal,
-    box_lines,
     factor_rational_prime,
     principal_generator,
     search_elements,
+    smooth_element,
 )
 from .intlinalg import (
     FiniteAbelianGroup,
@@ -265,22 +265,12 @@ def _class_group_relations(field: NumberField):
 
     def element_valuations(coords, norm_abs) -> list[int] | None:
         """Exponent vector of (alpha) over gen_primes, or None if not smooth."""
-        fac = {}
-        m = norm_abs
-        for p in rationals:
-            while m % p == 0:
-                fac[p] = fac.get(p, 0) + 1
-                m //= p
-        if m != 1:
+        if pt.prime_to(norm_abs, rationals) != 1:
             return None
-        vec = [0] * len(gen_primes)
-        for p, a_p in fac.items():
-            total = 0
-            for idx, pr in enumerate(gen_primes):
-                if pr.p == p:
-                    vec[idx] = pr.valuation_coords(coords)
-                    total += vec[idx] * pr.f
-            verify(total == a_p, "the valuations cover the p-part of the norm")
+        vec = [pr.valuation_coords(coords) if norm_abs % pr.p == 0 else 0
+               for pr in gen_primes]
+        verify(math.prod(pr.p ** (pr.f * v) for pr, v in zip(gen_primes, vec) if v) == norm_abs,
+               "the valuations cover the norm")
         return vec
 
     # (p) itself is a relation; needed since the primitive-element search
@@ -294,22 +284,12 @@ def _class_group_relations(field: NumberField):
     # comes from an element of norm p*q <= mb^2, whose coordinates stay
     # below about mb; do not accept stability before the box covers that
     min_stable_box = mb + 2 if n == 2 else 0
-    zero = (0,) * n
-    horner = pt.poly_eval
+    order_ideal = FractionalIdeal.unit(field)
     for box in _BOX_SCHEDULE:
-        for prefix, last in box_lines(n, seen_box, box):
-            # x and -x have the same valuations, so only the lexicographically
-            # negative line of each mirror pair is evaluated
-            if prefix + (last[0],) > zero:
-                continue
-            line = field.norm_line(prefix)
-            g = math.gcd(*prefix)
-            for t in last:
-                if math.gcd(g, t) > 1:
-                    continue
-                vec = element_valuations(prefix + (t,), abs(horner(line, t)))
-                if vec is not None and any(vec):
-                    lattice_rows.append(vec)
+        for coords, nrm in search_elements(order_ideal, seen_box, box):
+            vec = element_valuations(coords, abs(nrm))
+            if vec is not None and any(vec):
+                lattice_rows.append(vec)
         seen_box = box
         lattice = hnf_canonical(IntMatrix.from_rows(lattice_rows))
         lattice_rows = list(lattice.entries)
@@ -340,16 +320,13 @@ def _finish_class_group(field, places, gen_primes, rel_cols) -> ClassGroupData:
         nrm = ideal.norm()
         if pt.prime_to(abs(nrm.numerator) * nrm.denominator, gen_ps) == 1:
             return [ideal.valuation(pr) for pr in gen_primes]
-        for coords, enrm in search_elements(ideal):
-            ratio = enrm / nrm
-            if ratio.denominator != 1:
-                continue
-            if pt.prime_to(abs(int(ratio)), gen_ps) == 1:
-                # (x) = ideal * cofactor with a smooth integral cofactor, so
-                # [ideal] = -[cofactor] = v(ideal) - v(x)
-                x = ideal.element_ideal(coords)
-                return [ideal.valuation(pr) - x.valuation(pr) for pr in gen_primes]
-        raise SearchExhausted("no smooth representative found for the ideal class")
+        coords = smooth_element(ideal, gen_ps)
+        if coords is None:
+            raise SearchExhausted("no smooth representative found for the ideal class")
+        # (x) = ideal * cofactor with a smooth integral cofactor, so
+        # [ideal] = -[cofactor] = v(ideal) - v(x)
+        x = field.from_basis_coords(coords, ideal.den)
+        return [ideal.valuation(pr) - pr.valuation(x) for pr in gen_primes]
 
     # S-quotient: kill the classes of the S-primes
     s_coords = [ck.project(exponents_of(pr.ideal)) for pr in places.prime_ideals]
@@ -549,9 +526,8 @@ def _unit_dlog(data: UnitGroupData, u: NFElement) -> tuple[int, tuple[int, ...]]
     # 1. strip S-prime valuations
     if data.places.n_finite:
         prs = data.places.prime_ideals
-        uval = [FractionalIdeal.principal(field, u).valuation(pr) for pr in prs]
-        gval = [[FractionalIdeal.principal(field, g).valuation(pr) for pr in prs]
-                for g in data.free_gens]
+        uval = [pr.valuation(u) for pr in prs]
+        gval = [[pr.valuation(g) for pr in prs] for g in data.free_gens]
         sol = solve_integer(IntMatrix.from_cols(gval, len(prs)), uval)
         if sol is None:
             raise ValueError("element is not an S-unit for this place set")
@@ -606,6 +582,22 @@ def _round_log_solve(cols, target):
 # ingestion backend for externally computed data
 
 FIXTURE_SCHEMA = "sl2tate-fixture-1"
+_SHAPES = {int: "an integer", list: "a list of integers", dict: "a JSON object"}
+
+
+def schema_entry(doc, path: str, shape):
+    """The entry at a dotted path (e.g. "unit_group.rank") of a fixture
+    document, with its JSON shape checked: int (an integer, not a bool),
+    list (a list of such integers) or dict.  Raises SchemaViolation."""
+    value, keys = doc, path.split(".")
+    for i, key in enumerate(keys):
+        if not isinstance(value, dict) or key not in value:
+            raise SchemaViolation(f"missing required key {'.'.join(keys[:i + 1])!r}")
+        value = value[key]
+    if not (type(value) is int if shape is int else isinstance(value, shape) and (
+            shape is dict or all(type(x) is int for x in value))):
+        raise SchemaViolation(f"{path} must be {_SHAPES[shape]}")
+    return value
 
 
 class BackendStore:
@@ -665,18 +657,16 @@ def ingest_backend(store: BackendStore, document: dict):
         # other kinds (e.g. restriction scenarios) are carried verbatim
         store.documents.append(document)
         return document
-    for req in ("field", "places", "trust"):
-        if req not in document:
-            raise SchemaViolation(f"missing required key {req!r}")
+    if "trust" not in document:
+        raise SchemaViolation("missing required key 'trust'")
+    min_poly = schema_entry(document, "field.min_poly", list)
+    rational_primes = schema_entry(document, "places", list)
     fdoc = document["field"]
-    if "min_poly" not in fdoc:
-        raise SchemaViolation("field.min_poly required")
     from .numberfield import make_field
 
-    field = make_field(fdoc["min_poly"], basis=fdoc.get("basis"),
-                       label=fdoc.get("label"))
+    field = make_field(min_poly, basis=fdoc.get("basis"), label=fdoc.get("label"))
     try:
-        places = PlaceSet.make(field, document["places"])
+        places = PlaceSet.make(field, rational_primes)
     except ValueError as e:
         raise SchemaViolation(str(e))
     trust = document["trust"]
@@ -703,12 +693,9 @@ def ingest_backend(store: BackendStore, document: dict):
 
     un_data = None
     if "unit_group" in document:
-        udoc = document["unit_group"]
-        for req in ("rank", "torsion_order"):
-            if req not in udoc:
-                raise SchemaViolation(f"unit_group.{req} required")
-        rank = udoc["rank"]
-        w = udoc["torsion_order"]
+        udoc = schema_entry(document, "unit_group", dict)
+        rank = schema_entry(document, "unit_group.rank", int)
+        w = schema_entry(document, "unit_group.torsion_order", int)
         r1, r2 = field.signature
         expected = r1 + r2 - 1 + places.n_finite
         if rank != expected:

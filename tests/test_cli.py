@@ -7,7 +7,8 @@ import pytest
 
 from sl2tate import relative
 from sl2tate.classify import class_pipeline
-from sl2tate.cli import EXIT_CONSISTENCY, EXIT_INPUT, EXIT_UNSUPPORTED, int_list, main
+from sl2tate.cli import (EXIT_CONSISTENCY, EXIT_INPUT, EXIT_SCHEMA, EXIT_UNSUPPORTED, int_list,
+                         main)
 from sl2tate.intlinalg import FiniteAbelianGroup, FinGenAbGroup
 from sl2tate.numberfield import make_field
 from sl2tate.relative import build_setup
@@ -186,6 +187,58 @@ def test_ell_dividing_disc_k_exits_unsupported_without_a_hang(field):
     assert proc.returncode == EXIT_UNSUPPORTED
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert proc.stderr.startswith("unsupported case: ell = 3 divides disc(K)")
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+with open(os.path.join(FIXTURES, "q23_hilbert.json")) as f:
+    HILBERT = json.load(f)
+SMALL_FIXTURE = {"schema": "sl2tate-fixture-1", "kind": "s-invariants", "trust": "test",
+                 "field": {"min_poly": [1, 0, 1]}, "places": [],
+                 "unit_group": {"rank": 0, "torsion_order": 4}}
+MALFORMED_SCENARIOS = {
+    "no_source": _without(HILBERT, "source"),
+    "no_target": _without(HILBERT, "target"),
+    "no_relative_degree": {**HILBERT, "target": _without(HILBERT["target"], "relative_degree")},
+    "array": [HILBERT],
+    "fractional_place": {**HILBERT, "source": {**HILBERT["source"], "places": [2.5]}},
+    "class_group_array": {**HILBERT, "target": {**HILBERT["target"], "class_group": []}},
+}
+MALFORMED_FIXTURES = {
+    "text_min_poly": {**SMALL_FIXTURE, "field": {"min_poly": ["a", 0, 1]}},
+    "text_rank": {**SMALL_FIXTURE, "unit_group": {"rank": "0", "torsion_order": 4}},
+    "fractional_place": {**SMALL_FIXTURE, "places": [2.5]},
+    "array": [SMALL_FIXTURE],
+}
+
+
+def _schema_error(tmp_path, doc, argv):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sl2tate.cli"] + [str(path) if a is None else a for a in argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == EXIT_SCHEMA
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("schema error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SCENARIOS))
+def test_malformed_scenario_is_a_schema_error(tmp_path, name):
+    # each used to end in a traceback (exit 1, the oracle-mismatch code) or
+    # be read as something else; the q23 fixture makes the source reachable
+    _schema_error(tmp_path, MALFORMED_SCENARIOS[name],
+                  ["restrict", "--scenario", None,
+                   "--fixtures", os.path.join(FIXTURES, "q23.json")])
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FIXTURES))
+def test_malformed_fixture_is_a_schema_error(tmp_path, name):
+    _schema_error(tmp_path, MALFORMED_FIXTURES[name],
+                  ["analyze", "--field=1,0,1", "--ell", "3", "--fixtures", None])
 
 
 @pytest.mark.parametrize("target", [["0,1", "0"], ["-5,0,1", "0,0"]])

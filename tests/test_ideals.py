@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -18,7 +18,7 @@ from sl2tate.ideals import (
     search_elements,
     sqrt_in_field,
 )
-from sl2tate.intlinalg import IntMatrix
+from sl2tate.intlinalg import IntMatrix, combine_rows, hnf_solve
 from sl2tate.numberfield import (
     NFElement,
     NumberField,
@@ -371,17 +371,19 @@ def test_valuations_add_up_to_the_norm_valuation(data):
                    for pr in factor_rational_prime(field, p)) == _p_adic(nrm, p)
 
 
-def test_search_elements_yields_integer_coords_and_fraction_norms():
+def test_search_elements_yields_integer_coords_and_integer_norms():
     # den > 1 through the inverse; degree 6 takes the determinant norm
     k = quadratic_field(-5)
     p2 = factor_rational_prime(k, 2)[0].ideal
     c7 = cyclotomic_field(7)
     for ideal in (p2, p2.inverse(), factor_rational_prime(c7, 7)[0].ideal):
-        for coords, nrm in itertools.islice(search_elements(ideal), 40):
+        n = ideal.field.degree
+        for coords, nrm in itertools.islice(search_elements(ideal, 0, 2), 40):
             assert type(coords) is list and all(type(c) is int for c in coords)
-            assert type(nrm) is Fraction
+            # the integer N(den * x)
+            assert type(nrm) is int
             el = ideal.field.from_basis_coords([Fraction(c, ideal.den) for c in coords])
-            assert ideal.contains(el) and el.norm() == nrm
+            assert ideal.contains(el) and el.norm() == Fraction(nrm, ideal.den ** n)
 
 
 def _box_shell(n, inner, outer):
@@ -400,6 +402,159 @@ def test_box_lines_walk_the_shell_in_lexicographic_order(n, data):
               for t in last]
     assert points == list(_box_shell(n, inner, outer))
     assert len(set(points)) == len(points)
+
+
+QUARTIC = composite_field(quadratic_field(-5), cyclotomic_field(3))[0]
+# (field, rational primes whose primes build the ideals, box schedule the
+# full reference walk can afford; each box at most twice the one before)
+WALK_CASES = (
+    (quadratic_field(-5), (2, 3, 5, 7), (1, 2, 3, 5, 8)),
+    (quadratic_field(7), (2, 3, 7), (1, 2, 3, 5, 8)),
+    (QUARTIC, (2, 3, 5), (1, 2, 3)),
+    (cyclotomic_field(7), (2, 7), (1,)),
+)
+
+
+def _random_ideal(data, field, rational):
+    """A product of primes above the given rational primes, exponents -1..2,
+    so that fractional ideals (den > 1) come up."""
+    ideal = FractionalIdeal.unit(field)
+    for p in rational:
+        for pr in factor_rational_prime(field, p):
+            ideal = ideal * pr.ideal ** data.draw(st.integers(-1, 2))
+    return ideal
+
+
+def _full_walk(ideal, boxes):
+    """The walk search_elements replaced: every nonzero coefficient vector
+    of each shell, both of each +- pair and the non-primitive ones too, with
+    the integer coordinates of den * x."""
+    prev = 0
+    for b in boxes:
+        for prefix, last in box_lines(ideal.field.degree, prev, b):
+            for t in last:
+                yield prefix + (t,), combine_rows(prefix + (t,), ideal.num.entries)
+        prev = b
+
+
+def _fraction_norm(ideal, coords):
+    return ideal.field.from_basis_coords(coords, ideal.den).norm()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_search_elements_walks_primitive_negative_points_of_the_shell(data):
+    field, rational, boxes = data.draw(st.sampled_from(WALK_CASES))
+    ideal = _random_ideal(data, field, rational)
+    n = field.degree
+    outer = data.draw(st.sampled_from(boxes))
+    inner = data.draw(st.sampled_from([b for b in (0,) + boxes if b < outer]))
+    got = list(search_elements(ideal, inner, outer))
+    vectors = []
+    for coords, nrm in got:
+        vec = hnf_solve(ideal.num, coords)
+        # in the ideal, with the integer norm N(den * x) (a determinant)
+        assert vec is not None and type(nrm) is int
+        assert nrm == IntMatrix.from_rows(field.int_mult_rows(coords)).det()
+        assert inner < max(map(abs, vec)) <= outer
+        vectors.append(vec)
+    # one of each +- pair, only primitive vectors, in lexicographic order
+    assert not {tuple(-c for c in v) for v in vectors} & set(vectors)
+    assert all(gcd(*v) == 1 for v in vectors)
+    expected = [vec for vec, _ in _full_walk(ideal, (outer,))
+                if inner < max(map(abs, vec)) and gcd(*vec) == 1
+                and vec < (0,) * n]
+    assert vectors == expected
+
+
+def _reference_first(ideal, boxes, question):
+    return next((coords for _, coords in _full_walk(ideal, boxes)
+                 if question(_fraction_norm(ideal, coords) / ideal.norm())), None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_the_walk_gives_the_full_walks_first_answers(data):
+    field, rational, boxes = data.draw(st.sampled_from(WALK_CASES))
+    ideal = _random_ideal(data, field, rational)
+    s_primes = data.draw(st.sampled_from(((), (2,), (2, 3))))
+    gen_ps = [p for p in range(2, 30) if pt.is_prime(p)]
+    with mock.patch.object(ideals, "BOXES", boxes):
+        for primes in (s_primes, gen_ps):
+            # the cofactor N(x)/N(I) of a point of I is a positive integer
+            assert ideals.smooth_element(ideal, primes) == _reference_first(
+                ideal, boxes, lambda r: pt.prime_to(abs(r.numerator), primes) == 1)
+    # the least |norm| in box 2 (box 1 in degree 6): the first point of the
+    # full walk reaching it
+    box = min(2, boxes[-1])
+    least = min(search_elements(ideal, 0, box), key=lambda point: abs(point[1]))[0]
+    best = None
+    for _, coords in _full_walk(ideal, (box,)):
+        nrm = _fraction_norm(ideal, coords)
+        if best is None or abs(nrm) < abs(best[1]):
+            best = (coords, nrm)
+    assert least == best[0]
+
+
+def _accepted_by_ideal_arithmetic(ideal, s_prime_ideals, boxes):
+    """principal_generator as it accepted a point before the norm test did:
+    (x) * I^-1, stripped of its S-valuations, compared with O (or (x) with
+    I when S is empty), over the full walk."""
+    rational_s = sorted({pr.p for pr in s_prime_ideals})
+    unit = FractionalIdeal.unit(ideal.field)
+    for _, coords in _full_walk(ideal, boxes):
+        ratio = _fraction_norm(ideal, coords) / ideal.norm()
+        if pt.prime_to(abs(ratio.numerator) * ratio.denominator, rational_s) != 1:
+            continue
+        quot = FractionalIdeal.principal(ideal.field, ideal.field.from_basis_coords(
+            coords, ideal.den))
+        if s_prime_ideals:
+            quot = quot * ideal.inverse()
+            for pr in s_prime_ideals:
+                quot = quot * pr.ideal ** (-quot.valuation(pr))
+            if quot == unit:
+                return ideal.field.from_basis_coords(coords, ideal.den)
+        elif quot == ideal:
+            return ideal.field.from_basis_coords(coords, ideal.den)
+    return None
+
+
+ACCEPTANCE_CASES = (
+    (quadratic_field(-5), (2, 3, 5, 7), (1, 2, 3, 5, 8, 13)),
+    (QUARTIC, (2, 3, 5), (1, 2, 3)),
+    (cyclotomic_field(5), (2, 3, 5, 11), (1, 2, 3)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_principal_generator_accepts_what_ideal_arithmetic_accepts(data):
+    field, rational, boxes = data.draw(st.sampled_from(ACCEPTANCE_CASES))
+    ideal = _random_ideal(data, field, rational)
+    s_primes = data.draw(st.sampled_from(((), (2,), (2, 3))))
+    s_prime_ideals = [pr for p in s_primes for pr in factor_rational_prime(field, p)]
+    expected = _accepted_by_ideal_arithmetic(ideal, s_prime_ideals, boxes)
+    with mock.patch.object(ideals, "BOXES", boxes):
+        if expected is None:
+            with pytest.raises(SearchExhausted):
+                principal_generator(ideal, s_primes)
+        else:
+            assert principal_generator(ideal, s_primes) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_prime_valuation_of_an_element_matches_its_principal_ideal(data):
+    field, _, _ = data.draw(st.sampled_from(ACCEPTANCE_CASES))
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    den = data.draw(st.sampled_from((1, 2, 3, 4, 5, 6, 25)))
+    scale = data.draw(st.sampled_from((1, 2, 3, 5, 10)))
+    coords = [Fraction(scale * data.draw(st.integers(-9, 9)), den)
+              for _ in range(field.degree)]
+    assume(any(coords))
+    el = field.from_basis_coords(coords)
+    for pr in factor_rational_prime(field, p):
+        assert pr.valuation(el) == FractionalIdeal.principal(field, el).valuation(pr)
 
 
 def test_ideal_product_starts_from_the_first_nonzero_power(monkeypatch):
@@ -426,7 +581,7 @@ def test_principal_generator_builds_only_the_accepted_element(monkeypatch):
     cases = (
         (FractionalIdeal.principal(k, k.element([7, 3])), ()),
         # P3 is not principal, but P3 * P2 is: a generator up to S-units
-        (p3.ideal, factor_rational_prime(k, 2)),
+        (p3.ideal, (2,)),
     )
     for ideal, s_primes in cases:
         yielded, built = [], []
@@ -441,13 +596,13 @@ def test_principal_generator_builds_only_the_accepted_element(monkeypatch):
         monkeypatch.setattr(NumberField, "from_basis_coords",
                             lambda self, c, den=1: built.append((c, den))
                             or build(self, c, den))
-        g = principal_generator(ideal, s_prime_ideals=s_primes)
+        g = principal_generator(ideal, s_primes)
         monkeypatch.undo()
         # every tried candidate but the last failed the norm or ideal test
         assert len(yielded) > 1 and len(built) == 1
         assert built[0] == (yielded[-1][0], ideal.den)
         quot = FractionalIdeal.principal(k, g) * ideal.inverse()
-        for pr in s_primes:
+        for pr in (pr for p in s_primes for pr in factor_rational_prime(k, p)):
             quot = quot * pr.ideal ** (-quot.valuation(pr))
         assert quot == FractionalIdeal.unit(k)
 
