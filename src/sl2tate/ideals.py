@@ -232,7 +232,7 @@ def factor_rational_prime(field: NumberField, p: int) -> tuple[PrimeIdeal, ...]:
     """Kummer-Dedekind factorization of (p) using a generator whose index is
     prime to p.  A quadratic field reads the factors of the minimal
     polynomial of its second basis element off the Kronecker symbol of its
-    discriminant.  Otherwise tries the power-basis root, the basis elements
+    discriminant and writes each prime down as a lattice.  Otherwise tries the power-basis root, the basis elements
     and pairwise sums, then falls back to splitting the algebra O/pO.
     Memoised per (field, p), so each prime's anti-uniformizer is built
     once."""
@@ -241,7 +241,20 @@ def factor_rational_prime(field: NumberField, p: int) -> tuple[PrimeIdeal, ...]:
         g = field.basis_element(1)
         trace, norm = int(g.trace()), int(g.norm())
         if _index_prime_to(trace * trace - 4 * norm, field.discriminant, p):
-            return _kummer_dedekind(field, p, g, _quadratic_factors_mod(trace, norm, p))
+            # a root r of the minimal polynomial of g mod p gives
+            # P = (p, g - r) = pO + Z (g - r), of index p as g - r is not
+            # in pO; on the integral basis (1, omega), g = omega, its HNF
+            # rows are (p, 0), (-r, 1).  An irreducible factor gives P = pO
+            one = field.one().num
+            primes = []
+            for fac, mult in _quadratic_factors_mod(trace, norm, p):
+                rows = [[p, 0], [0, p]]
+                if len(fac) == 2:
+                    # g + fac[0] = g - r + (multiple of p); g is basis vector 1
+                    rows.append([fac[0] * c + i for i, c in enumerate(one)])
+                ideal = FractionalIdeal(field, IntMatrix.from_rows(rows))
+                primes.append(PrimeIdeal(p, ideal, e=mult, f=len(fac) - 1))
+            return _verified_primes(field, p, primes, True)
     candidates = [field.gen()]
     candidates += [field.basis_element(i) for i in range(1, n)]
     candidates += [field.basis_element(i) + field.basis_element(j)

@@ -41,6 +41,9 @@ class NumberField:
         self.degree = len(self.min_poly) - 1
         self.label = label or f"Q[x]/({self.min_poly})"
         self.root_of_unity_order = root_of_unity_order
+        # h(O) where a formula outside the relation search proves it, set by
+        # the code that builds the field and can evaluate that formula
+        self.class_number: int | None = None
         # basis over the power basis, rows of Fractions
         self.basis = tuple(tuple(Fraction(x) for x in row) for row in basis_rows)
         n = self.degree

@@ -328,12 +328,27 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def kronecker(d: int, p: int) -> int:
-    """The Kronecker symbol (d / p) for a prime p."""
-    if p == 2:
-        return 0 if d % 2 == 0 else (1 if d % 8 in (1, 7) else -1)
-    r = pow(d, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
+def kronecker(d: int, n: int) -> int:
+    """The Kronecker symbol (d / n) for n > 0, by quadratic reciprocity
+    (Cohen GTM 138, Algorithm 1.4.10): (d / 2) is 0 for even d, +1 for
+    d = +-1 mod 8 and -1 otherwise."""
+    if d % 2 == 0 and n % 2 == 0:
+        return 0
+    k = 1
+    while n % 2 == 0:
+        n //= 2
+        if d % 8 in (3, 5):
+            k = -k
+    # n is odd and positive from here on; d may be negative
+    while d:
+        while d % 2 == 0:
+            d //= 2
+            if n % 8 in (3, 5):
+                k = -k
+        if d & n & 2:  # both 3 mod 4
+            k = -k
+        d, n = n % abs(d), abs(d)
+    return k if n == 1 else 0
 
 
 def sqrt_mod(a: int, p: int) -> int:

@@ -54,7 +54,9 @@ from .sinvariants import (
     ClassGroupData,
     PlaceSet,
     UnitGroupData,
+    certified_class_number,
     class_group,
+    quadratic_class_number,
     unit_group,
     _s_unit_generators,
     _unit_group_builtin,
@@ -233,9 +235,9 @@ def relative_unit_group(setup: RelativeSetup, store=None) -> UnitGroupData:
 
 def _quartic_cm_unit_group(setup: RelativeSetup) -> UnitGroupData:
     """Unit group of a quartic CM field L = K(zeta_3): torsion by root-of-
-    unity search, one fundamental unit lifted from the real quadratic
-    subfield and made primitive by square-root extraction (the unit index
-    of a CM field over its real subfield divides 2)."""
+    unity search and one fundamental unit from _cm_fundamental_unit.  The
+    unit index found there also gives h(L) by Kuroda's formula, set as
+    L.class_number before the relation search of L first runs."""
     L, places = setup.rel_field, setup.rel_places
     K = setup.field
     # torsion: zeta_6 always (zeta_3 in L); order 12 exactly when i in L
@@ -249,39 +251,57 @@ def _quartic_cm_unit_group(setup: RelativeSetup) -> UnitGroupData:
                "i * zeta_3 must have order 12")
     else:
         torsion_gen, w = zeta6, 6
-    # real quadratic subfield: K itself if K is real, else Q(sqrt(3|d|))
+    # theta^2 + b theta + c = 0 generates K, and (2 zeta_3 + 1)^2 = -3, so
+    # (2 zeta_3 + 1)(2 theta + b) squares to -3(b^2 - 4c) = s t^2: the third
+    # quadratic subfield F = Q(sqrt s) of L, next to K and Q(zeta_3)
+    c, b, _ = K.min_poly
+    s, t = squarefree_decompose(-3 * (b * b - 4 * c))
+    F = quadratic_field(s)
+    sqrt_s = (2 * setup.zeta + 1) * setup.embed.map(2 * K.gen() + b) / t
+    verify(sqrt_s * sqrt_s == L.rational(s), "sqrt(s) must lie in L")
+    # the real quadratic subfield is K if K is real, else F
     if K.signature[0] == 2:
-        eta = setup.embed.map(unit_group(K, PlaceSet(K, (), ())).free_gens[0])
+        real, real_embed = K, setup.embed
     else:
-        # theta^2 + b theta + c = 0 generates K, and (2 zeta_3 + 1)^2 = -3,
-        # so (2 zeta_3 + 1)(2 theta + b) squares to -3(b^2 - 4c) = s t^2
-        c, b, _ = K.min_poly
-        s, t = squarefree_decompose(-3 * (b * b - 4 * c))
-        F = quadratic_field(s)
-        eps = unit_group(F, PlaceSet(F, (), ())).free_gens[0]
-        r = (2 * setup.zeta + 1) * setup.embed.map(2 * K.gen() + b) / t
-        verify(r * r == L.rational(s), "sqrt(s) must lie in L")
-        eta = FieldEmbedding(F, L, r).map(eps)
-    verify(abs(eta.norm()) == 1 and eta.is_integral(),
-           "the lifted fundamental unit must be a unit of L")
-    # primitivity: extract square roots (times torsion) while possible
-    reduced = True
-    while reduced:
-        reduced = False
-        tpow = L.one()
-        for _ in range(w):
-            root = sqrt_in_field(tpow * eta)
-            if root is not None and abs(root.norm()) == 1:
-                eta = root
-                reduced = True
-                break
-            tpow = tpow * torsion_gen
+        real, real_embed = F, FieldEmbedding(F, L, sqrt_s)
+    eta, index = _cm_fundamental_unit(
+        real_embed.map(unit_group(real, PlaceSet(real, (), ())).free_gens[0]),
+        torsion_gen, w)
+    # Kuroda's formula for an imaginary bicyclic biquadratic field
+    # (Lemmermeyer, Acta Arith. 66, 1994): h(L) = Q h(k1) h(k2) h(k3) / 2
+    # over its three quadratic subfields, Q the unit index; K may carry a
+    # non-maximal order, which has no certified class number
+    hk = certified_class_number(K)
+    if hk is not None:
+        hl, rest = divmod(index * hk * quadratic_class_number(F.discriminant)
+                          * quadratic_class_number(-3), 2)
+        verify(rest == 0, "Kuroda's formula gives an integer class number")
+        L.class_number = hl
     field_units = [eta]
     s_gens = _s_unit_generators(L, places)
     rank = 1 + places.n_finite
     free_gens = tuple(field_units) + tuple(s_gens)
     verify(len(free_gens) == rank, "one free generator per unit rank")
     return UnitGroupData(L, places, rank, w, torsion_gen, free_gens, "computed")
+
+
+def _cm_fundamental_unit(eps: NFElement, torsion_gen: NFElement, w: int
+                         ) -> tuple[NFElement, int]:
+    """A fundamental unit of the quartic CM field L, from the fundamental
+    unit eps of its real quadratic subfield, and the unit index
+    Q = [E_L : W_L E+] over the units E+ of that subfield.  Q divides 2, and
+    Q = 2 exactly when some root of unity times eps is a square in L; that
+    square root is then fundamental."""
+    L = eps.field
+    verify(abs(eps.norm()) == 1 and eps.is_integral(),
+           "the lifted fundamental unit must be a unit of L")
+    tpow = L.one()
+    for _ in range(w):
+        root = sqrt_in_field(tpow * eps)
+        if root is not None and abs(root.norm()) == 1:
+            return root, 2
+        tpow = tpow * torsion_gen
+    return eps, 1
 
 
 # ---------------------------------------------------------------------------

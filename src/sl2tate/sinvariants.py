@@ -196,6 +196,67 @@ def _invariant_chains(h: int) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
+# class numbers certified outside the relation search
+
+
+@lru_cache(maxsize=None)
+def quadratic_class_number(d: int) -> int:
+    """h of the quadratic field of fundamental discriminant d.  Imaginary:
+    Dirichlet's formula h = w / (2 (2 - chi(2))) sum_{0 < a <= |d|/2} chi(a)
+    with chi = (d / .) (Cohen GTM 138, 5.3).  Real: the number h+ of cycles
+    of reduced indefinite forms (5.6), halved when the fundamental unit has
+    norm +1."""
+    if d < 0:
+        w = {-3: 6, -4: 4}.get(d, 2)
+        total = w * sum(pt.kronecker(d, a) for a in range(1, -d // 2 + 1))
+        h, rest = divmod(total, 2 * (2 - pt.kronecker(d, 2)))
+        verify(rest == 0 and h > 0, "Dirichlet's formula gives a positive integer")
+        return h
+    x, y = _fundamental_unit_xy(d)
+    cycles = _reduced_form_cycles(d)
+    return cycles // 2 if x * x - d * y * y == 4 else cycles
+
+
+def _reduced_form_cycles(d: int) -> int:
+    """The number of cycles of the reduced primitive forms (a, b, c) of the
+    non-square discriminant d > 0, |sqrt d - 2|a|| < b < sqrt d, under the
+    reduction step rho (Cohen GTM 138, 5.6): h+(d)."""
+    s = math.isqrt(d)
+    reduced = set()
+    for b in range(s - (s - d) % 2, 0, -2):
+        q = (d - b * b) // 4
+        for m in pt.divisors(q):
+            # s + 1 - b <= 2m <= s + b is the reduction condition on |a| = m
+            if s + 1 - b <= 2 * m <= s + b and math.gcd(m, b, q // m) == 1:
+                reduced.update(((m, b, -q // m), (-m, b, q // m)))
+    cycles = 0
+    while reduced:
+        cycles += 1
+        start = form = reduced.pop()
+        while True:
+            # rho(a, b, c) = (c, r, (r^2 - d) / 4c), r = -b mod 2|c| in
+            # (sqrt d - 2|c|, sqrt d)
+            _, b, c = form
+            r = s - (s + b) % (2 * abs(c))
+            form = (c, r, (r * r - d) // (4 * c))
+            if form == start:
+                break
+            verify(form in reduced, "rho permutes the reduced forms")
+            reduced.remove(form)
+    return cycles
+
+
+def certified_class_number(field: NumberField) -> int | None:
+    """h(O) where a formula independent of the relation search gives it:
+    quadratic fields with their maximal order, and fields whose builder
+    set NumberField.class_number; None for every other field."""
+    if field.degree == 2:
+        d = field.discriminant
+        return quadratic_class_number(d) if pt.fundamental_discriminant(d) == (d, 1) else None
+    return field.class_number
+
+
+# ---------------------------------------------------------------------------
 # class groups
 
 
@@ -251,14 +312,23 @@ def _class_group_relations(field: NumberField):
     """The generator primes (all primes up to the Minkowski bound) and the
     relation lattice among them, as the columns of the transposed canonical
     HNF.  Neither depends on S, so the search runs once per field; the
-    S-quotient is taken in _finish_class_group."""
+    S-quotient is taken in _finish_class_group.
+
+    The primes generate Cl, so the relations found span a sublattice of the
+    relation lattice, whose index is h: the HNF order is a multiple of h.
+    With a certified h the search stops on a proof, as soon as the order is
+    h; otherwise it stops once the order repeats over two boxes.  The
+    stability rule also guards a certified search: firing there raises."""
     n = field.degree
     mb = minkowski_bound(field)
     gen_primes: list[PrimeIdeal] = []
     for p in range(2, mb + 1):
         if pt.is_prime(p):
             gen_primes.extend(factor_rational_prime(field, p))
+    h = certified_class_number(field)
     if not gen_primes:
+        verify(h in (None, 1), f"no prime below the Minkowski bound of {field.label}, "
+               f"but its class number is {h}")
         return (), None
 
     rationals = sorted({pr.p for pr in gen_primes})
@@ -296,7 +366,14 @@ def _class_group_relations(field: NumberField):
         if lattice.nrows == len(gen_primes):
             # a full-rank square row HNF: its index is its diagonal product
             order = math.prod(row[i] for i, row in enumerate(lattice_rows))
+            if h is not None:
+                verify(order % h == 0, f"the relations of {field.label} have index "
+                       f"{order}, not a multiple of the class number {h}")
+                if order == h:
+                    return tuple(gen_primes), lattice.transpose()
             if order == prev_order and box >= min_stable_box:
+                verify(h is None, f"the relations of {field.label} stabilized at "
+                       f"index {order}, but the class number is {h}")
                 return tuple(gen_primes), lattice.transpose()
             prev_order = order
     raise RelationSearchIncomplete(
@@ -427,11 +504,21 @@ def _unit_group_builtin(field: NumberField, places: PlaceSet) -> UnitGroupData:
 
 
 def _real_quadratic_fundamental_unit(field: NumberField) -> NFElement:
-    """The fundamental unit eps > 1, from the continued fraction of
+    """The fundamental unit eps > 1 on the integral basis (1, omega)."""
+    d0 = field.discriminant
+    x, y = _fundamental_unit_xy(d0)
+    el = field.from_basis_coords([(x - d0 % 2 * y) // 2, y])
+    verify(abs(el.norm()) == 1, "the fundamental unit has norm +-1")
+    return el
+
+
+@lru_cache(maxsize=None)
+def _fundamental_unit_xy(d0: int) -> tuple[int, int]:
+    """(x, y) with eps = (x + y sqrt(d0))/2 the fundamental unit > 1 of the
+    real quadratic field of discriminant d0, from the continued fraction of
     omega = (e + sqrt(d0))/2, e = d0 mod 2 (Cohen GTM 138, Section 5.7).  The
     units p - q omega with q > 0 and |p - q omega| < 1 are convergents; the
     first one is eps^-1 up to sign, so eps is its conjugate p - q omega'."""
-    d0 = field.discriminant
     e, r = d0 % 2, math.isqrt(d0)
     # omega_k = (pk + sqrt(d0)) / qk with 0 < qk | d0 - pk^2 (omega_k is
     # reduced from k = 1 on); convergents p/q
@@ -441,13 +528,10 @@ def _real_quadratic_fundamental_unit(field: NumberField) -> NFElement:
         a = (pk + r) // qk
         p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
         if abs((2 * p - e * q) ** 2 - d0 * q * q) == 4:
-            break
+            # p - q omega' = (2p - e q + q sqrt(d0))/2, as omega' = e - omega
+            return 2 * p - e * q, q
         pk = a * qk - pk
         qk = (d0 - pk * pk) // qk
-    # omega' = e - omega
-    el = field.from_basis_coords([p - e * q, q])
-    verify(abs(el.norm()) == 1, "the fundamental unit has norm +-1")
-    return el
 
 
 def _s_unit_generators(field: NumberField, places: PlaceSet) -> list[NFElement]:
@@ -627,18 +711,25 @@ class BackendStore:
         return self._raw.get(self._key(field, places))
 
 
-def _parse_element(field: NumberField, spec) -> NFElement:
-    """Power-basis coordinates: a list of ints, or of [num, den] pairs."""
+def _parse_coords(spec, what: str) -> list[Fraction]:
+    """Rational coordinates: a list of integers, or of [num, den] integer
+    pairs with den != 0."""
     if not isinstance(spec, list):
-        raise SchemaViolation("element must be a coordinate list")
+        raise SchemaViolation(f"{what} must be a coordinate list")
     coords = []
     for c in spec:
-        if isinstance(c, int):
+        if type(c) is int:
             coords.append(Fraction(c))
-        elif isinstance(c, list) and len(c) == 2 and all(isinstance(x, int) for x in c):
+        elif isinstance(c, list) and len(c) == 2 and all(type(x) is int for x in c) and c[1]:
             coords.append(Fraction(c[0], c[1]))
         else:
-            raise SchemaViolation(f"bad coordinate {c!r}")
+            raise SchemaViolation(f"bad coordinate {c!r} in {what}")
+    return coords
+
+
+def _parse_element(field: NumberField, spec) -> NFElement:
+    """Power-basis coordinates, as _parse_coords reads them."""
+    coords = _parse_coords(spec, "element")
     if len(coords) > field.degree:
         raise SchemaViolation("too many coordinates for the field degree")
     return field.element(coords)
@@ -664,7 +755,13 @@ def ingest_backend(store: BackendStore, document: dict):
     fdoc = document["field"]
     from .numberfield import make_field
 
-    field = make_field(min_poly, basis=fdoc.get("basis"), label=fdoc.get("label"))
+    basis = fdoc.get("basis")
+    if basis is not None:
+        n = len(min_poly) - 1
+        if not isinstance(basis, list) or len(basis) != n:
+            raise SchemaViolation(f"field.basis must be a list of {n} coordinate lists")
+        basis = [_parse_coords(row, "field.basis") for row in basis]
+    field = make_field(min_poly, basis=basis, label=fdoc.get("label"))
     try:
         places = PlaceSet.make(field, rational_primes)
     except ValueError as e:
@@ -682,9 +779,15 @@ def ingest_backend(store: BackendStore, document: dict):
             group = FiniteAbelianGroup(tuple(cdoc["invariant_factors"]))
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaViolation(f"bad class_group section: {e}")
+        gen_specs = cdoc.get("generator_ideals", [])
+        if not isinstance(gen_specs, list) or not all(isinstance(g, list) for g in gen_specs):
+            raise SchemaViolation("class_group.generator_ideals must be a list of "
+                                  "lists of elements")
         gens = []
-        for gspec in cdoc.get("generator_ideals", []):
+        for gspec in gen_specs:
             els = [_parse_element(field, g) for g in gspec]
+            if not any(els):
+                raise SchemaViolation("a generator ideal needs a nonzero generator")
             gens.append(FractionalIdeal.from_generators(field, els))
         if gens and len(gens) != len(group.invariant_factors):
             raise ConsistencyFailure(

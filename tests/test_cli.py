@@ -151,6 +151,31 @@ def test_consistency_failure_exit_code(tmp_path, capsys):
     assert all(line.startswith("consistency check failed: ") for line in err)
 
 
+@pytest.mark.parametrize("h, reason", [
+    (3, "index 2, not a multiple of the class number 3"),
+    (1, "stabilized at index 2, but the class number is 1"),
+])
+def test_a_wrong_class_number_certificate_exits_consistency(tmp_path, capsys, monkeypatch,
+                                                           h, reason):
+    # h(Q(sqrt -5)) = 2: a certificate of 3 fails at the first full-rank HNF,
+    # one of 1 when the stability rule fires at box 6
+    from sl2tate import sinvariants
+
+    monkeypatch.setattr(sinvariants, "certified_class_number",
+                        lambda field: h if field.discriminant == -20 else None)
+    sinvariants._class_group_relations.cache_clear()
+    out = tmp_path / "r.json"
+    try:
+        code = main(["analyze", "--field=5,0,1", "--ell", "3", "--out", str(out)])
+    finally:
+        sinvariants._class_group_relations.cache_clear()
+    assert code == EXIT_CONSISTENCY
+    err = capsys.readouterr().err
+    assert err.startswith("consistency check failed: the relations of ") and reason in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_lost_ker_nm0_fails_the_exactness_check(tmp_path, capsys, monkeypatch):
     # Q(sqrt 13) at ell = 3 has ker Nm0 = Cl(L) = Z/2 and Cl(K) = 1; a
     # kernel routine that loses it must end in exit 7, not in a report
@@ -211,6 +236,9 @@ MALFORMED_FIXTURES = {
     "text_rank": {**SMALL_FIXTURE, "unit_group": {"rank": "0", "torsion_order": 4}},
     "fractional_place": {**SMALL_FIXTURE, "places": [2.5]},
     "array": [SMALL_FIXTURE],
+    "text_basis": {**SMALL_FIXTURE, "field": {"min_poly": [1, 0, 1], "basis": "x"}},
+    "integer_generator_ideal": {**SMALL_FIXTURE, "class_group": {
+        "invariant_factors": [], "generator_ideals": [5]}},
 }
 
 

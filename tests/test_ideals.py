@@ -834,3 +834,18 @@ def test_shifted_norm_is_the_resultant(s):
             for k, c in enumerate(coeffs))
     expected = sympy.Poly(sympy.resultant(f, sympy.expand(g), x), t).all_coeffs()[::-1]
     assert ideals._shifted_norm(coeffs, L, s) == [Fraction(int(c.p), int(c.q)) for c in expected]
+
+
+def test_quadratic_primes_are_built_from_their_hnf_rows(monkeypatch):
+    # (p, omega - r) from the rows (p, 0), (-r, 1): no polynomial in omega is
+    # evaluated, and the primes are the Kummer-Dedekind ones
+    monkeypatch.setattr(ideals, "_eval_poly_at", None)
+    k = quadratic_field(-5)
+    factor_rational_prime.cache_clear()
+    p2, = factor_rational_prime(k, 2)
+    p3a, p3b = factor_rational_prime(k, 3)
+    factor_rational_prime.cache_clear()
+    assert (p2.e, p2.f) == (2, 1)
+    assert p2.ideal == FractionalIdeal.from_generators(k, [k.rational(2), k.element([1, 1])])
+    assert {p3a.ideal, p3b.ideal} == {
+        FractionalIdeal.from_generators(k, [k.rational(3), k.element([r, 1])]) for r in (1, -1)}

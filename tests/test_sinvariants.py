@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,13 @@ from sl2tate.sinvariants import (
     PlaceSet,
     UnitGroupData,
     _real_quadratic_fundamental_unit,
+    _reduced_form_cycles,
+    certified_class_number,
     class_group,
     forms_class_group_oracle,
     ingest_backend,
     minkowski_bound,
+    quadratic_class_number,
     reduced_forms,
     unit_group,
 )
@@ -135,11 +139,31 @@ def _relation_digest(field):
     return hashlib.sha256(repr(entries).encode()).hexdigest()
 
 
-def test_relation_search_computes_each_plus_minus_pair_once(monkeypatch):
-    from sl2tate import sinvariants
-    from sl2tate.numberfield import NumberField, composite_field
+def test_relation_search_computes_each_plus_minus_pair_once():
+    # the walk of O over box 6 that the uncertified search of this L makes:
+    # primitive vectors only, the negative one of each +- pair, each once
+    from sl2tate.ideals import search_elements
+    from sl2tate.numberfield import composite_field
 
     L, _, _ = composite_field(quadratic_field(-5), cyclotomic_field(3))
+    points = [tuple(coords) for coords, _ in search_elements(FractionalIdeal.unit(L), 0, 6)]
+    # a walk that also took -x would make 25,536 points
+    assert len(points) == len(set(points)) == 25536 // 2
+    assert all(next(c for c in coords if c) < 0 for coords in points)
+    assert all(math.gcd(*coords) == 1 for coords in points)
+
+
+def test_certified_relation_search_stops_on_the_class_number(monkeypatch):
+    # the unit group of L = Q(sqrt -5)(zeta_3) sets h(L) = 2, the index of
+    # the relations found in box 4 (2,928 points); the stability rule alone
+    # walks box 6 (12,768 points) for the same HNF
+    from sl2tate import sinvariants
+    from sl2tate.numberfield import NumberField
+    from sl2tate.relative import build_setup, relative_unit_group
+
+    K = quadratic_field(-5)
+    setup = build_setup(K, PlaceSet.make(K), 3)
+    relative_unit_group(setup)
     # every point the kernel evaluates is a Horner step on a line polynomial
     lines, points = {}, []
     norm_line, horner = NumberField.norm_line, pt.poly_eval
@@ -157,11 +181,8 @@ def test_relation_search_computes_each_plus_minus_pair_once(monkeypatch):
     monkeypatch.setattr(NumberField, "norm_line", recorded_line)
     monkeypatch.setattr(pt, "poly_eval", recorded_eval)
     sinvariants._class_group_relations.cache_clear()
-    gen_primes, rel_cols = sinvariants._class_group_relations(L)
-    # a search that also computed -x would make 25,536 norms; the lattice
-    # comes back as its 8 x 8 HNF
-    assert len(points) == len(set(points)) == 25536 // 2
-    assert all(next(c for c in coords if c) < 0 for coords in points)
+    gen_primes, rel_cols = sinvariants._class_group_relations(setup.rel_field)
+    assert len(points) == len(set(points)) == 2928
     assert (len(gen_primes), rel_cols.nrows, rel_cols.ncols) == (8, 8, 8)
     digest = hashlib.sha256(repr(rel_cols.transpose().entries).encode()).hexdigest()
     assert digest == "ae03d2de12820dc102bf04c998e297e09dd9ac8df64d27805d092518454c606c"
@@ -229,6 +250,71 @@ def test_relation_columns_of_quartic_fields(d):
 
     L, _, _ = composite_field(quadratic_field(d), cyclotomic_field(3))
     assert _relation_digest(L) == QUARTIC_RELATION_DIGESTS[d]
+
+
+def _uncertified_relations(field):
+    """The relation search of the field under the stability rule alone."""
+    from sl2tate import sinvariants
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sinvariants, "certified_class_number", lambda field: None)
+        sinvariants._class_group_relations.cache_clear()
+        found = sinvariants._class_group_relations(field)
+        sinvariants._class_group_relations.cache_clear()
+    return found
+
+
+def _index(rel_cols):
+    return 1 if rel_cols is None else math.prod(rel_cols[i, i] for i in range(rel_cols.nrows))
+
+
+def test_dirichlet_class_numbers_match_the_forms_oracle():
+    discs = [d for d in range(-3, -3001, -1)
+             if d % 4 in (0, 1) and pt.fundamental_discriminant(d) == (d, 1)]
+    assert len(discs) == 911
+    for d in discs:
+        assert quadratic_class_number(d) == forms_class_group_oracle(d).order, d
+
+
+def test_real_quadratic_class_numbers_count_cycles_of_reduced_forms():
+    # Q(sqrt 79): h+ = 6 cycles and eps = 80 + 9 sqrt 79 of norm +1;
+    # Q(sqrt 10): h+ = 2 and eps = 3 + sqrt 10 of norm -1
+    assert (_reduced_form_cycles(316), quadratic_class_number(316)) == (6, 3)
+    assert (_reduced_form_cycles(40), quadratic_class_number(40)) == (2, 2)
+    assert [quadratic_class_number(d) for d in (5, 8, 12, 13, 60, 136, 145)] == [
+        1, 1, 1, 1, 2, 2, 4]
+
+
+def test_form_cycles_match_the_stability_rule_up_to_100():
+    checked = 0
+    for d in range(2, 101):
+        if pt.squarefree_decompose(d)[1] != 1:
+            continue
+        k = quadratic_field(d)
+        assert _index(_uncertified_relations(k)[1]) == certified_class_number(k), d
+        checked += 1
+    assert checked == 60
+
+
+# h(L) for L = K(zeta_3): the two relation digests above and every analyze
+# golden with a quartic L (Cl(L) = (2), (4), (2, 2), (8), (2), 1, 1)
+QUARTIC_CLASS_NUMBERS = {-5: 2, -14: 4, -13: 4, -41: 8, 13: 2, -2: 1, -1: 1}
+
+
+@pytest.mark.parametrize("d", sorted(QUARTIC_CLASS_NUMBERS))
+def test_kuroda_class_number_is_the_index_of_the_relation_lattice(d):
+    from sl2tate.relative import build_setup, relative_unit_group
+
+    k = quadratic_field(d)
+    setup = build_setup(k, PlaceSet.make(k), 3)
+    L = setup.rel_field
+    _, rel_cols = _uncertified_relations(L)
+    if d in QUARTIC_RELATION_DIGESTS:
+        digest = hashlib.sha256(repr(rel_cols.transpose().entries).encode()).hexdigest()
+        assert digest == QUARTIC_RELATION_DIGESTS[d]
+    assert L.class_number is None
+    relative_unit_group(setup)  # sets Kuroda's h(L)
+    assert certified_class_number(L) == _index(rel_cols) == QUARTIC_CLASS_NUMBERS[d]
 
 
 def test_relation_search_makes_no_membership_tests(monkeypatch):
