@@ -9,7 +9,7 @@ from math import gcd
 from typing import Optional
 
 from .cohomology import total_dimensions
-from .errors import EmbeddingInvalid, NeedsBackendData, verify
+from .errors import EmbeddingInvalid, NeedsBackendData, SchemaViolation, verify
 from .numberfield import NumberField, _eval_poly_at, make_field
 from .relative import RelativeSetup, build_setup
 from .classify import class_pipeline, element_class_count
@@ -202,6 +202,8 @@ def restriction_scenario(doc: dict, store=None) -> RestrictionReport:
     min_poly = schema_entry(doc, "source.min_poly", list)
     ell = schema_entry(doc, "source.ell", int)
     degree = schema_entry(doc, "target.relative_degree", int)
+    if degree < 1:
+        raise SchemaViolation(f"target.relative_degree must be at least 1, not {degree}")
     src, tgt = doc["source"], doc["target"]
     primes = schema_entry(doc, "source.places", list) if "places" in src else []
     tgt_group = schema_entry(doc, "target.class_group", dict) if "class_group" in tgt else {}

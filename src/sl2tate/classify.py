@@ -168,7 +168,7 @@ def _checked(setup, rows) -> RepresentativeMatrix:
     verify((a + d - setup.t).is_zero(), "trace must be t")
     for x in (a, b, c, d):
         verify(_is_s_integral(x, setup.places), "entries must lie in O_{K,S}")
-    m = _mat_pow(setup.field, rows, setup.ell)
+    m = pt.power(rows, setup.ell, _mat_mul)
     verify(_is_identity(setup.field, m), f"matrix order must divide {setup.ell}")
     verify(not _is_identity(setup.field, rows), "matrix must not be the identity")
     return RepresentativeMatrix(rows)
@@ -179,21 +179,10 @@ def _is_s_integral(el: NFElement, places) -> bool:
     return pt.prime_to(el.den, places.rational_primes) == 1
 
 
-def _mat_mul(field, m1, m2):
+def _mat_mul(m1, m2):
     (a, b), (c, d) = m1
     (e, f), (g, h) = m2
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
-def _mat_pow(field, m, e):
-    acc = ((field.one(), field.zero()), (field.zero(), field.one()))
-    base = m
-    while e:
-        if e & 1:
-            acc = _mat_mul(field, acc, base)
-        base = _mat_mul(field, base, base)
-        e >>= 1
-    return acc
 
 
 def _is_identity(field, m):

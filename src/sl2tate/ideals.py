@@ -136,18 +136,7 @@ class FractionalIdeal:
     def __pow__(self, e: int) -> "FractionalIdeal":
         if e < 0:
             return self.inverse() ** (-e)
-        if e == 0:
-            return FractionalIdeal.unit(self.field)
-        # square-and-multiply from the lowest bit, starting from the first
-        # set bit's power and squaring only while higher bits remain
-        acc, base = None, self
-        while True:
-            if e & 1:
-                acc = base if acc is None else acc * base
-            e >>= 1
-            if not e:
-                return acc
-            base = base * base
+        return pt.power(self, e) if e else FractionalIdeal.unit(self.field)
 
     def dual(self) -> "FractionalIdeal":
         """The trace dual {x : Tr(x I) <= Z}.  With T the trace form, x with
@@ -340,17 +329,9 @@ def _factor_by_algebra_splitting(field: NumberField, p: int) -> tuple[PrimeIdeal
     def mul(x, y):
         return [c % p for c in combine_rows(y, field.int_mult_rows(x))]
 
-    def power(x, k):
-        acc = one
-        for bit in bin(k)[2:]:
-            acc = mul(acc, acc)
-            if bit == "1":
-                acc = mul(acc, x)
-        return acc
-
     def frobenius_kernel(q, shift):
         # the kernel of x -> x^q - shift * x, which is F_p-linear
-        images = [power([int(i == j) for i in range(n)], q) for j in range(n)]
+        images = [pt.power([int(i == j) for i in range(n)], q, mul) for j in range(n)]
         return kernel_mod([[images[j][i] - shift * (i == j) for j in range(n)]
                            for i in range(n)], p, n)
 
@@ -363,7 +344,7 @@ def _factor_by_algebra_splitting(field: NumberField, p: int) -> tuple[PrimeIdeal
             for lam in range(p):
                 if not any(rest):
                     break
-                away = power([(x - lam * o) % p for x, o in zip(b, one)], p - 1)
+                away = pt.power([(x - lam * o) % p for x, o in zip(b, one)], p - 1, mul)
                 part = mul(idem, [(o - x) % p for o, x in zip(one, away)])
                 if any(part):
                     refined.append(part)

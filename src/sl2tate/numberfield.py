@@ -340,14 +340,7 @@ class NFElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        acc = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return pt.power(self, e) if e else self.field.one()
 
     def is_zero(self) -> bool:
         return not any(self.num)

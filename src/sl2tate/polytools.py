@@ -15,6 +15,7 @@ verify whatever they round.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -315,6 +316,22 @@ def prime_to(n: int, primes) -> int:
     return n
 
 
+def power(x, e: int, mul=operator.mul):
+    """x^e for e >= 1 by square-and-multiply from the lowest bit, starting
+    from the first set bit's power and squaring only while higher bits
+    remain: one product per bit below the top plus one per further set bit."""
+    if e < 1:
+        raise ValueError(f"power needs an exponent >= 1, not {e}")
+    acc = None
+    while True:
+        if e & 1:
+            acc = x if acc is None else mul(acc, x)
+        e >>= 1
+        if not e:
+            return acc
+        x = mul(x, x)
+
+
 def divisors(n: int) -> list[int]:
     """The positive divisors of n >= 1 in increasing order, by trial division."""
     small, large = [], []
@@ -425,14 +442,9 @@ def _xgcd_mod(a, b, p: int) -> tuple[list[int], list[int]]:
 
 
 def _powmod(a, e: int, f, p: int) -> list[int]:
-    """a^e modulo f over F_p."""
-    out, a = [1], _divmod_mod(a, f, p)[1]
-    while e:
-        if e & 1:
-            out = _divmod_mod(_mul_mod(out, a, p), f, p)[1]
-        a = _divmod_mod(_mul_mod(a, a, p), f, p)[1]
-        e >>= 1
-    return out
+    """a^e modulo f over F_p, for e >= 1."""
+    return power(_divmod_mod(a, f, p)[1], e,
+                 lambda x, y: _divmod_mod(_mul_mod(x, y, p), f, p)[1])
 
 
 def _sqf_mod(f, p: int) -> list[tuple[list[int], int]]:

@@ -16,7 +16,6 @@ from typing import Optional
 from .errors import (
     ConsistencyFailure,
     InvalidInput,
-    NeedsBackendData,
     RegularityViolated,
     UnsupportedCase,
     verify,
@@ -56,9 +55,9 @@ from .sinvariants import (
     UnitGroupData,
     certified_class_number,
     class_group,
+    computed_unit_group,
     quadratic_class_number,
     unit_group,
-    _s_unit_generators,
     _unit_group_builtin,
 )
 
@@ -218,19 +217,17 @@ def pullback(embed: FieldEmbedding, el: NFElement) -> NFElement:
 
 
 def relative_unit_group(setup: RelativeSetup, store=None) -> UnitGroupData:
-    """Units of O_{L, S-tilde} for L = K(zeta_ell): built-in when L is a
-    small cyclotomic field or a quartic CM field, else ingested."""
+    """Units of O_{L, S-tilde} for L = K(zeta_ell): ingested if a fixture
+    has them; else built in, as the quartic CM field K(zeta_3) when K is
+    quadratic and ell = 3, and from the built-in families otherwise."""
     L, places = setup.rel_field, setup.rel_places
     if store is not None:
         hit = store.lookup_unit_group(L, places)
         if hit is not None:
             return hit
-    try:
-        return _unit_group_builtin(L, places)
-    except NeedsBackendData:
-        if L.degree == 4 and L.signature == (0, 2):
-            return _quartic_cm_unit_group(setup)
-        raise
+    if setup.field.degree == 2 and setup.ell == 3:
+        return _quartic_cm_unit_group(setup)
+    return _unit_group_builtin(L, places)
 
 
 def _quartic_cm_unit_group(setup: RelativeSetup) -> UnitGroupData:
@@ -238,17 +235,14 @@ def _quartic_cm_unit_group(setup: RelativeSetup) -> UnitGroupData:
     unity search and one fundamental unit from _cm_fundamental_unit.  The
     unit index found there also gives h(L) by Kuroda's formula, set as
     L.class_number before the relation search of L first runs."""
-    L, places = setup.rel_field, setup.rel_places
+    L = setup.rel_field
     K = setup.field
-    # torsion: zeta_6 always (zeta_3 in L); order 12 exactly when i in L
+    # torsion: zeta_6 always (zeta_3 in L); order 12 exactly when i in L,
+    # generated by i * zeta_3
     zeta6 = -(setup.zeta * setup.zeta)
-    verify((zeta6 ** 3).is_rational_value() == -1, "zeta_6 cubed must be -1")
     i_root = find_root([L.one(), L.zero(), L.one()], L)
     if i_root is not None:
-        # i * zeta_3 has order 12
         torsion_gen, w = i_root * (zeta6 * zeta6), 12
-        verify((torsion_gen ** 6).is_rational_value() == -1,
-               "i * zeta_3 must have order 12")
     else:
         torsion_gen, w = zeta6, 6
     # theta^2 + b theta + c = 0 generates K, and (2 zeta_3 + 1)^2 = -3, so
@@ -266,7 +260,7 @@ def _quartic_cm_unit_group(setup: RelativeSetup) -> UnitGroupData:
         real, real_embed = F, FieldEmbedding(F, L, sqrt_s)
     eta, index = _cm_fundamental_unit(
         real_embed.map(unit_group(real, PlaceSet(real, (), ())).free_gens[0]),
-        torsion_gen, w)
+        torsion_gen)
     # Kuroda's formula for an imaginary bicyclic biquadratic field
     # (Lemmermeyer, Acta Arith. 66, 1994): h(L) = Q h(k1) h(k2) h(k3) / 2
     # over its three quadratic subfields, Q the unit index; K may carry a
@@ -277,30 +271,21 @@ def _quartic_cm_unit_group(setup: RelativeSetup) -> UnitGroupData:
                           * quadratic_class_number(-3), 2)
         verify(rest == 0, "Kuroda's formula gives an integer class number")
         L.class_number = hl
-    field_units = [eta]
-    s_gens = _s_unit_generators(L, places)
-    rank = 1 + places.n_finite
-    free_gens = tuple(field_units) + tuple(s_gens)
-    verify(len(free_gens) == rank, "one free generator per unit rank")
-    return UnitGroupData(L, places, rank, w, torsion_gen, free_gens, "computed")
+    return computed_unit_group(setup.rel_places, torsion_gen, w, [eta])
 
 
-def _cm_fundamental_unit(eps: NFElement, torsion_gen: NFElement, w: int
+def _cm_fundamental_unit(eps: NFElement, torsion_gen: NFElement
                          ) -> tuple[NFElement, int]:
     """A fundamental unit of the quartic CM field L, from the fundamental
     unit eps of its real quadratic subfield, and the unit index
     Q = [E_L : W_L E+] over the units E+ of that subfield.  Q divides 2, and
     Q = 2 exactly when some root of unity times eps is a square in L; that
-    square root is then fundamental."""
-    L = eps.field
-    verify(abs(eps.norm()) == 1 and eps.is_integral(),
-           "the lifted fundamental unit must be a unit of L")
-    tpow = L.one()
-    for _ in range(w):
-        root = sqrt_in_field(tpow * eps)
+    square root is then fundamental.  zeta^k eps is a square exactly when
+    zeta^(k mod 2) eps is one, so two candidates decide it."""
+    for candidate in (eps, torsion_gen * eps):
+        root = sqrt_in_field(candidate)
         if root is not None and abs(root.norm()) == 1:
             return root, 2
-        tpow = tpow * torsion_gen
     return eps, 1
 
 
@@ -308,27 +293,14 @@ def _cm_fundamental_unit(eps: NFElement, torsion_gen: NFElement, w: int
 # norm maps
 
 
-def _presentation(u: UnitGroupData):
-    """Generators [torsion, free...] with the single torsion relation."""
-    k = 1 + len(u.free_gens)
-    rel = IntMatrix.from_rows([[u.torsion_order]] + [[0]] * (k - 1))
-    return k, rel
-
-
 @dataclass
 class NormMapsData:
     setup: RelativeSetup
     unit_k: UnitGroupData
     class_k: ClassGroupData
-    unit_l: Optional[UnitGroupData]
     class_l: Optional[ClassGroupData]
-    # Nm1 on the presentation [torsion, free...] of the unit groups
-    nm1_matrix: Optional[IntMatrix]
     ker_nm1: FinGenAbGroup
-    ker_nm1_gens: tuple  # exponent vectors over the source presentation
-    coker_nm1: Cokernel  # over the presentation of unit_k
-    # Nm0 on class-group generators
-    nm0_matrix: Optional[IntMatrix]
+    coker_nm1: Cokernel  # over the presentation [torsion, free...] of unit_k
     ker_nm0: FiniteAbelianGroup
     ker_nm0_gens: tuple  # coordinate vectors over class_l generators
     provenance: dict
@@ -354,19 +326,15 @@ def _norm_maps_split(setup, uk, ck, prov) -> NormMapsData:
     # R = O x O with coordinate-swap conjugation: Nm1(u, v) = uv, so the
     # norm is surjective on units (cokernel trivial) and its kernel
     # {(u, u^-1)} is a copy of the S-unit group
-    nk, rel_k = _presentation(uk)
-    ident = IntMatrix.identity(nk)
-    coker = presented_hom_cokernel(ident, rel_k)
+    rel_k = uk.relations
+    coker = presented_hom_cokernel(IntMatrix.identity(rel_k.nrows), rel_k)
     verify(coker.group.torsion.is_trivial and coker.group.free_rank == 0,
            "the split unit norm map must be surjective")
-    ker = uk.group()
-    ker_gens = ident.entries
     # Nm0: Pic(R) = Pic x Pic -> Pic is addition; kernel is the antidiagonal
     ker0 = ck.group
     ker0_gens = IntMatrix.identity(len(ck.group.invariant_factors)).entries
     prov["nm1"] = prov["nm0"] = "computed"
-    return NormMapsData(setup, uk, ck, None, None, None, ker, ker_gens, coker,
-                        None, ker0, ker0_gens, prov)
+    return NormMapsData(setup, uk, ck, None, uk.group(), coker, ker0, ker0_gens, prov)
 
 
 def _norm_maps_field(setup, uk, ck, prov, store) -> NormMapsData:
@@ -374,27 +342,28 @@ def _norm_maps_field(setup, uk, ck, prov, store) -> NormMapsData:
     cl = class_group(setup.rel_field, setup.rel_places, store=store)
     prov["unit_L"] = ul.provenance
     prov["class_L"] = cl.provenance
-    nk, rel_k = _presentation(uk)
-    nl, rel_l = _presentation(ul)
+    rel_k, rel_l = uk.relations, ul.relations
 
-    # Nm1: u -> u * sigma(u), landing in K
-    if ul.torsion_gen is not None and (len(ul.free_gens) == ul.rank):
-        cols = []
-        for g in (ul.torsion_gen,) + tuple(ul.free_gens):
-            nm = g * setup.sigma.map(g)
-            t, e = uk.dlog(pullback(setup.embed, nm))
-            cols.append((t,) + tuple(e))
-        nm1 = IntMatrix.from_cols(cols, nk)
-        prov["nm1"] = "computed" if ul.provenance == "computed" else ul.provenance
-    else:
-        nm1 = _asserted_nm1(setup, store, nk, nl)
+    # Nm1: u -> u * sigma(u), landing in K, on the generators of L's units
+    # or as a fixture asserts it
+    if ul.nm1_images is not None:
+        cols = ul.nm1_images
+        if len(cols) != rel_l.nrows or any(len(c) != rel_k.nrows for c in cols):
+            raise ConsistencyFailure("nm1 image table has wrong shape")
         prov["nm1"] = "asserted"
+    else:
+        cols = []
+        for g in ul.generators():
+            t, e = uk.dlog(pullback(setup.embed, g * setup.sigma.map(g)))
+            cols.append((t,) + e)
+        prov["nm1"] = ul.provenance
+    nm1 = IntMatrix.from_cols(cols, rel_k.nrows)
 
     coker = presented_hom_cokernel(nm1, rel_k)
     verify(coker.group.free_rank == 0, "cokernel of the unit norm map must be finite")
     verify(coker.group.torsion.is_elementary_2(),
            "cokernel of the unit norm map must be elementary 2-torsion")
-    ker, ker_gens = presented_hom_kernel(rel_l, nm1, rel_k)
+    ker, _ = presented_hom_kernel(rel_l, nm1, rel_k)
 
     # Nm0 on class-group generators of L
     rel0_l = IntMatrix.diagonal(cl.group.invariant_factors)
@@ -410,22 +379,7 @@ def _norm_maps_field(setup, uk, ck, prov, store) -> NormMapsData:
            == cl.group.order * coker0.torsion_order,
            "|ker Nm0| * |Cl(K_S)| must equal |Cl(L_S)| * |coker Nm0|")
     prov["nm0"] = "computed" if cl.provenance == "computed" else cl.provenance
-    return NormMapsData(setup, uk, ck, ul, cl, nm1, ker, ker_gens, coker,
-                        nm0, ker0, ker0_gens, prov)
-
-
-def _asserted_nm1(setup, store, nk, nl) -> IntMatrix:
-    """Norm-map images supplied directly by a fixture when explicit unit
-    elements are impractical."""
-    if store is not None:
-        doc = store.lookup_raw(setup.rel_field, setup.rel_places)
-        if doc and "norm_images" in doc and "nm1" in doc["norm_images"]:
-            cols = doc["norm_images"]["nm1"]
-            if len(cols) != nl or any(len(c) != nk for c in cols):
-                raise ConsistencyFailure("nm1 image table has wrong shape")
-            return IntMatrix.from_cols(cols, nk)
-    raise NeedsBackendData(
-        "unit norm map needs explicit unit elements or fixture-supplied images")
+    return NormMapsData(setup, uk, ck, cl, ker, coker, ker0, ker0_gens, prov)
 
 
 def relative_ideal_norm(setup: RelativeSetup, ideal: FractionalIdeal
@@ -481,7 +435,6 @@ class OrientedClassGroup:
     norms: NormMapsData
     carrier: FiniteAbelianGroup  # canonical invariant factors of the carrier
     sub_factors: tuple  # coker_nm1 invariant factors (orientation part)
-    quot_factors: tuple  # ker_nm0 invariant factors (ideal-class part)
     elements: tuple  # OrientedElement, sorted by coords
     notes: tuple = ()
 
@@ -506,7 +459,6 @@ def oriented_class_group(setup: RelativeSetup, norms: NormMapsData
 
 def _ocg_split(setup, norms) -> OrientedClassGroup:
     ck = norms.class_k
-    factors = ck.group.invariant_factors
     elements = []
     for coords in ck.group.elements():
         ideal = FractionalIdeal.product(setup.field,
@@ -516,8 +468,7 @@ def _ocg_split(setup, norms) -> OrientedClassGroup:
         elements.append(OrientedElement(tuple(coords), (), tuple(coords),
                                         ideal, None))
     elements.sort(key=lambda e: e.coords)
-    return OrientedClassGroup(setup, norms, ck.group, (), factors,
-                              tuple(elements))
+    return OrientedClassGroup(setup, norms, ck.group, (), tuple(elements))
 
 
 def _reduce_in_class(ideal: FractionalIdeal) -> FractionalIdeal:
@@ -559,8 +510,7 @@ def _ocg_field(setup, norms) -> OrientedClassGroup:
             elements.append(OrientedElement(tuple(oc) + tuple(kc), tuple(oc),
                                             tuple(kc), ideal, g))
     elements.sort(key=lambda e: e.coords)
-    return OrientedClassGroup(setup, norms, carrier, sub, quot,
-                              tuple(elements))
+    return OrientedClassGroup(setup, norms, carrier, sub, tuple(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -621,13 +571,8 @@ def _express_in_kernel(norms: NormMapsData, ambient_coords) -> list:
 def _coker_rep(norms: NormMapsData, coords) -> NFElement:
     """A unit of K representing the given coker_nm1 coset."""
     uk = norms.unit_k
-    gens = IntMatrix.from_cols(norms.coker_nm1.generators, 1 + len(uk.free_gens))
-    amb = gens.apply(coords)
-    u = uk.torsion_gen ** amb[0]
-    for g, e in zip(uk.free_gens, amb[1:]):
-        if e:
-            u = u * g**e
-    return u
+    gens = IntMatrix.from_cols(norms.coker_nm1.generators, uk.relations.nrows)
+    return uk.element(gens.apply(coords))
 
 
 # ---------------------------------------------------------------------------

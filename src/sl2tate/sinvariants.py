@@ -80,6 +80,12 @@ class PlaceSet:
     def n_finite(self) -> int:
         return len(self.prime_ideals)
 
+    @property
+    def unit_rank(self) -> int:
+        """Dirichlet's rank r1 + r2 - 1 + |S_f| of the S-unit group."""
+        r1, r2 = self.field.signature
+        return r1 + r2 - 1 + self.n_finite
+
 
 # ---------------------------------------------------------------------------
 # binary quadratic forms oracle (imaginary quadratic, independent route)
@@ -430,6 +436,8 @@ def _finish_class_group(field, places, gen_primes, rel_cols) -> ClassGroupData:
 
 @dataclass
 class UnitGroupData:
+    """The S-unit group, presented on the generators [torsion, free...]:
+    1 + rank of them, with the one relation torsion_order * torsion."""
     field: NumberField
     places: PlaceSet
     rank: int
@@ -437,10 +445,34 @@ class UnitGroupData:
     torsion_gen: Optional[NFElement]
     free_gens: tuple  # NFElements; field units first, then S-unit generators
     provenance: str
+    # asserted images of the unit norm map, one column per generator
+    # (ingested only)
+    nm1_images: Optional[tuple] = None
 
     def group(self) -> FinGenAbGroup:
         t = (self.torsion_order,) if self.torsion_order > 1 else ()
         return FinGenAbGroup(self.rank, FiniteAbelianGroup(t))
+
+    @property
+    def relations(self) -> IntMatrix:
+        """The relation matrix of the presentation, one row per generator."""
+        return IntMatrix.from_rows([[self.torsion_order]] + [[0]] * self.rank)
+
+    def generators(self) -> tuple:
+        """The elements (torsion_gen, *free_gens); raises NeedsBackendData
+        for a group ingested without them."""
+        if self.torsion_gen is None or len(self.free_gens) < self.rank:
+            raise NeedsBackendData(f"the unit group of {self.field.label} was "
+                                   "ingested without its generators")
+        return (self.torsion_gen,) + tuple(self.free_gens)
+
+    def element(self, exps) -> NFElement:
+        """The unit with the given exponents on the generators."""
+        u = self.field.one()
+        for g, e in zip(self.generators(), exps):
+            if e:
+                u = u * g**e
+        return u
 
     def dlog(self, u: NFElement) -> tuple[int, tuple[int, ...]]:
         """Write u = torsion_gen^t * prod free_gens^e_i exactly; raises
@@ -454,6 +486,33 @@ def unit_group(field: NumberField, places: PlaceSet, store=None) -> UnitGroupDat
         if hit is not None:
             return hit
     return _unit_group_builtin(field, places)
+
+
+def has_order(x: NFElement, w: int) -> bool:
+    """Whether x has order exactly w: x^w = 1, and x^(w/q) != 1 for each
+    prime q dividing w.  A root of unity of order w in a field of degree n
+    has phi(w) <= n, and phi(w) >= sqrt(w/2), so w > 2n^2 never occurs."""
+    if w > 2 * x.field.degree ** 2:
+        return False
+    return (x ** w).is_rational_value() == 1 and all(
+        (x ** (w // q)).is_rational_value() != 1
+        for q in pt.divisors(w) if pt.is_prime(q))
+
+
+def computed_unit_group(places: PlaceSet, torsion_gen: NFElement, w: int,
+                        field_units) -> UnitGroupData:
+    """The S-unit group from a generator of the roots of unity, of order w,
+    and a basis of the units: appends the S-unit generators and checks the
+    torsion order and Dirichlet's rank."""
+    field = places.field
+    verify(has_order(torsion_gen, w), f"the torsion generator has order {w}")
+    for u in field_units:
+        verify(abs(u.norm()) == 1 and u.is_integral(), "field units are units")
+    free_gens = tuple(field_units) + tuple(_s_unit_generators(field, places))
+    verify(len(free_gens) == places.unit_rank,
+           "the free generators match the Dirichlet rank")
+    return UnitGroupData(field, places, places.unit_rank, w, torsion_gen, free_gens,
+                         "computed")
 
 
 def _unit_group_builtin(field: NumberField, places: PlaceSet) -> UnitGroupData:
@@ -490,17 +549,7 @@ def _unit_group_builtin(field: NumberField, places: PlaceSet) -> UnitGroupData:
         raise NeedsBackendData(
             f"unit group of {field.label} is outside the built-in families"
         )
-    verify((torsion_gen ** w).is_rational_value() == 1, "torsion generator order")
-    if w > 2:
-        verify((torsion_gen ** (w // 2)).is_rational_value() == -1, "torsion generator order")
-    for u in field_units:
-        verify(abs(u.norm()) == 1 and u.is_integral(), "field units are units")
-
-    s_gens = _s_unit_generators(field, places)
-    rank = r1 + r2 - 1 + places.n_finite
-    free_gens = tuple(field_units) + tuple(s_gens)
-    verify(len(free_gens) == rank, "the free generators match the Dirichlet rank")
-    return UnitGroupData(field, places, rank, w, torsion_gen, free_gens, "computed")
+    return computed_unit_group(places, torsion_gen, w, field_units)
 
 
 def _real_quadratic_fundamental_unit(field: NumberField) -> NFElement:
@@ -604,14 +653,14 @@ def _unit_logs(u: NFElement) -> list[float]:
 
 
 def _unit_dlog(data: UnitGroupData, u: NFElement) -> tuple[int, tuple[int, ...]]:
-    field = data.field
-    exps = [0] * len(data.free_gens)
-    field_unit_idx = range(len(data.free_gens))
+    torsion_gen, *free_gens = data.generators()
+    exps = [0] * len(free_gens)
+    field_unit_idx = range(len(free_gens))
     # 1. strip S-prime valuations
     if data.places.n_finite:
         prs = data.places.prime_ideals
         uval = [pr.valuation(u) for pr in prs]
-        gval = [[pr.valuation(g) for pr in prs] for g in data.free_gens]
+        gval = [[pr.valuation(g) for pr in prs] for g in free_gens]
         sol = solve_integer(IntMatrix.from_cols(gval, len(prs)), uval)
         if sol is None:
             raise ValueError("element is not an S-unit for this place set")
@@ -620,25 +669,25 @@ def _unit_dlog(data: UnitGroupData, u: NFElement) -> tuple[int, tuple[int, ...]]
         field_unit_idx = [j for j, row in enumerate(gval) if not any(row)]
         for j, e in enumerate(exps):
             if e:
-                u = u * data.free_gens[j] ** (-e)
+                u = u * free_gens[j] ** (-e)
     if abs(u.norm()) != 1 or not u.is_integral():
         raise ValueError("element is not a unit")
     # 2. infinite part: round a float log solve, then verify exactly below
     if field_unit_idx:
-        cols = [_unit_logs(data.free_gens[j]) for j in field_unit_idx]
+        cols = [_unit_logs(free_gens[j]) for j in field_unit_idx]
         guess = _round_log_solve(cols, _unit_logs(u))
         if guess is None:
             raise ValueError("unit does not lie in the generated group")
         for j, e in zip(field_unit_idx, guess):
             if e:
                 exps[j] += e
-                u = u * data.free_gens[j] ** (-e)
+                u = u * free_gens[j] ** (-e)
     # 3. torsion match
-    acc = field.one()
+    acc = data.field.one()
     for t in range(data.torsion_order):
         if (u - acc).is_zero():
             return t, tuple(exps)
-        acc = acc * data.torsion_gen
+        acc = acc * torsion_gen
     raise ValueError("unit does not lie in the generated group")
 
 
@@ -666,20 +715,31 @@ def _round_log_solve(cols, target):
 # ingestion backend for externally computed data
 
 FIXTURE_SCHEMA = "sl2tate-fixture-1"
-_SHAPES = {int: "an integer", list: "a list of integers", dict: "a JSON object"}
+_TABLE = "table"
+_SHAPES = {int: "an integer", list: "a list of integers", _TABLE: "a list of integer lists",
+           dict: "a JSON object"}
+
+
+def _has_shape(value, shape) -> bool:
+    if shape is int:
+        return type(value) is int
+    if shape is dict:
+        return isinstance(value, dict)
+    inner = int if shape is list else list
+    return isinstance(value, list) and all(_has_shape(x, inner) for x in value)
 
 
 def schema_entry(doc, path: str, shape):
     """The entry at a dotted path (e.g. "unit_group.rank") of a fixture
     document, with its JSON shape checked: int (an integer, not a bool),
-    list (a list of such integers) or dict.  Raises SchemaViolation."""
+    list (a list of such integers), _TABLE (a list of such lists) or dict.
+    Raises SchemaViolation."""
     value, keys = doc, path.split(".")
     for i, key in enumerate(keys):
         if not isinstance(value, dict) or key not in value:
             raise SchemaViolation(f"missing required key {'.'.join(keys[:i + 1])!r}")
         value = value[key]
-    if not (type(value) is int if shape is int else isinstance(value, shape) and (
-            shape is dict or all(type(x) is int for x in value))):
+    if not _has_shape(value, shape):
         raise SchemaViolation(f"{path} must be {_SHAPES[shape]}")
     return value
 
@@ -694,8 +754,6 @@ class BackendStore:
     def __init__(self):
         self._class: dict = {}
         self._unit: dict = {}
-        self._raw: dict = {}
-        self.documents: list = []
 
     @staticmethod
     def _key(field: NumberField, places: PlaceSet):
@@ -706,9 +764,6 @@ class BackendStore:
 
     def lookup_unit_group(self, field, places):
         return self._unit.get(self._key(field, places))
-
-    def lookup_raw(self, field, places):
-        return self._raw.get(self._key(field, places))
 
 
 def _parse_coords(spec, what: str) -> list[Fraction]:
@@ -743,11 +798,9 @@ def ingest_backend(store: BackendStore, document: dict):
         raise SchemaViolation("fixture must be a JSON object")
     if document.get("schema") != FIXTURE_SCHEMA:
         raise SchemaViolation(f"unknown fixture schema {document.get('schema')!r}")
-    kind = document.get("kind", "s-invariants")
-    if kind != "s-invariants":
-        # other kinds (e.g. restriction scenarios) are carried verbatim
-        store.documents.append(document)
-        return document
+    if document.get("kind", "s-invariants") != "s-invariants":
+        # other kinds (e.g. restriction scenarios) are read by their commands
+        return
     if "trust" not in document:
         raise SchemaViolation("missing required key 'trust'")
     min_poly = schema_entry(document, "field.min_poly", list)
@@ -799,19 +852,18 @@ def ingest_backend(store: BackendStore, document: dict):
         udoc = schema_entry(document, "unit_group", dict)
         rank = schema_entry(document, "unit_group.rank", int)
         w = schema_entry(document, "unit_group.torsion_order", int)
-        r1, r2 = field.signature
-        expected = r1 + r2 - 1 + places.n_finite
-        if rank != expected:
+        nm1 = None
+        if "norm_images" in document:
+            nm1 = tuple(map(tuple, schema_entry(document, "norm_images.nm1", _TABLE)))
+        if rank != places.unit_rank:
             raise ConsistencyFailure(
-                f"unit rank {rank} contradicts the rank formula value {expected}")
+                f"unit rank {rank} contradicts the rank formula value {places.unit_rank}")
         if w % 2 != 0 or w < 2:
             raise ConsistencyFailure(f"torsion order {w} is not an even integer >= 2")
         torsion_gen = None
         if "torsion_gen" in udoc:
             torsion_gen = _parse_element(field, udoc["torsion_gen"])
-            if (torsion_gen ** w).is_rational_value() != 1 or (
-                w > 2 and (torsion_gen ** (w // 2)).is_rational_value() != -1
-            ):
+            if not has_order(torsion_gen, w):
                 raise ConsistencyFailure("claimed torsion generator has wrong order")
         free_gens = tuple(_parse_element(field, g) for g in udoc.get("free_gens", []))
         if free_gens and len(free_gens) != rank:
@@ -822,7 +874,7 @@ def ingest_backend(store: BackendStore, document: dict):
                            places.rational_primes) != 1:
                 raise ConsistencyFailure("claimed generator is not an S-unit")
         un_data = UnitGroupData(field, places, rank, w, torsion_gen, free_gens,
-                                provenance)
+                                provenance, nm1)
 
     if cl_data is None and un_data is None:
         raise SchemaViolation("fixture carries neither class_group nor unit_group")
@@ -830,6 +882,3 @@ def ingest_backend(store: BackendStore, document: dict):
         store._class[key] = cl_data
     if un_data is not None:
         store._unit[key] = un_data
-    store._raw[key] = document
-    store.documents.append(document)
-    return document

@@ -7,14 +7,15 @@ import pytest
 
 from sl2tate import relative
 from sl2tate.classify import class_pipeline
-from sl2tate.cli import (EXIT_CONSISTENCY, EXIT_INPUT, EXIT_SCHEMA, EXIT_UNSUPPORTED, int_list,
-                         main)
+from sl2tate.cli import (EXIT_BACKEND, EXIT_CONSISTENCY, EXIT_INPUT, EXIT_SCHEMA,
+                         EXIT_UNSUPPORTED, int_list, main)
 from sl2tate.intlinalg import FiniteAbelianGroup, FinGenAbGroup
-from sl2tate.numberfield import make_field
+from sl2tate.numberfield import make_field, quadratic_field
 from sl2tate.relative import build_setup
 from sl2tate.sinvariants import PlaceSet
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(HERE, "..", "src")
 FIXTURES = os.path.join(SRC, "sl2tate", "fixtures")
 
 
@@ -230,6 +231,8 @@ MALFORMED_SCENARIOS = {
     "array": [HILBERT],
     "fractional_place": {**HILBERT, "source": {**HILBERT["source"], "places": [2.5]}},
     "class_group_array": {**HILBERT, "target": {**HILBERT["target"], "class_group": []}},
+    "zero_degree": {**HILBERT, "target": {**HILBERT["target"], "relative_degree": 0}},
+    "negative_degree": {**HILBERT, "target": {**HILBERT["target"], "relative_degree": -2}},
 }
 MALFORMED_FIXTURES = {
     "text_min_poly": {**SMALL_FIXTURE, "field": {"min_poly": ["a", 0, 1]}},
@@ -239,34 +242,107 @@ MALFORMED_FIXTURES = {
     "text_basis": {**SMALL_FIXTURE, "field": {"min_poly": [1, 0, 1], "basis": "x"}},
     "integer_generator_ideal": {**SMALL_FIXTURE, "class_group": {
         "invariant_factors": [], "generator_ideals": [5]}},
+    "integer_nm1": {**SMALL_FIXTURE, "norm_images": {"nm1": 3}},
+    "object_nm1": {**SMALL_FIXTURE, "norm_images": {"nm1": {"x": 1}}},
+}
+# torsion generators whose order is a proper divisor of the claimed one
+WRONG_TORSION_FIXTURES = {
+    "i_of_order_12": {**SMALL_FIXTURE, "unit_group": {
+        "rank": 0, "torsion_order": 12, "torsion_gen": [0, 1]}},
+    "minus_one_of_order_6": {**SMALL_FIXTURE, "field": {"min_poly": [1, 1, 1]},
+                             "unit_group": {"rank": 0, "torsion_order": 6,
+                                            "torsion_gen": [-1]}},
+    # no root of unity of Q(i) has an order above 2 * 2^2; the prime
+    # divisors of this one are never searched for
+    "minus_one_of_order_2e30": {**SMALL_FIXTURE, "unit_group": {
+        "rank": 0, "torsion_order": 2 * 10**30, "torsion_gen": [-1]}},
 }
 
 
-def _schema_error(tmp_path, doc, argv):
+def _rejected(tmp_path, doc, argv, code=EXIT_SCHEMA, message="schema error: "):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     proc = subprocess.run(
         [sys.executable, "-m", "sl2tate.cli"] + [str(path) if a is None else a for a in argv],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": SRC})
-    assert proc.returncode == EXIT_SCHEMA
+    assert proc.returncode == code
     assert proc.stdout == "" and "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("schema error: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_SCENARIOS))
 def test_malformed_scenario_is_a_schema_error(tmp_path, name):
     # each used to end in a traceback (exit 1, the oracle-mismatch code) or
     # be read as something else; the q23 fixture makes the source reachable
-    _schema_error(tmp_path, MALFORMED_SCENARIOS[name],
-                  ["restrict", "--scenario", None,
-                   "--fixtures", os.path.join(FIXTURES, "q23.json")])
+    _rejected(tmp_path, MALFORMED_SCENARIOS[name],
+              ["restrict", "--scenario", None,
+               "--fixtures", os.path.join(FIXTURES, "q23.json")])
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_FIXTURES))
 def test_malformed_fixture_is_a_schema_error(tmp_path, name):
-    _schema_error(tmp_path, MALFORMED_FIXTURES[name],
-                  ["analyze", "--field=1,0,1", "--ell", "3", "--fixtures", None])
+    _rejected(tmp_path, MALFORMED_FIXTURES[name],
+              ["analyze", "--field=1,0,1", "--ell", "3", "--fixtures", None])
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TORSION_FIXTURES))
+def test_fixture_torsion_generator_of_wrong_order_is_rejected(tmp_path, name):
+    # i has order 4 and -1 order 2: x^w = 1 and x^(w/2) = -1 both hold for
+    # i with w = 12, and -1 with w = 6
+    _rejected(tmp_path, WRONG_TORSION_FIXTURES[name],
+              ["analyze", "--field=1,0,1", "--ell", "3", "--fixtures", None],
+              EXIT_CONSISTENCY,
+              "consistency check failed: claimed torsion generator has wrong order")
+
+
+def test_unit_group_without_generators_needs_backend_data(tmp_path):
+    # Q(i) with an ingested unit group and no elements: Nm1 needs the dlog
+    _rejected(tmp_path, SMALL_FIXTURE,
+              ["analyze", "--field=1,0,1", "--ell", "3", "--fixtures", None],
+              EXIT_BACKEND, "missing backend data: ")
+
+
+def _units_of_l_without_elements(nm1):
+    """A fixture for the units of L = Q(sqrt -5)(zeta_3), whose rank is 1,
+    without elements but with asserted Nm1 images."""
+    k = quadratic_field(-5)
+    L = build_setup(k, PlaceSet.make(k), 3).rel_field
+    return {"schema": "sl2tate-fixture-1", "kind": "s-invariants", "trust": "t",
+            "field": {"min_poly": list(L.min_poly),
+                      "basis": [[[c.numerator, c.denominator] for c in row]
+                                for row in L.basis]},
+            "places": [], "unit_group": {"rank": 1, "torsion_order": 6},
+            "norm_images": {"nm1": nm1}}
+
+
+def test_asserted_nm1_reproduces_the_computed_report(tmp_path):
+    # every unit of L has relative norm 1 in K, whose units are +-1: the
+    # images of [torsion, eta] are the columns [0], [0]
+    fixture = tmp_path / "units_l.json"
+    fixture.write_text(json.dumps(_units_of_l_without_elements([[0], [0]])))
+    code, rep, _ = _run_json(tmp_path, ["analyze", "--field=5,0,1", "--ell", "3",
+                                        "--fixtures", str(fixture)])
+    assert code == 0
+    with open(os.path.join(HERE, "golden", "qsqrt-5_ell3.json")) as f:
+        computed = json.load(f)
+    assert rep["norm_maps"]["provenance"] == {
+        **computed["norm_maps"]["provenance"], "nm1": "asserted", "unit_L": "ingested:t"}
+    assert rep["norm_maps"]["ker_nm1"] == {"free_rank": 1, "torsion": [6]}
+    rep["norm_maps"]["provenance"] = computed["norm_maps"]["provenance"]
+    assert rep == computed
+
+
+def test_asserted_nm1_with_a_column_per_free_generator_missing_exits_7(tmp_path, capsys):
+    # one column for the two generators [torsion, eta]: the free unit of L
+    # must not drop out of Nm1
+    fixture = tmp_path / "units_l.json"
+    fixture.write_text(json.dumps(_units_of_l_without_elements([[0]])))
+    code, _, out = _run_json(tmp_path, ["analyze", "--field=5,0,1", "--ell", "3",
+                                        "--fixtures", str(fixture)])
+    assert code == EXIT_CONSISTENCY
+    assert capsys.readouterr().err == "consistency check failed: nm1 image table has wrong shape\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("target", [["0,1", "0"], ["-5,0,1", "0,0"]])

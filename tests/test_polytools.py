@@ -307,3 +307,19 @@ def test_complex_roots_match_nroots(f):
         assert min(abs(r - z) for z in roots) < 1e-9
     for z in roots:
         assert min(abs(r - z) for r in expected) < 1e-9
+
+
+def test_power_squares_only_while_higher_bits_remain():
+    # one squaring per bit below the top, one product per further set bit
+    calls = []
+
+    def mul(a, b):
+        calls.append(1)
+        return a * b
+
+    for e in range(1, 70):
+        calls.clear()
+        assert pt.power(3, e, mul) == 3**e
+        assert len(calls) == e.bit_length() + bin(e).count("1") - 2
+    with pytest.raises(ValueError):
+        pt.power(3, 0)

@@ -149,6 +149,30 @@ def test_quartic_cm_units_embed_the_real_subfield_without_a_root_search(
     assert abs(eta.norm()) == 1 and eta.is_integral()
 
 
+@pytest.mark.parametrize("min_poly", ([1, 0, 1], [2, 0, 1], [6, 1, 1], [5, 0, 1], [-13, 0, 1]))
+def test_cm_fundamental_unit_tries_two_roots_of_unity(monkeypatch, min_poly):
+    # zeta^k eps is a square exactly when zeta^(k mod 2) eps is one, so the
+    # first of eps, zeta eps has the root that a search over all w powers
+    # of zeta finds first (unit index 2 for the first three fields, 1 else)
+    s = _setup(make_field(min_poly), [], 3)
+    seen, roots = [], []
+    cm_unit, sqrt = relative._cm_fundamental_unit, relative.sqrt_in_field
+    monkeypatch.setattr(relative, "_cm_fundamental_unit",
+                        lambda eps, zeta: seen.append((eps, zeta)) or cm_unit(eps, zeta))
+    monkeypatch.setattr(relative, "sqrt_in_field", lambda x: roots.append(x) or sqrt(x))
+    u = relative_unit_group(s)
+    assert len(roots) <= 2
+    (eps, zeta), = seen
+    expected, tpow = eps, s.rel_field.one()
+    for _ in range(u.torsion_order):
+        root = sqrt(tpow * eps)
+        if root is not None:
+            expected = root
+            break
+        tpow = tpow * zeta
+    assert u.free_gens[0] == expected
+
+
 def test_relative_units_gaussian_ell3():
     # Q(i, zeta_3) = Q(zeta_12) has torsion of order 12
     k = quadratic_field(-1)
