@@ -4,9 +4,8 @@ restriction maps along field extensions with transfer obstructions, and the
 classification of the colimit over all S."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cohomology import total_dimensions
 from .errors import EmbeddingInvalid, NeedsBackendData, SchemaViolation, verify
@@ -20,8 +19,7 @@ from .sinvariants import PlaceSet, schema_entry
 # freeness over the Chern subring
 
 
-@dataclass(frozen=True)
-class QuillenReport:
+class QuillenReport(NamedTuple):
     n1: int  # abelian (non-invariant) subgroup classes
     n2: int  # dihedral (invariant) subgroup classes
     r: int  # free rank of ker Nm1
@@ -57,8 +55,7 @@ def quillen_report(classes, norms, ell: int) -> QuillenReport:
 # detection by diagonal matrices
 
 
-@dataclass(frozen=True)
-class DetectionReport:
+class DetectionReport(NamedTuple):
     verdict: str  # "NotInjective" | "Inconclusive"
     pic_order: Optional[int]
     source_components: Optional[int]
@@ -105,8 +102,7 @@ def detection_report(setup: RelativeSetup, classes) -> DetectionReport:
 # restriction along an extension L/K
 
 
-@dataclass(frozen=True)
-class RestrictionReport:
+class RestrictionReport(NamedTuple):
     degree: int
     assignment: dict  # source element-class coords -> target class label
     merges: tuple  # groups of >= 2 source classes with equal target (C1)
@@ -247,8 +243,7 @@ def transfer_obstruction(report: RestrictionReport, ell: int):
 # colimit over all S, vcd
 
 
-@dataclass(frozen=True)
-class ColimitDescriptor:
+class ColimitDescriptor(NamedTuple):
     case: str  # "Zero" | "ProductOverRelativeBrauer" | "NormalizerOfTorus"
     note: str
 

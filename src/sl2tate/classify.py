@@ -9,8 +9,7 @@ the norm-one unit group itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import polytools as pt
 from .errors import SearchExhausted, verify
@@ -29,14 +28,12 @@ from .relative import (
 )
 
 
-@dataclass(frozen=True)
-class NormalizerDescriptor:
+class NormalizerDescriptor(NamedTuple):
     kind: str  # "Abelian" | "Dihedral"
     base: FinGenAbGroup  # structure of ker Nm1 (norm-one units)
 
 
-@dataclass(frozen=True)
-class SubgroupClass:
+class SubgroupClass(NamedTuple):
     orbit: tuple  # one or two coordinate tuples in the oriented class group
     galois_invariant: bool
     normalizer: NormalizerDescriptor
@@ -82,8 +79,7 @@ def subgroup_classes(ocg: OrientedClassGroup,
     return classes
 
 
-@dataclass(frozen=True)
-class SetupClasses:
+class SetupClasses(NamedTuple):
     """What the class pipeline yields for one regular setup with torsion."""
     norms: NormMapsData
     ocg: OrientedClassGroup
@@ -121,8 +117,7 @@ def dihedral_overgroup_count(cls: SubgroupClass, norms: NormMapsData) -> int:
 # explicit representative matrices
 
 
-@dataclass(frozen=True)
-class RepresentativeMatrix:
+class RepresentativeMatrix(NamedTuple):
     rows: tuple  # ((a, b), (c, d)) with entries in K
 
     def entries(self):

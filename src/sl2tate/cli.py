@@ -318,7 +318,7 @@ def _build_parser():
     a.add_argument("--places", type=int_list, default=[],
                    help="rational primes to invert, comma-separated")
     a.add_argument("--ell", type=int, required=True)
-    a.add_argument("--fixtures", nargs="*", help="fixture JSON paths")
+    a.add_argument("--fixtures", nargs="*", action="extend", help="fixture JSON paths")
     a.add_argument("--degrees", type=degree_window, default="-8:8",
                    help="degree window lo:hi")
     a.add_argument("--out", help="output path (default stdout)")
@@ -333,7 +333,7 @@ def _build_parser():
     r.add_argument("--target-places", type=int_list, default=[])
     r.add_argument("--embedding", type=fraction_list,
                    help="image of the source generator, comma-separated coords")
-    r.add_argument("--fixtures", nargs="*")
+    r.add_argument("--fixtures", nargs="*", action="extend")
     r.add_argument("--out")
     r.set_defaults(func=cmd_restrict)
 

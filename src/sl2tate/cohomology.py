@@ -12,14 +12,13 @@ complex for Z^r, and direct monomial enumeration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .intlinalg import rref_mod
 
 
-@dataclass(frozen=True)
-class GradedRingDescriptor:
+class GradedRingDescriptor(NamedTuple):
     kind: str  # "LaurentTimesExterior" | "InvariantSubring" | "Zero"
     r: int  # number of exterior generators beyond b1
     ell: int
@@ -45,8 +44,7 @@ class GradedRingDescriptor:
                 "period": self.period, "dims": list(self.dims_over_period())}
 
 
-@dataclass(frozen=True)
-class DimensionFunction:
+class DimensionFunction(NamedTuple):
     period: int
     dims: tuple  # dims over one period, degree 0 first
 

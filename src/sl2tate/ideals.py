@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
@@ -174,12 +173,21 @@ def _rational_valuation(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
 class PrimeIdeal:
-    p: int
-    ideal: FractionalIdeal
-    e: int  # ramification index
-    f: int  # residue degree
+    def __init__(self, p: int, ideal: FractionalIdeal, e: int, f: int):
+        self.p = p
+        self.ideal = ideal
+        self.e = e  # ramification index
+        self.f = f  # residue degree
+
+    def __eq__(self, other):
+        if other.__class__ is not PrimeIdeal:
+            return NotImplemented
+        return (self.p == other.p and self.e == other.e and self.f == other.f
+                and self.ideal == other.ideal)
+
+    def __hash__(self):
+        return hash((self.p, self.ideal, self.e, self.f))
 
     def __repr__(self):
         return f"PrimeIdeal(p={self.p}, e={self.e}, f={self.f})"
@@ -244,12 +252,7 @@ def factor_rational_prime(field: NumberField, p: int) -> tuple[PrimeIdeal, ...]:
                 ideal = FractionalIdeal(field, IntMatrix.from_rows(rows))
                 primes.append(PrimeIdeal(p, ideal, e=mult, f=len(fac) - 1))
             return _verified_primes(field, p, primes, True)
-    candidates = [field.gen()]
-    candidates += [field.basis_element(i) for i in range(1, n)]
-    candidates += [field.basis_element(i) + field.basis_element(j)
-                   for i in range(1, n) for j in range(i + 1, n)]
-    for g in candidates:
-        mp = g.min_poly_over_q()
+    for g, mp in _monogenic_candidates(field):
         if pt.degree(mp) != n or any(not isinstance(c, int) for c in mp):
             continue
         if _index_prime_to(pt.discriminant(mp), field.discriminant, p):
@@ -259,6 +262,16 @@ def factor_rational_prime(field: NumberField, p: int) -> tuple[PrimeIdeal, ...]:
     # F_2 has a single irreducible quadratic); fall back to splitting the
     # F_p-algebra O/pO directly
     return _factor_by_algebra_splitting(field, p)
+
+
+def _monogenic_candidates(field: NumberField):
+    """(g, minimal polynomial of g) for the root theta, whose minimal
+    polynomial is the defining one, then for the basis elements and their
+    pairwise sums; each is built only when the one before it fails."""
+    yield field.gen(), list(field.min_poly)
+    basis = [field.basis_element(i) for i in range(1, field.degree)]
+    for g in itertools.chain(basis, (a + b for a, b in itertools.combinations(basis, 2))):
+        yield g, g.min_poly_over_q()
 
 
 def _index_prime_to(disc_g: int, disc_k: int, p: int) -> bool:

@@ -21,10 +21,9 @@ Conventions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import verify
 
@@ -44,12 +43,25 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Integer matrix stored by rows.  The width is stored too, so an r x 0
     or 0 x c matrix keeps its shape through every operation."""
-    entries: tuple[tuple[int, ...], ...]
-    ncols: int
+    __slots__ = ("entries", "ncols")
+
+    def __init__(self, entries: tuple[tuple[int, ...], ...], ncols: int):
+        self.entries = entries
+        self.ncols = ncols
+
+    def __eq__(self, other):
+        if other.__class__ is not IntMatrix:
+            return NotImplemented
+        return self.ncols == other.ncols and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.entries, self.ncols))
+
+    def __repr__(self):
+        return f"IntMatrix(entries={self.entries!r}, ncols={self.ncols!r})"
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -332,18 +344,29 @@ def solve_integer(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     return None if y is None else u.transpose().apply(y)
 
 
-@dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Finite abelian group in invariant-factor form d1 | d2 | ..., di >= 2."""
-    invariant_factors: tuple[int, ...]
+    __slots__ = ("invariant_factors",)
 
-    def __post_init__(self):
-        for d in self.invariant_factors:
+    def __init__(self, invariant_factors: tuple[int, ...]):
+        for d in invariant_factors:
             if d < 2:
                 raise ValueError("invariant factors must be >= 2")
-        for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
+        for a, b in zip(invariant_factors, invariant_factors[1:]):
             if b % a != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
+        self.invariant_factors = invariant_factors
+
+    def __eq__(self, other):
+        if other.__class__ is not FiniteAbelianGroup:
+            return NotImplemented
+        return self.invariant_factors == other.invariant_factors
+
+    def __hash__(self):
+        return hash((self.invariant_factors,))
+
+    def __repr__(self):
+        return f"FiniteAbelianGroup(invariant_factors={self.invariant_factors!r})"
 
     @property
     def order(self) -> int:
@@ -369,8 +392,7 @@ class FiniteAbelianGroup:
         return all(d == 2 for d in self.invariant_factors)
 
 
-@dataclass(frozen=True)
-class FinGenAbGroup:
+class FinGenAbGroup(NamedTuple):
     """Finitely generated abelian group: Z^free_rank x (finite torsion part)."""
     free_rank: int
     torsion: FiniteAbelianGroup
@@ -380,17 +402,19 @@ class FinGenAbGroup:
         return self.torsion.order
 
 
-@dataclass
 class Cokernel:
     """Z^ngens / colspan(relations), with the SNF change of basis retained so
     that ambient vectors can be projected to canonical coordinates."""
-    group: FinGenAbGroup
-    # row i of `basis_change` maps ambient coords to the i-th SNF coordinate
-    basis_change: IntMatrix
-    # invariant factor (0 = free) attached to each retained SNF coordinate
-    factors: tuple[int, ...]
-    # ambient-coordinate representatives of the retained generators
-    generators: tuple[tuple[int, ...], ...]
+
+    def __init__(self, group: FinGenAbGroup, basis_change: IntMatrix,
+                 factors: tuple[int, ...], generators: tuple[tuple[int, ...], ...]):
+        self.group = group
+        # row i of `basis_change` maps ambient coords to the i-th SNF coordinate
+        self.basis_change = basis_change
+        # invariant factor (0 = free) attached to each retained SNF coordinate
+        self.factors = factors
+        # ambient-coordinate representatives of the retained generators
+        self.generators = generators
 
     def project(self, v: Sequence[int]) -> tuple[int, ...]:
         w = self.basis_change.apply(list(v))

@@ -17,7 +17,6 @@ coefficients, multiplied and reduced by the polytools division core.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -282,14 +281,25 @@ def _reduced(field: NumberField, num, den: int) -> "NFElement":
     return NFElement(field, tuple(num), den)
 
 
-@dataclass(frozen=True)
 class NFElement:
     """x = (sum_i num[i] * b_i) / den over the integral basis b, in lowest
     terms (den > 0, gcd(den, *num) = 1), so equal elements compare and hash
     equal."""
-    field: NumberField
-    num: tuple[int, ...]
-    den: int = 1
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num: tuple[int, ...], den: int = 1):
+        self.field = field
+        self.num = num
+        self.den = den
+
+    def __eq__(self, other):
+        if other.__class__ is not NFElement:
+            return NotImplemented
+        return (self.num == other.num and self.den == other.den
+                and (self.field is other.field or self.field == other.field))
+
+    def __hash__(self):
+        return hash((self.field, self.num, self.den))
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -452,7 +462,8 @@ def make_field(min_poly: Sequence[int], basis=None, label=None) -> NumberField:
 
 @lru_cache(maxsize=None)
 def _cyclo_candidates(n: int) -> tuple[int, ...]:
-    return tuple(m for m in range(1, 8 * n * n + 2) if pt.euler_phi(m) == n)
+    phi = pt.totients(8 * n * n + 1)
+    return tuple(m for m in range(1, len(phi)) if phi[m] == n)
 
 
 def _cyclo_order(p) -> int | None:
@@ -480,15 +491,13 @@ def cyclotomic_field(m: int, label=None) -> NumberField:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FieldEmbedding:
-    source: NumberField
-    target: NumberField
-    gen_image: NFElement
-
-    def __post_init__(self):
-        if not _eval_poly_at(self.source.min_poly, self.gen_image).is_zero():
+    def __init__(self, source: NumberField, target: NumberField, gen_image: NFElement):
+        if not _eval_poly_at(source.min_poly, gen_image).is_zero():
             raise ValueError("gen_image is not a root of the source min poly")
+        self.source = source
+        self.target = target
+        self.gen_image = gen_image
 
     def map(self, el: NFElement) -> NFElement:
         if el.field != self.source:

@@ -181,17 +181,15 @@ def _cyclotomic(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def euler_phi(m: int) -> int:
-    """Euler's totient of m >= 1, by trial division."""
-    phi, rest, d = m, m, 2
-    while d * d <= rest:
-        if rest % d == 0:
-            phi -= phi // d
-            while rest % d == 0:
-                rest //= d
-        d += 1
-    if rest > 1:
-        phi -= phi // rest
+def totients(limit: int) -> list[int]:
+    """Euler's totients of 0, 1, ..., limit (phi[0] = 0) by one sieve pass:
+    phi(k) -= phi(k) / q over the multiples k of each prime q, a q whose
+    entry no smaller prime has lowered."""
+    phi = list(range(limit + 1))
+    for q in range(2, limit + 1):
+        if phi[q] == q:
+            for k in range(q, limit + 1, q):
+                phi[k] -= phi[k] // q
     return phi
 
 

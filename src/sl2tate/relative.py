@@ -10,8 +10,7 @@ The relative ideal norm is the contraction to K of I sigma(I).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     ConsistencyFailure,
@@ -66,24 +65,29 @@ from .sinvariants import (
 # setup: case detection and regularity
 
 
-@dataclass
 class RelativeSetup:
-    field: NumberField
-    places: PlaceSet
-    ell: int
-    case: str  # "Field" | "Split" | "NoTorsion"
-    regularity: str  # "R1" | "R2" | "Violated" | "None"
-    t: Optional[NFElement] = None
-    psi_root: Optional[NFElement] = None  # zeta_ell in K (Split case)
-    violation: Optional[str] = None
-    violation_prime: Optional[int] = None
-    # Field case: L = K(zeta_ell) with the K-embedding, zeta, conjugation
+    # Field case: L = K(zeta_ell) with the K-embedding, zeta, conjugation,
+    # set by build_setup once L is built
     rel_field: Optional[NumberField] = None
     embed: Optional[FieldEmbedding] = None
     zeta: Optional[NFElement] = None
     sigma: Optional[FieldEmbedding] = None
     rel_places: Optional[PlaceSet] = None
-    notes: tuple = ()
+
+    def __init__(self, field: NumberField, places: PlaceSet, ell: int, case: str,
+                 regularity: str, t: Optional[NFElement] = None,
+                 psi_root: Optional[NFElement] = None, violation: Optional[str] = None,
+                 violation_prime: Optional[int] = None, notes: tuple = ()):
+        self.field = field
+        self.places = places
+        self.ell = ell
+        self.case = case  # "Field" | "Split" | "NoTorsion"
+        self.regularity = regularity  # "R1" | "R2" | "Violated" | "None"
+        self.t = t
+        self.psi_root = psi_root  # zeta_ell in K (Split case)
+        self.violation = violation
+        self.violation_prime = violation_prime
+        self.notes = notes
 
     @property
     def is_regular(self) -> bool:
@@ -293,17 +297,20 @@ def _cm_fundamental_unit(eps: NFElement, torsion_gen: NFElement
 # norm maps
 
 
-@dataclass
 class NormMapsData:
-    setup: RelativeSetup
-    unit_k: UnitGroupData
-    class_k: ClassGroupData
-    class_l: Optional[ClassGroupData]
-    ker_nm1: FinGenAbGroup
-    coker_nm1: Cokernel  # over the presentation [torsion, free...] of unit_k
-    ker_nm0: FiniteAbelianGroup
-    ker_nm0_gens: tuple  # coordinate vectors over class_l generators
-    provenance: dict
+    def __init__(self, setup: RelativeSetup, unit_k: UnitGroupData,
+                 class_k: ClassGroupData, class_l: Optional[ClassGroupData],
+                 ker_nm1: FinGenAbGroup, coker_nm1: Cokernel, ker_nm0: FiniteAbelianGroup,
+                 ker_nm0_gens: tuple, provenance: dict):
+        self.setup = setup
+        self.unit_k = unit_k
+        self.class_k = class_k
+        self.class_l = class_l
+        self.ker_nm1 = ker_nm1
+        self.coker_nm1 = coker_nm1  # over the presentation [torsion, free...] of unit_k
+        self.ker_nm0 = ker_nm0
+        self.ker_nm0_gens = ker_nm0_gens  # coordinate vectors over class_l generators
+        self.provenance = provenance
 
     @property
     def coker_nm1_group(self) -> FiniteAbelianGroup:
@@ -420,8 +427,7 @@ def _prime_below(setup, qr, primes_k):
 # oriented class group
 
 
-@dataclass(frozen=True)
-class OrientedElement:
+class OrientedElement(NamedTuple):
     coords: tuple  # orientation coords + ideal-class coords
     orientation: tuple  # coordinates in coker_nm1
     class_coords: tuple  # coordinates in ker_nm0 (or Pic in the split case)
@@ -429,14 +435,14 @@ class OrientedElement:
     norm_generator: Optional[NFElement]  # generator of N_{L/K}(ideal) in K
 
 
-@dataclass
 class OrientedClassGroup:
-    setup: RelativeSetup
-    norms: NormMapsData
-    carrier: FiniteAbelianGroup  # canonical invariant factors of the carrier
-    sub_factors: tuple  # coker_nm1 invariant factors (orientation part)
-    elements: tuple  # OrientedElement, sorted by coords
-    notes: tuple = ()
+    def __init__(self, setup: RelativeSetup, norms: NormMapsData,
+                 carrier: FiniteAbelianGroup, sub_factors: tuple, elements: tuple):
+        self.setup = setup
+        self.norms = norms
+        self.carrier = carrier  # canonical invariant factors of the carrier
+        self.sub_factors = sub_factors  # coker_nm1 invariant factors (orientation part)
+        self.elements = elements  # OrientedElement, sorted by coords
 
     @property
     def order(self) -> int:

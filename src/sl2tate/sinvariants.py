@@ -13,10 +13,9 @@ composition; it shares no code with the ideal-theoretic path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import polytools as pt
 from .errors import (
@@ -57,8 +56,7 @@ from .numberfield import NFElement, NumberField
 # places
 
 
-@dataclass(frozen=True)
-class PlaceSet:
+class PlaceSet(NamedTuple):
     """The infinite places together with all primes above the given rational
     primes."""
     field: NumberField
@@ -266,14 +264,16 @@ def certified_class_number(field: NumberField) -> int | None:
 # class groups
 
 
-@dataclass
 class ClassGroupData:
-    field: NumberField
-    places: PlaceSet
-    group: FiniteAbelianGroup
-    generator_ideals: tuple[FractionalIdeal, ...]
-    provenance: str  # "computed" | "ingested:<trust>"
-    _dlog: Optional[Callable] = None
+    def __init__(self, field: NumberField, places: PlaceSet, group: FiniteAbelianGroup,
+                 generator_ideals: tuple[FractionalIdeal, ...], provenance: str,
+                 dlog: Optional[Callable]):
+        self.field = field
+        self.places = places
+        self.group = group
+        self.generator_ideals = generator_ideals
+        self.provenance = provenance  # "computed" | "ingested:<trust>"
+        self._dlog = dlog
 
     def dlog(self, ideal: FractionalIdeal) -> tuple[int, ...]:
         if self._dlog is None:
@@ -434,20 +434,23 @@ def _finish_class_group(field, places, gen_primes, rel_cols) -> ClassGroupData:
 # unit groups
 
 
-@dataclass
 class UnitGroupData:
     """The S-unit group, presented on the generators [torsion, free...]:
     1 + rank of them, with the one relation torsion_order * torsion."""
-    field: NumberField
-    places: PlaceSet
-    rank: int
-    torsion_order: int
-    torsion_gen: Optional[NFElement]
-    free_gens: tuple  # NFElements; field units first, then S-unit generators
-    provenance: str
-    # asserted images of the unit norm map, one column per generator
-    # (ingested only)
-    nm1_images: Optional[tuple] = None
+
+    def __init__(self, field: NumberField, places: PlaceSet, rank: int,
+                 torsion_order: int, torsion_gen: Optional[NFElement], free_gens: tuple,
+                 provenance: str, nm1_images: Optional[tuple] = None):
+        self.field = field
+        self.places = places
+        self.rank = rank
+        self.torsion_order = torsion_order
+        self.torsion_gen = torsion_gen
+        self.free_gens = free_gens  # NFElements; field units first, then S-unit generators
+        self.provenance = provenance
+        # asserted images of the unit norm map, one column per generator
+        # (ingested only)
+        self.nm1_images = nm1_images
 
     def group(self) -> FinGenAbGroup:
         t = (self.torsion_order,) if self.torsion_order > 1 else ()

@@ -10,7 +10,7 @@ from sl2tate.classify import class_pipeline
 from sl2tate.cli import (EXIT_BACKEND, EXIT_CONSISTENCY, EXIT_INPUT, EXIT_SCHEMA,
                          EXIT_UNSUPPORTED, int_list, main)
 from sl2tate.intlinalg import FiniteAbelianGroup, FinGenAbGroup
-from sl2tate.numberfield import make_field, quadratic_field
+from sl2tate.numberfield import make_field
 from sl2tate.relative import build_setup
 from sl2tate.sinvariants import PlaceSet
 
@@ -303,16 +303,16 @@ def test_unit_group_without_generators_needs_backend_data(tmp_path):
               EXIT_BACKEND, "missing backend data: ")
 
 
-def _units_of_l_without_elements(nm1):
-    """A fixture for the units of L = Q(sqrt -5)(zeta_3), whose rank is 1,
-    without elements but with asserted Nm1 images."""
-    k = quadratic_field(-5)
+def _units_of_l_without_elements(nm1, k_poly=(5, 0, 1), torsion_order=6):
+    """A fixture for the units of L = K(zeta_3), whose rank is 1, without
+    elements but with asserted Nm1 images; K = Q(sqrt -5) by default."""
+    k = make_field(k_poly)
     L = build_setup(k, PlaceSet.make(k), 3).rel_field
     return {"schema": "sl2tate-fixture-1", "kind": "s-invariants", "trust": "t",
             "field": {"min_poly": list(L.min_poly),
                       "basis": [[[c.numerator, c.denominator] for c in row]
                                 for row in L.basis]},
-            "places": [], "unit_group": {"rank": 1, "torsion_order": 6},
+            "places": [], "unit_group": {"rank": 1, "torsion_order": torsion_order},
             "norm_images": {"nm1": nm1}}
 
 
@@ -343,6 +343,21 @@ def test_asserted_nm1_with_a_column_per_free_generator_missing_exits_7(tmp_path,
     assert code == EXIT_CONSISTENCY
     assert capsys.readouterr().err == "consistency check failed: nm1 image table has wrong shape\n"
     assert not out.exists()
+
+
+def test_a_second_fixtures_flag_adds_its_files_to_the_first(tmp_path):
+    # Q(i) at ell = 3: the units of K ingested without elements, and those of
+    # L = Q(zeta_12) with asserted Nm1 images (zeta_12 -> i^2, eta -> i).  The
+    # L file alone completes the run; with the K file too the run needs K's
+    # missing elements (exit 3), whether both paths follow one flag or two
+    units_k, units_l = tmp_path / "units_k.json", tmp_path / "units_l.json"
+    units_k.write_text(json.dumps(SMALL_FIXTURE))
+    units_l.write_text(json.dumps(_units_of_l_without_elements([[2], [1]], (1, 0, 1), 12)))
+    analyze = ["analyze", "--field=1,0,1", "--ell", "3"]
+    assert _run_json(tmp_path, analyze + ["--fixtures", str(units_l)])[0] == 0
+    for fixtures in (["--fixtures", str(units_k), str(units_l)],
+                     ["--fixtures", str(units_k), "--fixtures", str(units_l)]):
+        assert _run_json(tmp_path, analyze + fixtures)[0] == EXIT_BACKEND
 
 
 @pytest.mark.parametrize("target", [["0,1", "0"], ["-5,0,1", "0,0"]])

@@ -285,8 +285,9 @@ def test_finite_abelian_group_basics():
     g = FiniteAbelianGroup((2, 6))
     assert g.order == 12
     assert len(list(g.elements())) == 12
-    with pytest.raises(ValueError):
-        FiniteAbelianGroup((4, 6))  # not a divisibility chain
+    for factors in ((4, 6), (4, 2), (1,)):  # not a chain d1 | d2 | ... of di >= 2
+        with pytest.raises(ValueError):
+            FiniteAbelianGroup(factors)
 
 
 def test_quotient_by_subgroup_and_membership():

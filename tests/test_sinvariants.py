@@ -11,8 +11,8 @@ from sl2tate.errors import (
     SchemaViolation,
     UnsupportedCase,
 )
-from sl2tate.ideals import FractionalIdeal
-from sl2tate.intlinalg import FiniteAbelianGroup
+from sl2tate.ideals import FractionalIdeal, PrimeIdeal
+from sl2tate.intlinalg import FiniteAbelianGroup, IntMatrix
 from sl2tate.numberfield import cyclotomic_field, make_field, quadratic_field
 from sl2tate.sinvariants import (
     BackendStore,
@@ -354,6 +354,30 @@ def test_class_group_takes_no_smith_form_of_a_wide_matrix(monkeypatch):
     assert cl.group == FiniteAbelianGroup((2,))
     assert all(ncols <= nrows for nrows, ncols in shapes)
     assert (8, 8) in shapes
+
+
+def test_equal_values_compare_and_hash_equal():
+    # places, prime ideals and the matrices and groups under them are keys
+    # and compared by value: a copy built from scratch is the same value
+    k = quadratic_field(-5)
+    places = PlaceSet.make(k, [2, 3])
+
+    def rebuilt(pr):
+        ideal = FractionalIdeal(make_field([5, 0, 1]),
+                                IntMatrix.from_rows(pr.ideal.num.entries), pr.ideal.den)
+        return PrimeIdeal(pr.p, ideal, pr.e, pr.f)
+
+    primes = tuple(map(rebuilt, places.prime_ideals))
+    p2 = places.prime_ideals[0]
+    pairs = [(places, PlaceSet(make_field([5, 0, 1]), (2, 3), primes)),
+             (p2.ideal.num, IntMatrix.from_rows([list(r) for r in p2.ideal.num.entries])),
+             (FiniteAbelianGroup((2, 6)), FiniteAbelianGroup((2, 6)))]
+    pairs += zip(places.prime_ideals, primes)
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert p2 != PrimeIdeal(p2.p, p2.ideal, p2.e + 1, p2.f)
+    assert IntMatrix((), 2) != IntMatrix((), 3)
+    assert FiniteAbelianGroup((2,)) != FiniteAbelianGroup((4,))
 
 
 def test_minkowski_bound():
