@@ -6,10 +6,11 @@ HNF whose rows are lattice vectors in integral-basis coordinates, den a
 positive integer, the ideal being (1/den) * rowlattice(num).
 
 Inverses go through the trace dual, I^-1 = (I O^v)^v with the codifferent
-O^v.  The primes above p come from Kummer-Dedekind when some generator has
-index prime to p, else from the idempotents of O/pO.  Every bounded search
-walks shells of coefficient boxes through search_elements; smooth_element
-accepts a point by its norm alone, with no ideal arithmetic.
+O^v.  The primes above p come from Kummer-Dedekind on theta (on b_1 in a
+quadratic order) when its index is prime to p, else from the idempotents of
+O/pO.  Every bounded search walks shells of coefficient boxes through
+search_elements; smooth_element accepts a point by its norm alone, with no
+ideal arithmetic.
 """
 from __future__ import annotations
 
@@ -17,10 +18,10 @@ import itertools
 import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 
 from . import polytools as pt
-from .errors import NotInvertible, SearchExhausted, verify
+from .errors import ConsistencyFailure, NotInvertible, SearchExhausted, verify
 from .intlinalg import (IntMatrix, combine_rows, hnf_canonical, hnf_solve, inverse_rational,
                         kernel_mod)
 from .numberfield import NFElement, NumberField, _eval_poly_at
@@ -209,9 +210,11 @@ class PrimeIdeal:
         """v_P of the nonzero field element el = num / den."""
         return self.valuation_coords(el.num) - self.e * _rational_valuation(el.den, self.p)
 
-    def valuation_coords(self, coords) -> int:
+    def valuation_coords(self, coords, bound=None) -> int:
         """v_P of the nonzero integral element with these integer
-        integral-basis coordinates: how often x -> beta*x/p stays integral."""
+        integral-basis coordinates: how often x -> beta*x/p stays integral.
+        Past a given bound raises ConsistencyFailure: x -> beta*x/p may stay
+        integral forever where P is not invertible."""
         if not any(coords):
             raise ValueError("the valuation of zero is infinite")
         rows, p = self._anti_uniformizer_rows, self.p
@@ -222,65 +225,45 @@ class PrimeIdeal:
                 return v
             coords = [c // p for c in coords]
             v += 1
+            if bound is not None and v > bound:
+                raise ConsistencyFailure(f"a valuation above {p} exceeds {bound}: "
+                                         f"the order is not {p}-maximal")
 
 
 @lru_cache(maxsize=None)
 def factor_rational_prime(field: NumberField, p: int) -> tuple[PrimeIdeal, ...]:
-    """Kummer-Dedekind factorization of (p) using a generator whose index is
-    prime to p.  A quadratic field reads the factors of the minimal
-    polynomial of its second basis element off the Kronecker symbol of its
-    discriminant and writes each prime down as a lattice.  Otherwise tries the power-basis root, the basis elements
-    and pairwise sums, then falls back to splitting the algebra O/pO.
-    Memoised per (field, p), so each prime's anti-uniformizer is built
-    once."""
-    n = field.degree
-    if n == 2:
+    """The primes above p, by Kummer-Dedekind on a generator g of O whose
+    index [O : Z[g]] is prime to p, else by splitting the algebra O/pO.  A
+    quadratic order takes g = b_1, of index |coefficient of b_0 in 1|,
+    reads the factors of its minimal polynomial off the Kronecker symbol of
+    its discriminant and writes each prime down as a lattice.  Any other
+    order takes g = theta when theta lies in O and p does not divide
+    NumberField.power_basis_index.  Memoised per (field, p), so each
+    prime's anti-uniformizer is built once."""
+    one = field.one().num
+    if field.degree == 2 and one[0] % p:
         g = field.basis_element(1)
         trace, norm = int(g.trace()), int(g.norm())
-        if _index_prime_to(trace * trace - 4 * norm, field.discriminant, p):
-            # a root r of the minimal polynomial of g mod p gives
-            # P = (p, g - r) = pO + Z (g - r), of index p as g - r is not
-            # in pO; on the integral basis (1, omega), g = omega, its HNF
-            # rows are (p, 0), (-r, 1).  An irreducible factor gives P = pO
-            one = field.one().num
-            primes = []
-            for fac, mult in _quadratic_factors_mod(trace, norm, p):
-                rows = [[p, 0], [0, p]]
-                if len(fac) == 2:
-                    # g + fac[0] = g - r + (multiple of p); g is basis vector 1
-                    rows.append([fac[0] * c + i for i, c in enumerate(one)])
-                ideal = FractionalIdeal(field, IntMatrix.from_rows(rows))
-                primes.append(PrimeIdeal(p, ideal, e=mult, f=len(fac) - 1))
-            return _verified_primes(field, p, primes, True)
-    for g, mp in _monogenic_candidates(field):
-        if pt.degree(mp) != n or any(not isinstance(c, int) for c in mp):
-            continue
-        if _index_prime_to(pt.discriminant(mp), field.discriminant, p):
-            return _kummer_dedekind(field, p, g, pt.factor_mod_p(mp, p))
-    # p divides the index of every monogenic generator tried (it may be a
-    # common index divisor, e.g. two residue-degree-2 primes above 2 while
-    # F_2 has a single irreducible quadratic); fall back to splitting the
-    # F_p-algebra O/pO directly
+        # a root r of the minimal polynomial of g mod p gives
+        # P = (p, g - r) = pO + Z (g - r), of index p as g - r is not
+        # in pO; on the integral basis (1, omega), g = omega, its HNF
+        # rows are (p, 0), (-r, 1).  An irreducible factor gives P = pO
+        primes = []
+        for fac, mult in _quadratic_factors_mod(trace, norm, p):
+            rows = [[p, 0], [0, p]]
+            if len(fac) == 2:
+                # g + fac[0] = g - r + (multiple of p); g is basis vector 1
+                rows.append([fac[0] * c + i for i, c in enumerate(one)])
+            ideal = FractionalIdeal(field, IntMatrix.from_rows(rows))
+            primes.append(PrimeIdeal(p, ideal, e=mult, f=len(fac) - 1))
+        return _verified_primes(field, p, primes, True)
+    index = field.power_basis_index
+    if index is not None and index % p:
+        return _kummer_dedekind(field, p, field.gen(), pt.factor_mod_p(field.min_poly, p))
+    # p divides the index (it may divide that of every generator, e.g. two
+    # residue-degree-2 primes above 2 while F_2 has a single irreducible
+    # quadratic), or theta is not in this order
     return _factor_by_algebra_splitting(field, p)
-
-
-def _monogenic_candidates(field: NumberField):
-    """(g, minimal polynomial of g) for the root theta, whose minimal
-    polynomial is the defining one, then for the basis elements and their
-    pairwise sums; each is built only when the one before it fails."""
-    yield field.gen(), list(field.min_poly)
-    basis = [field.basis_element(i) for i in range(1, field.degree)]
-    for g in itertools.chain(basis, (a + b for a, b in itertools.combinations(basis, 2))):
-        yield g, g.min_poly_over_q()
-
-
-def _index_prime_to(disc_g: int, disc_k: int, p: int) -> bool:
-    """Whether p is prime to the index [O : Z[g]], from disc(g) = index^2 disc(K)."""
-    index_sq = disc_g // disc_k
-    idx = isqrt(abs(index_sq))
-    verify(disc_g == index_sq * disc_k and idx * idx == index_sq,
-           "disc(g) / disc(K) must be a square index")
-    return idx % p != 0
 
 
 def _quadratic_factors_mod(trace: int, norm: int, p: int) -> list[tuple[list[int], int]]:
@@ -304,14 +287,13 @@ def _quadratic_factors_mod(trace: int, norm: int, p: int) -> list[tuple[list[int
 def _kummer_dedekind(field: NumberField, p: int, g: NFElement, factors) -> tuple[PrimeIdeal, ...]:
     """The primes (p, h(g)) for the factors h^e of the minimal polynomial of
     g mod p, for a generator g whose index is prime to p."""
-    n = field.degree
     out = []
     for fac, mult in factors:
         lift = [c if c <= p // 2 else c - p for c in fac]
         gen_el = _eval_poly_at(lift, g)
         ideal = FractionalIdeal.from_generators(field, [field.rational(p), gen_el])
         out.append(PrimeIdeal(p, ideal, e=mult, f=pt.degree(fac)))
-    return _verified_primes(field, p, out, n <= 6)
+    return _verified_primes(field, p, out, field.degree <= 6)
 
 
 def _verified_primes(field, p, primes, check_product) -> tuple[PrimeIdeal, ...]:
@@ -329,51 +311,38 @@ def _verified_primes(field, p, primes, check_product) -> tuple[PrimeIdeal, ...]:
 
 
 def _factor_by_algebra_splitting(field: NumberField, p: int) -> tuple[PrimeIdeal, ...]:
-    """Factor (p) without a monogenic generator, through the idempotents of
-    A = O/pO.  The x with x^p = x are the F_p-span of the primitive
-    idempotents e_i, one for each P_i | p: the kernel of Frobenius less the
-    identity.  Refining 1 by each kernel vector b (the part of e where
-    b = lam is e (1 - (b - lam)^(p-1))) gives the e_i, and then
-    P_i = pO + (1 - e_i)O + rad A, where rad A is the kernel of x -> x^(p^n)
-    (a nilpotent of A vanishes at its n-th power)."""
+    """Factor (p) through the idempotents of A = O/pO, which needs no
+    generator.  The Frobenius x -> x^p is F_p-linear on A, and its fixed
+    space is the F_p-span of the primitive idempotents e_i, one for each
+    P_i | p (pt.primitive_idempotents).  Then P_i = pO + (1 - e_i)O + rad A,
+    where rad A is the kernel of x -> x^q for the least q = p^k >= n (a
+    nilpotent of A vanishes at its n-th power), the k-th Frobenius iterate."""
     n = field.degree
     one = [c % p for c in field.one().num]
 
     def mul(x, y):
         return [c % p for c in combine_rows(y, field.int_mult_rows(x))]
 
-    def frobenius_kernel(q, shift):
-        # the kernel of x -> x^q - shift * x, which is F_p-linear
-        images = [pt.power([int(i == j) for i in range(n)], q, mul) for j in range(n)]
-        return kernel_mod([[images[j][i] - shift * (i == j) for j in range(n)]
-                           for i in range(n)], p, n)
+    def kernel(images):
+        # the kernel of the F_p-linear map taking basis vector j to images[j]
+        return kernel_mod(zip(*images), p, n)
 
-    fixed = frobenius_kernel(p, 1)
-    idempotents = [one]
-    for b in fixed:
-        refined = []
-        for idem in idempotents:
-            rest = idem
-            for lam in range(p):
-                if not any(rest):
-                    break
-                away = pt.power([(x - lam * o) % p for x, o in zip(b, one)], p - 1, mul)
-                part = mul(idem, [(o - x) % p for o, x in zip(one, away)])
-                if any(part):
-                    refined.append(part)
-                    rest = [(x - y) % p for x, y in zip(rest, part)]
-        idempotents = refined
-    verify(len(idempotents) == len(fixed), "one primitive idempotent per prime above p")
-    rad = frobenius_kernel(p ** n, 0)
+    frobenius = [pt.power([int(i == j) for i in range(n)], p, mul) for j in range(n)]
+    fixed = kernel([[x - (i == j) for i, x in enumerate(image)]
+                    for j, image in enumerate(frobenius)])
+    images, q = frobenius, p
+    while q < n:
+        images, q = [[c % p for c in combine_rows(x, frobenius)] for x in images], q * p
+    rad = kernel(images)
 
     out = []
     p_coords = [p * c for c in field.one().num]
-    for idem in idempotents:
+    for idem in pt.primitive_idempotents(fixed, one, mul, p):
         gens = [p_coords, [o - x for o, x in zip(one, idem)]] + rad
         ideal = FractionalIdeal(field, IntMatrix.from_rows(
             [row for g in gens for row in field.int_mult_rows(g)]))
         f = _rational_valuation(ideal.norm().numerator, p)
-        e = PrimeIdeal(p, ideal, 0, f).valuation_coords(p_coords)
+        e = PrimeIdeal(p, ideal, 0, f).valuation_coords(p_coords, bound=n)
         out.append(PrimeIdeal(p, ideal, e=e, f=f))
     return _verified_primes(field, p, out, True)
 

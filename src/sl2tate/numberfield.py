@@ -30,7 +30,7 @@ from .errors import (
     ReduciblePolynomial,
     verify,
 )
-from .intlinalg import IntMatrix, combine_rows, inverse_rational, rref_rational, solve_rational
+from .intlinalg import IntMatrix, combine_rows, inverse_rational, solve_rational
 
 
 class NumberField:
@@ -50,8 +50,10 @@ class NumberField:
             raise InvalidInput("basis must be a square matrix of size deg(f)")
         # element = sum c_i * basis_i means power coords x = B^T c, so the
         # basis coordinates of theta^j are row j of B^-1
+        self._power_basis = self.basis == tuple(tuple(int(i == j) for j in range(n))
+                                                for i in range(n))
         try:
-            self._basis_inv = inverse_rational(self.basis)
+            self._basis_inv = self.basis if self._power_basis else inverse_rational(self.basis)
         except ValueError:
             raise InvalidInput("basis rows are linearly dependent") from None
         self._build_mult_table()
@@ -75,7 +77,7 @@ class NumberField:
 
     def _build_mult_table(self):
         n = self.degree
-        if self.basis == tuple(tuple(int(i == j) for j in range(n)) for i in range(n)):
+        if self._power_basis:
             # the power basis: b_i b_j = theta^(i+j), reduced mod the monic f
             pows = [[int(i == j) for j in range(n)] for i in range(n)]
             for _ in range(n - 1):
@@ -158,6 +160,18 @@ class NumberField:
         d = self.trace_form.det()
         verify(d != 0, "the discriminant is non-zero")
         return d
+
+    @cached_property
+    def power_basis_index(self) -> int | None:
+        """[O : Z[theta]] = |det B^-1| when theta lies in O, that is when B^-1,
+        whose rows are the basis coordinates of the powers of theta, is
+        integral; None otherwise."""
+        if self._power_basis:
+            return 1
+        if any(x.denominator != 1 for row in self._basis_inv for x in row):
+            return None
+        return abs(IntMatrix.from_rows([[int(x) for x in row]
+                                        for row in self._basis_inv]).det())
 
     @cached_property
     def signature(self) -> tuple[int, int]:
@@ -391,22 +405,6 @@ class NFElement:
         if any(x * one[k] != self.num[k] * c for x, c in zip(self.num, one)):
             return None
         return Fraction(self.num[k], one[k] * self.den)
-
-    def min_poly_over_q(self) -> list[int]:
-        """Minimal polynomial (content-free, monic over Q -> integer if the
-        element is integral)."""
-        # the powers 1, x, ..., x^n as columns: the first non-pivot column k
-        # is the first power that depends on the lower ones, and its reduced
-        # column holds the coefficients of that dependency
-        n = self.field.degree
-        powers = [self.field.one()]
-        for _ in range(n):
-            powers.append(powers[-1] * self)
-        red, pivots = rref_rational(zip(*(p.basis_coords() for p in powers)))
-        k = len(pivots)
-        verify(pivots == list(range(k)), "the independent powers must be 1, ..., x^(k-1)")
-        dep = [-row[k] for row in red] + [Fraction(1)]
-        return [int(c) if c.denominator == 1 else c for c in dep]
 
     def __repr__(self):
         return f"NFElement({list(self.num)}, den={self.den})"

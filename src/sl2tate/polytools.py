@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import UnsupportedCase
-from .intlinalg import IntMatrix, kernel_mod
+from .intlinalg import kernel_mod
 
 
 def trim(p: list) -> list:
@@ -142,30 +142,6 @@ def interpolate(values) -> list[Fraction]:
 
 def is_monic_integer(p: Sequence[int]) -> bool:
     return len(p) >= 2 and all(isinstance(c, int) for c in p) and p[-1] == 1
-
-
-def resultant(p: Sequence[int], q: Sequence[int]) -> int:
-    """Resultant of two integer polynomials via the Sylvester determinant."""
-    dp, dq = degree(p), degree(q)
-    if dp < 0 or dq < 0:
-        return 0
-    n = dp + dq
-    rows = []
-    rp = list(reversed(p))
-    rq = list(reversed(q))
-    for i in range(dq):
-        rows.append([0] * i + rp + [0] * (n - dp - 1 - i))
-    for i in range(dp):
-        rows.append([0] * i + rq + [0] * (n - dq - 1 - i))
-    return IntMatrix.from_rows(rows).det()
-
-
-def discriminant(p: Sequence[int]) -> int:
-    """Discriminant of a monic integer polynomial."""
-    n = degree(p)
-    res = resultant(p, poly_deriv(p))
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res
 
 
 def cyclotomic(m: int) -> list[int]:
@@ -439,12 +415,6 @@ def _xgcd_mod(a, b, p: int) -> tuple[list[int], list[int]]:
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
-def _powmod(a, e: int, f, p: int) -> list[int]:
-    """a^e modulo f over F_p, for e >= 1."""
-    return power(_divmod_mod(a, f, p)[1], e,
-                 lambda x, y: _divmod_mod(_mul_mod(x, y, p), f, p)[1])
-
-
 def _sqf_mod(f, p: int) -> list[tuple[list[int], int]]:
     """Squarefree decomposition of a monic f over F_p: pairs (g, k) with
     f = prod g^k, the g monic, squarefree and pairwise coprime (Cohen GTM
@@ -469,40 +439,58 @@ def _sqf_mod(f, p: int) -> list[tuple[list[int], int]]:
     return out + [(g, j * p) for g, j in _sqf_mod(c[::p], p)]
 
 
+def primitive_idempotents(fixed, one, mul, p: int) -> list[list[int]]:
+    """The primitive idempotents e_1, ..., e_r of a finite commutative
+    F_p-algebra A, from a basis of its Frobenius-fixed part {x : x^p = x},
+    which is the F_p-span of the e_i (Cohen GTM 138, Sections 3.4 and
+    6.2).  Elements are coordinate lists mod p, one is the unit and mul the
+    product of A.  A random v = sum c_i e_i of that span is itself an
+    idempotent for p = 2; for odd p, w = v^((p-1)/2) is the sum of the
+    (c_i / p) e_i, so (w^2 + w)/2, (w^2 - w)/2 and 1 - w^2 collect the e_i
+    whose Legendre symbol (c_i / p) is 1, -1 and 0.  Each round splits every
+    idempotent found so far by these parts; the generator is seeded, so the
+    result is deterministic."""
+    idempotents = [one]
+    rng = random.Random(p)
+    while len(idempotents) < len(fixed):
+        weights = [rng.randrange(p) for _ in fixed]
+        v = [sum(w * b[i] for w, b in zip(weights, fixed)) % p for i in range(len(one))]
+        if p == 2:
+            parts = [v, [(o - x) % 2 for o, x in zip(one, v)]]
+        else:
+            w = power(v, (p - 1) // 2, mul)
+            w2, half = mul(w, w), (p + 1) // 2
+            parts = [[(a + b) * half % p for a, b in zip(w2, w)],
+                     [(a - b) * half % p for a, b in zip(w2, w)],
+                     [(o - a) % p for o, a in zip(one, w2)]]
+        idempotents = [y for e in idempotents for y in (mul(e, part) for part in parts)
+                       if any(y)]
+    return idempotents
+
+
 def _berlekamp(f, p: int) -> list[list[int]]:
     """The monic irreducible factors of a monic squarefree f over F_p.
 
     v(x)^p = v(x) mod f exactly when v lies in the kernel of Q - I, where
     row i of Q holds x^(i p) mod f; the kernel has one dimension per
-    irreducible factor.  Random kernel elements split f: by gcd with v for
-    p = 2, with v^((p-1)/2) - 1 otherwise (Cohen GTM 138, Section 3.4).
-    The generator is seeded, so the result is deterministic."""
+    irreducible factor.  Each primitive idempotent e of F_p[x]/(f) is 1
+    modulo one factor and 0 modulo the others, so that factor is
+    gcd(f, 1 - e) (Cohen GTM 138, Section 3.4)."""
     n = len(f) - 1
     if n <= 1:
         return [f]
-    xp = _powmod([0, 1], p, f, p)
-    q_rows, row = [], [1]
-    for _ in range(n):
-        q_rows.append(row + [0] * (n - len(row)))
-        row = _divmod_mod(_mul_mod(row, xp, p), f, p)[1]
+
+    def mul(a, b):
+        r = _divmod_mod(_mul_mod(a, b, p), f, p)[1]
+        return r + [0] * (n - len(r))
+
+    xp, one = power([0, 1], p, mul), [1] + [0] * (n - 1)
+    q_rows = [one]
+    for _ in range(n - 1):
+        q_rows.append(mul(q_rows[-1], xp))
     system = [[q_rows[i][j] - (i == j) for i in range(n)] for j in range(n)]
-    basis = kernel_mod(system, p, n)
-    factors = [f]
-    rng = random.Random(p)
-    while len(factors) < len(basis):
-        weights = [rng.randrange(p) for _ in basis]
-        v = _mod([sum(w * b[i] for w, b in zip(weights, basis)) for i in range(n)], p)
-        if p > 2:
-            v = _sub_mod(_powmod(v, (p - 1) // 2, f, p), [1], p)
-        split = []
-        for u in factors:
-            g = _gcd_mod(u, v, p) if len(u) > 2 else u
-            if 1 < len(g) < len(u):
-                split += [g, _divmod_mod(u, g, p)[0]]
-            else:
-                split.append(u)
-        factors = split
-    return factors
+    return [_gcd_mod(f, [(o - x) % p for o, x in zip(one, e)], p)
+            for e in primitive_idempotents(kernel_mod(system, p, n), one, mul, p)]
 
 
 def factor_mod_p(p: Sequence[int], prime: int) -> list[tuple[list[int], int]]:

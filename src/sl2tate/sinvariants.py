@@ -868,7 +868,10 @@ def ingest_backend(store: BackendStore, document: dict):
             torsion_gen = _parse_element(field, udoc["torsion_gen"])
             if not has_order(torsion_gen, w):
                 raise ConsistencyFailure("claimed torsion generator has wrong order")
-        free_gens = tuple(_parse_element(field, g) for g in udoc.get("free_gens", []))
+        gen_specs = udoc.get("free_gens", [])
+        if not isinstance(gen_specs, list):
+            raise SchemaViolation("unit_group.free_gens must be a list of elements")
+        free_gens = tuple(_parse_element(field, g) for g in gen_specs)
         if free_gens and len(free_gens) != rank:
             raise ConsistencyFailure("free generator count does not match the rank")
         for g in free_gens:

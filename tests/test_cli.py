@@ -244,6 +244,10 @@ MALFORMED_FIXTURES = {
         "invariant_factors": [], "generator_ideals": [5]}},
     "integer_nm1": {**SMALL_FIXTURE, "norm_images": {"nm1": 3}},
     "object_nm1": {**SMALL_FIXTURE, "norm_images": {"nm1": {"x": 1}}},
+    "integer_free_gens": {**SMALL_FIXTURE, "unit_group": {
+        "rank": 0, "torsion_order": 4, "free_gens": 5}},
+    "integer_free_gen": {**SMALL_FIXTURE, "unit_group": {
+        "rank": 0, "torsion_order": 4, "free_gens": [5]}},
 }
 # torsion generators whose order is a proper divisor of the claimed one
 WRONG_TORSION_FIXTURES = {

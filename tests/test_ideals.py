@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sl2tate import ideals
-from sl2tate.errors import SearchExhausted
+from sl2tate.errors import ConsistencyFailure, SearchExhausted
 from sl2tate.ideals import (
     FractionalIdeal,
     box_lines,
@@ -177,7 +177,8 @@ def test_quadratic_primes_from_the_kronecker_symbol_match_kummer_dedekind(d, p):
     k = quadratic_field(d)
     # theta = sqrt(d) has index 2 when d = 1 mod 4
     g = k.basis_element(1) if p == 2 and d % 4 == 1 else k.gen()
-    expected = ideals._kummer_dedekind(k, p, g, pt.factor_mod_p(g.min_poly_over_q(), p))
+    min_poly = [int(g.norm()), -int(g.trace()), 1]
+    expected = ideals._kummer_dedekind(k, p, g, pt.factor_mod_p(min_poly, p))
     assert factor_rational_prime(k, p) == expected
 
 
@@ -219,26 +220,70 @@ SPLITTING_FIELDS = (
        for d in (-14, -5, -2, -1, 2, 5)])
 
 
-def test_idempotent_splitting_matches_kummer_dedekind(monkeypatch):
-    # the primes from the idempotents of O/pO against Kummer-Dedekind, for
-    # every p < 40 where a generator of index prime to p is found
-    split = ideals._factor_by_algebra_splitting
-    monkeypatch.setattr(ideals, "_factor_by_algebra_splitting",
-                        lambda field, p: None)
-    pairs, no_generator = 0, []
+def _sympy_kummer_dedekind(field, p, g):
+    """Kummer-Dedekind on g when sympy puts its index [O : Z[g]] prime to
+    p, else None: the characteristic polynomial of g, its discriminant
+    disc(g) = index^2 disc(K) and its factors mod p all come from sympy."""
+    import sympy
+    x = sympy.Symbol("x")
+    char = sympy.Matrix(field.int_mult_rows(list(g.num))).charpoly(x)
+    index_sq, rest = divmod(int(sympy.discriminant(char.as_expr(), x)), field.discriminant)
+    assert rest == 0
+    if index_sq % p == 0:
+        return None
+    factors = [([int(c) % p for c in h.all_coeffs()[::-1]], mult)
+               for h, mult in sympy.Poly(char.as_expr(), x, modulus=p).factor_list()[1]]
+    return ideals._kummer_dedekind(field, p, g, sorted(factors))
+
+
+def test_idempotent_splitting_matches_kummer_dedekind():
+    # the primes from the idempotents of O/pO against Kummer-Dedekind for
+    # every p < 40: on theta where p does not divide [O : Z[theta]], else on
+    # the first of b_1, ..., b_(n-1) and their pairwise sums whose index
+    # sympy finds prime to p
+    split, index_primes, no_generator = ideals._factor_by_algebra_splitting, [], []
     for field in SPLITTING_FIELDS:
+        basis = [field.basis_element(i) for i in range(1, field.degree)]
+        candidates = basis + [a + b for a, b in itertools.combinations(basis, 2)]
         for p in range(2, 40):
             if not pt.is_prime(p):
                 continue
-            expected = factor_rational_prime.__wrapped__(field, p)
-            if expected is None:
-                no_generator.append((field.label, p))
-                continue
-            assert split(field, p) == expected
-            pairs += 1
+            if field.power_basis_index % p:
+                expected = ideals._kummer_dedekind(
+                    field, p, field.gen(), pt.factor_mod_p(field.min_poly, p))
+            else:
+                index_primes.append((field.label, p))
+                expected = next(filter(None, (_sympy_kummer_dedekind(field, p, g)
+                                              for g in candidates)), None)
+                if expected is None:
+                    no_generator.append((field.label, p))
+                    continue
+            assert split(field, p) == expected == factor_rational_prime(field, p)
+    assert index_primes == [
+        ("Q(sqrt(-7))", 2), ("Q(sqrt(-23))", 2), ("Q(sqrt(5))", 2), ("Q(sqrt(13))", 2),
+        ("(Q(sqrt(-5)))(Q(zeta_3))", 17), ("(Q(sqrt(-2)))(Q(zeta_3))", 5),
+        ("(Q(sqrt(2)))(Q(zeta_3))", 11), ("(Q(sqrt(5)))(Q(zeta_3))", 2),
+        ("(Q(sqrt(5)))(Q(zeta_3))", 23)]
     # 2 is inert in both Q(sqrt(5)) and Q(zeta_3): two primes of degree 2
+    # and one irreducible quadratic mod 2, so no generator has odd index
     assert no_generator == [("(Q(sqrt(5)))(Q(zeta_3))", 2)]
-    assert pairs == 22 * 12 - 1
+    assert [(pr.e, pr.f) for pr in split(SPLITTING_FIELDS[-1], 2)] == [(1, 2), (1, 2)]
+
+
+def test_splitting_an_order_that_is_not_maximal_at_2():
+    # Z[2 cbrt 2] = Z + Z 2 theta + Z 4 theta^2 does not contain theta; it is
+    # p-maximal at every odd p, where its primes are those of x^3 - 2 mod p,
+    # and at p = 2 the valuation of 2 at the prime (2, 2 theta) never ends
+    import sympy
+    x = sympy.Symbol("x")
+    k = make_field([-2, 0, 0, 1], basis=[[1, 0, 0], [0, 2, 0], [0, 0, 4]])
+    assert k.power_basis_index is None
+    for p in (3, 5, 7, 11, 13):
+        factors = sympy.Poly(x**3 - 2, x, modulus=p).factor_list()[1]
+        assert sorted((pr.e, pr.f) for pr in factor_rational_prime(k, p)) == \
+            sorted((mult, h.degree()) for h, mult in factors)
+    with pytest.raises(ConsistencyFailure, match="not 2-maximal"):
+        factor_rational_prime(k, 2)
 
 
 def test_idempotent_splitting_needs_no_basis_starting_with_1():

@@ -95,13 +95,6 @@ def test_element_arithmetic_and_inverse():
     assert inv.coords == (Fraction(-1), Fraction(1))  # -1 + sqrt2
 
 
-def test_min_poly_over_q():
-    k = quadratic_field(-3)
-    omega = k.basis_element(1)
-    assert omega.min_poly_over_q() == [1, -1, 1]
-    assert k.rational(7).min_poly_over_q() == [-7, 1]
-
-
 def test_norm_form_matches_norm():
     import random
 
@@ -205,6 +198,12 @@ def _trace_form_discriminant(k):
                           for j in range(n)] for i in range(n)])
 
 
+def _sympy_discriminant(min_poly):
+    import sympy
+    x = sympy.Symbol("x")
+    return int(sympy.discriminant(sum(c * x**i for i, c in enumerate(min_poly)), x))
+
+
 def _is_power_basis(k):
     return all(x == (i == j) for i, row in enumerate(k.basis) for j, x in enumerate(row))
 
@@ -218,7 +217,7 @@ def test_discriminant_is_the_trace_form_determinant(d):
     assert k.discriminant == _trace_form_discriminant(k)
     assert k.discriminant == pt.fundamental_discriminant(4 * s)[0]
     if _is_power_basis(k):
-        assert k.discriminant == pt.discriminant(k.min_poly)
+        assert k.discriminant == _sympy_discriminant(k.min_poly)
 
 
 @settings(max_examples=12, deadline=None)
@@ -226,7 +225,7 @@ def test_discriminant_is_the_trace_form_determinant(d):
 def test_discriminant_of_cyclotomic_and_composite_fields(m, d):
     c = cyclotomic_field(m)
     assert _is_power_basis(c)
-    assert c.discriminant == _trace_form_discriminant(c) == pt.discriminant(c.min_poly)
+    assert c.discriminant == _trace_form_discriminant(c) == _sympy_discriminant(c.min_poly)
     if c.degree == 2:
         L, _, _ = composite_field(quadratic_field(d), c)
         assert L.discriminant == _trace_form_discriminant(L)

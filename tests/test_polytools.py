@@ -81,17 +81,6 @@ def test_poly_mul_divmod_roundtrip():
             assert is_zero(divmod_(a, g)[1]) and is_zero(divmod_(b, g)[1]), name
 
 
-def test_resultant_and_discriminant():
-    # disc(x^2 + bx + c) = b^2 - 4c
-    assert pt.discriminant([3, 1, 1]) == 1 - 12
-    assert pt.discriminant([-1, 0, 1]) == 4
-    # disc(x^3 + px + q) = -4p^3 - 27q^2
-    for p, q in [(1, 1), (-2, 3), (5, -1)]:
-        assert pt.discriminant([q, p, 0, 1]) == -4 * p**3 - 27 * q**2
-    # resultant of x - a and x - b is a - b
-    assert pt.resultant([-2, 1], [-5, 1]) == 2 - 5
-
-
 def test_cyclotomic():
     assert pt.cyclotomic(3) == [1, 1, 1]
     assert pt.cyclotomic(4) == [1, 0, 1]
