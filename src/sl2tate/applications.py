@@ -195,22 +195,27 @@ def restriction_scenario(doc: dict, store=None) -> RestrictionReport:
     """Fixture-driven restriction when the target field is out of reach
     (e.g. a Hilbert class field): the fixture supplies the relative degree
     and the capitulation of the source classes."""
-    min_poly = schema_entry(doc, "source.min_poly", list)
+    min_poly = schema_entry(doc, "source.min_poly", [int])
     ell = schema_entry(doc, "source.ell", int)
     degree = schema_entry(doc, "target.relative_degree", int)
     if degree < 1:
         raise SchemaViolation(f"target.relative_degree must be at least 1, not {degree}")
-    src, tgt = doc["source"], doc["target"]
-    primes = schema_entry(doc, "source.places", list) if "places" in src else []
+    src, tgt = schema_entry(doc, "source", dict), schema_entry(doc, "target", dict)
+    primes = schema_entry(doc, "source.places", [int]) if "places" in src else []
+    label = schema_entry(doc, "source.label", str) if "label" in src else None
+    tgt_label = schema_entry(doc, "target.label", str) if "label" in tgt else "?"
+    embedding = schema_entry(doc, "target.embedding", str) if "embedding" in tgt else "asserted"
     tgt_group = schema_entry(doc, "target.class_group", dict) if "class_group" in tgt else {}
-    field_k = make_field(min_poly, label=src.get("label"))
+    tgt_factors = (schema_entry(doc, "target.class_group.invariant_factors", [int])
+                   if "invariant_factors" in tgt_group else [])
+    capitulation = schema_entry(doc, "capitulation", str) if "capitulation" in doc else None
+    field_k = make_field(min_poly, label=label)
     places = PlaceSet.make(field_k, primes)
     src_res = class_pipeline(build_setup(field_k, places, ell), store=store)
-    notes = [f"target {tgt.get('label', '?')} ingested; embedding "
-             f"{tgt.get('embedding', 'asserted')}"]
-    if doc.get("capitulation") != "all":
+    notes = [f"target {tgt_label} ingested; embedding {embedding}"]
+    if capitulation != "all":
         raise NeedsBackendData("scenario must state the capitulation map")
-    if tgt_group.get("invariant_factors"):
+    if tgt_factors:
         raise NeedsBackendData("capitulation 'all' needs a trivial target "
                                "class group")
     # trivial target class group: a single invariant target class

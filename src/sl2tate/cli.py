@@ -47,6 +47,7 @@ from .sinvariants import (
     class_group,
     forms_class_group_oracle,
     ingest_backend,
+    schema_entry,
 )
 
 REPORT_SCHEMA = "sl2tate-report-1"
@@ -199,10 +200,10 @@ def cmd_restrict(args) -> int:
     store = _load_fixtures(args.fixtures)
     if args.scenario:
         scenario = _read_json(args.scenario)
-        if not isinstance(scenario, dict) or scenario.get("kind") != "restriction-scenario":
-            raise SchemaViolation("scenario file must be an object of kind restriction-scenario")
+        if schema_entry(scenario, "kind", str) != "restriction-scenario":
+            raise SchemaViolation("scenario file must be of kind restriction-scenario")
         rep = restriction_scenario(scenario, store=store)
-        ell = scenario["source"]["ell"]
+        ell = schema_entry(scenario, "source.ell", int)
     else:
         if None in (args.field, args.ell, args.target_field):
             raise InvalidInput("restrict needs --scenario, or --field, --ell "

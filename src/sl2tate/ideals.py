@@ -259,7 +259,7 @@ def factor_rational_prime(field: NumberField, p: int) -> tuple[PrimeIdeal, ...]:
         return _verified_primes(field, p, primes, True)
     index = field.power_basis_index
     if index is not None and index % p:
-        return _kummer_dedekind(field, p, field.gen(), pt.factor_mod_p(field.min_poly, p))
+        return _kummer_dedekind(field, p, field.gen(), field.min_poly)
     # p divides the index (it may divide that of every generator, e.g. two
     # residue-degree-2 primes above 2 while F_2 has a single irreducible
     # quadratic), or theta is not in this order
@@ -284,9 +284,13 @@ def _quadratic_factors_mod(trace: int, norm: int, p: int) -> list[tuple[list[int
     return sorted(([-x % p, 1], mult) for x in roots)
 
 
-def _kummer_dedekind(field: NumberField, p: int, g: NFElement, factors) -> tuple[PrimeIdeal, ...]:
-    """The primes (p, h(g)) for the factors h^e of the minimal polynomial of
-    g mod p, for a generator g whose index is prime to p."""
+def _kummer_dedekind(field: NumberField, p: int, g: NFElement, f) -> tuple[PrimeIdeal, ...]:
+    """The primes (p, h(g)) for the factors h^e mod p of f, the minimal
+    polynomial of a generator g whose index is prime to p; where Z[g] is not
+    p-maximal, neither is the order, and ConsistencyFailure is raised."""
+    factors = pt.factor_mod_p(f, p)
+    if not pt.dedekind_criterion(f, factors, p):
+        raise ConsistencyFailure(f"Dedekind's criterion fails: the order is not {p}-maximal")
     out = []
     for fac, mult in factors:
         lift = [c if c <= p // 2 else c - p for c in fac]

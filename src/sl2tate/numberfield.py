@@ -57,6 +57,8 @@ class NumberField:
         except ValueError:
             raise InvalidInput("basis rows are linearly dependent") from None
         self._build_mult_table()
+        # fields key caches and the fixture store; a large basis is slow to hash
+        self._hash = hash((self.min_poly, self.basis))
 
     # -- construction helpers ------------------------------------------------
 
@@ -235,7 +237,7 @@ class NumberField:
                 and self.basis == other.basis)
 
     def __hash__(self):
-        return hash((self.min_poly, self.basis))
+        return self._hash
 
 
 def _poly_matrix_det(entry, n):

@@ -18,7 +18,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Sequence
 
@@ -498,6 +498,15 @@ def factor_mod_p(p: Sequence[int], prime: int) -> list[tuple[list[int], int]]:
     of (monic factor coeffs constant-first, multiplicity)."""
     return sorted((g, k) for h, k in _sqf_mod(_mod(p, prime), prime)
                   for g in _berlekamp(h, prime))
+
+
+def dedekind_criterion(f, factors, p: int) -> bool:
+    """Whether Z[x]/(f) is p-maximal, for f = prod g_i^e_i mod p as
+    factor_mod_p gives it (Cohen GTM 138, Thm 6.1.4): iff (f - g h)/p is prime
+    mod p to gcd(g, h) = prod_(e_i > 1) g_i, for g = prod g_i, h = prod g_i^(e_i - 1)."""
+    lift = reduce(poly_mul, (power(fac, e, poly_mul) for fac, e in factors))
+    repeated = reduce(poly_mul, (fac for fac, e in factors if e > 1), [1])
+    return len(_gcd_mod([c // p for c in poly_add(f, poly_neg(lift))], repeated, p)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@ from .sinvariants import (
     computed_unit_group,
     quadratic_class_number,
     unit_group,
+    _real_quadratic_fundamental_unit,
     _unit_group_builtin,
 )
 
@@ -226,7 +227,7 @@ def relative_unit_group(setup: RelativeSetup, store=None) -> UnitGroupData:
     quadratic and ell = 3, and from the built-in families otherwise."""
     L, places = setup.rel_field, setup.rel_places
     if store is not None:
-        hit = store.lookup_unit_group(L, places)
+        _, hit = store.lookup(L, places)
         if hit is not None:
             return hit
     if setup.field.degree == 2 and setup.ell == 3:
@@ -235,20 +236,12 @@ def relative_unit_group(setup: RelativeSetup, store=None) -> UnitGroupData:
 
 
 def _quartic_cm_unit_group(setup: RelativeSetup) -> UnitGroupData:
-    """Unit group of a quartic CM field L = K(zeta_3): torsion by root-of-
-    unity search and one fundamental unit from _cm_fundamental_unit.  The
-    unit index found there also gives h(L) by Kuroda's formula, set as
+    """Unit group of a quartic CM field L = K(zeta_3): torsion read off its
+    quadratic subfields and one fundamental unit from _cm_fundamental_unit.
+    The unit index found there also gives h(L) by Kuroda's formula, set as
     L.class_number before the relation search of L first runs."""
     L = setup.rel_field
     K = setup.field
-    # torsion: zeta_6 always (zeta_3 in L); order 12 exactly when i in L,
-    # generated by i * zeta_3
-    zeta6 = -(setup.zeta * setup.zeta)
-    i_root = find_root([L.one(), L.zero(), L.one()], L)
-    if i_root is not None:
-        torsion_gen, w = i_root * (zeta6 * zeta6), 12
-    else:
-        torsion_gen, w = zeta6, 6
     # theta^2 + b theta + c = 0 generates K, and (2 zeta_3 + 1)^2 = -3, so
     # (2 zeta_3 + 1)(2 theta + b) squares to -3(b^2 - 4c) = s t^2: the third
     # quadratic subfield F = Q(sqrt s) of L, next to K and Q(zeta_3)
@@ -257,14 +250,21 @@ def _quartic_cm_unit_group(setup: RelativeSetup) -> UnitGroupData:
     F = quadratic_field(s)
     sqrt_s = (2 * setup.zeta + 1) * setup.embed.map(2 * K.gen() + b) / t
     verify(sqrt_s * sqrt_s == L.rational(s), "sqrt(s) must lie in L")
+    # torsion: zeta_6 always (zeta_3 in L); order 12, generated by i * zeta_3,
+    # when K or F is Q(i).  As 3 does not divide disc(K) here, F is not, and K
+    # is exactly when s = 3; then i = sqrt(-3) / sqrt(3)
+    zeta6 = -(setup.zeta * setup.zeta)
+    if s == 3:
+        torsion_gen, w = (2 * setup.zeta + 1) / sqrt_s * (zeta6 * zeta6), 12
+    else:
+        torsion_gen, w = zeta6, 6
     # the real quadratic subfield is K if K is real, else F
     if K.signature[0] == 2:
         real, real_embed = K, setup.embed
     else:
         real, real_embed = F, FieldEmbedding(F, L, sqrt_s)
     eta, index = _cm_fundamental_unit(
-        real_embed.map(unit_group(real, PlaceSet(real, (), ())).free_gens[0]),
-        torsion_gen)
+        real_embed.map(_real_quadratic_fundamental_unit(real)), torsion_gen)
     # Kuroda's formula for an imaginary bicyclic biquadratic field
     # (Lemmermeyer, Acta Arith. 66, 1994): h(L) = Q h(k1) h(k2) h(k3) / 2
     # over its three quadratic subfields, Q the unit index; K may carry a

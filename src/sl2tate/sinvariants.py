@@ -49,7 +49,7 @@ from .intlinalg import (
     solve_rational,
     xgcd,
 )
-from .numberfield import NFElement, NumberField
+from .numberfield import NFElement, NumberField, make_field
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,7 @@ def class_group(field: NumberField, places: PlaceSet, store=None) -> ClassGroupD
     """S-class group.  Fixture data (if registered for this field and place
     set) wins; otherwise the bounded built-in computation runs for degree <= 4."""
     if store is not None:
-        hit = store.lookup_class_group(field, places)
+        hit, _ = store.lookup(field, places)
         if hit is not None:
             return hit
     if field.degree > 4:
@@ -485,7 +485,7 @@ class UnitGroupData:
 
 def unit_group(field: NumberField, places: PlaceSet, store=None) -> UnitGroupData:
     if store is not None:
-        hit = store.lookup_unit_group(field, places)
+        _, hit = store.lookup(field, places)
         if hit is not None:
             return hit
     return _unit_group_builtin(field, places)
@@ -718,33 +718,46 @@ def _round_log_solve(cols, target):
 # ingestion backend for externally computed data
 
 FIXTURE_SCHEMA = "sl2tate-fixture-1"
-_TABLE = "table"
-_SHAPES = {int: "an integer", list: "a list of integers", _TABLE: "a list of integer lists",
-           dict: "a JSON object"}
+_NOUNS = {int: ("an integer", "integers"), str: ("a string", "strings"),
+          dict: ("a JSON object", "JSON objects"),
+          Fraction: ("a coordinate (an integer or a [num, den] pair, den != 0)", "coordinates")}
 
 
-def _has_shape(value, shape) -> bool:
-    if shape is int:
-        return type(value) is int
-    if shape is dict:
-        return isinstance(value, dict)
-    inner = int if shape is list else list
-    return isinstance(value, list) and all(_has_shape(x, inner) for x in value)
+def _noun(shape, plural=False) -> str:
+    if type(shape) is list:
+        return ("lists of " if plural else "a list of ") + _noun(shape[0], True)
+    return _NOUNS[shape][plural]
+
+
+def _read(value, shape):
+    """The value if it has the shape, with coordinates as Fractions; else None."""
+    if type(shape) is list:
+        items = [_read(x, shape[0]) for x in value] if type(value) is list else [None]
+        return None if None in items else items
+    if shape is not Fraction:
+        return value if type(value) is shape else None
+    if type(value) is int:
+        return Fraction(value)
+    pair = type(value) is list and len(value) == 2 and all(type(x) is int for x in value)
+    return Fraction(*value) if pair and value[1] else None
 
 
 def schema_entry(doc, path: str, shape):
-    """The entry at a dotted path (e.g. "unit_group.rank") of a fixture
-    document, with its JSON shape checked: int (an integer, not a bool),
-    list (a list of such integers), _TABLE (a list of such lists) or dict.
-    Raises SchemaViolation."""
+    """The value at a dotted path (e.g. "unit_group.rank") of a fixture or
+    scenario document in its shape: int (not a bool), str, dict, Fraction (a
+    coordinate: an integer or a [num, den] pair, den != 0) or [shape], a list
+    of that shape.  Raises SchemaViolation for a missing key or another shape."""
     value, keys = doc, path.split(".")
     for i, key in enumerate(keys):
-        if not isinstance(value, dict) or key not in value:
+        if type(value) is not dict:
+            raise SchemaViolation(f"{'.'.join(keys[:i]) or 'the document'} must be a JSON object")
+        if key not in value:
             raise SchemaViolation(f"missing required key {'.'.join(keys[:i + 1])!r}")
         value = value[key]
-    if not _has_shape(value, shape):
-        raise SchemaViolation(f"{path} must be {_SHAPES[shape]}")
-    return value
+    out = _read(value, shape)
+    if out is None:
+        raise SchemaViolation(f"{path} must be {_noun(shape)}")
+    return out
 
 
 class BackendStore:
@@ -755,39 +768,21 @@ class BackendStore:
     error, never a silent merge)."""
 
     def __init__(self):
-        self._class: dict = {}
-        self._unit: dict = {}
+        self._records: dict = {}
 
-    @staticmethod
-    def _key(field: NumberField, places: PlaceSet):
-        return (field.min_poly, field.basis, places.rational_primes)
+    def register(self, places: PlaceSet, class_data, unit_data):
+        key = (places.field, places.rational_primes)
+        if key in self._records:
+            raise SchemaViolation("data already registered for this field and place set")
+        self._records[key] = (class_data, unit_data)
 
-    def lookup_class_group(self, field, places):
-        return self._class.get(self._key(field, places))
-
-    def lookup_unit_group(self, field, places):
-        return self._unit.get(self._key(field, places))
-
-
-def _parse_coords(spec, what: str) -> list[Fraction]:
-    """Rational coordinates: a list of integers, or of [num, den] integer
-    pairs with den != 0."""
-    if not isinstance(spec, list):
-        raise SchemaViolation(f"{what} must be a coordinate list")
-    coords = []
-    for c in spec:
-        if type(c) is int:
-            coords.append(Fraction(c))
-        elif isinstance(c, list) and len(c) == 2 and all(type(x) is int for x in c) and c[1]:
-            coords.append(Fraction(c[0], c[1]))
-        else:
-            raise SchemaViolation(f"bad coordinate {c!r} in {what}")
-    return coords
+    def lookup(self, field, places):
+        """The ClassGroupData and UnitGroupData ingested for (field, S), each
+        None where the fixture had no such section."""
+        return self._records.get((field, places.rational_primes), (None, None))
 
 
-def _parse_element(field: NumberField, spec) -> NFElement:
-    """Power-basis coordinates, as _parse_coords reads them."""
-    coords = _parse_coords(spec, "element")
+def _element(field: NumberField, coords) -> NFElement:
     if len(coords) > field.degree:
         raise SchemaViolation("too many coordinates for the field degree")
     return field.element(coords)
@@ -797,51 +792,37 @@ def ingest_backend(store: BackendStore, document: dict):
     """Validate a fixture document and register its data; raises
     SchemaViolation for malformed input and ConsistencyFailure when the
     claimed data contradicts what can be checked in-process."""
-    if not isinstance(document, dict):
-        raise SchemaViolation("fixture must be a JSON object")
-    if document.get("schema") != FIXTURE_SCHEMA:
-        raise SchemaViolation(f"unknown fixture schema {document.get('schema')!r}")
-    if document.get("kind", "s-invariants") != "s-invariants":
-        # other kinds (e.g. restriction scenarios) are read by their commands
-        return
-    if "trust" not in document:
-        raise SchemaViolation("missing required key 'trust'")
-    min_poly = schema_entry(document, "field.min_poly", list)
-    rational_primes = schema_entry(document, "places", list)
-    fdoc = document["field"]
-    from .numberfield import make_field
-
-    basis = fdoc.get("basis")
-    if basis is not None:
-        n = len(min_poly) - 1
-        if not isinstance(basis, list) or len(basis) != n:
-            raise SchemaViolation(f"field.basis must be a list of {n} coordinate lists")
-        basis = [_parse_coords(row, "field.basis") for row in basis]
-    field = make_field(min_poly, basis=basis, label=fdoc.get("label"))
+    schema = schema_entry(document, "schema", str)
+    if schema != FIXTURE_SCHEMA:
+        raise SchemaViolation(f"unknown fixture schema {schema!r}")
+    kind = schema_entry(document, "kind", str) if "kind" in document else "s-invariants"
+    if kind == "restriction-scenario":
+        return  # read by the restrict command
+    if kind != "s-invariants":
+        raise SchemaViolation(f"unknown fixture kind {kind!r}")
+    provenance = f"ingested:{schema_entry(document, 'trust', str)}"
+    fdoc = schema_entry(document, "field", dict)
+    basis = schema_entry(document, "field.basis", [[Fraction]]) if "basis" in fdoc else None
+    label = schema_entry(document, "field.label", str) if "label" in fdoc else None
+    min_poly = schema_entry(document, "field.min_poly", [int])
+    rational_primes = schema_entry(document, "places", [int])
+    cdoc = schema_entry(document, "class_group", dict) if "class_group" in document else None
+    factors = None if cdoc is None else schema_entry(document, "class_group.invariant_factors",
+                                                     [int])
+    # a value that the field, the places or the group reject is malformed
     try:
+        field = make_field(min_poly, basis=basis, label=label)
         places = PlaceSet.make(field, rational_primes)
+        group = None if cdoc is None else FiniteAbelianGroup(tuple(factors))
     except ValueError as e:
-        raise SchemaViolation(str(e))
-    trust = document["trust"]
-    provenance = f"ingested:{trust}"
-    key = BackendStore._key(field, places)
-    if key in store._class or key in store._unit:
-        raise SchemaViolation("data already registered for this field and place set")
+        raise SchemaViolation(str(e)) from None
 
     cl_data = None
-    if "class_group" in document:
-        cdoc = document["class_group"]
-        try:
-            group = FiniteAbelianGroup(tuple(cdoc["invariant_factors"]))
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaViolation(f"bad class_group section: {e}")
-        gen_specs = cdoc.get("generator_ideals", [])
-        if not isinstance(gen_specs, list) or not all(isinstance(g, list) for g in gen_specs):
-            raise SchemaViolation("class_group.generator_ideals must be a list of "
-                                  "lists of elements")
+    if cdoc is not None:
         gens = []
-        for gspec in gen_specs:
-            els = [_parse_element(field, g) for g in gspec]
+        for gspec in (schema_entry(document, "class_group.generator_ideals", [[[Fraction]]])
+                      if "generator_ideals" in cdoc else ()):
+            els = [_element(field, g) for g in gspec]
             if not any(els):
                 raise SchemaViolation("a generator ideal needs a nonzero generator")
             gens.append(FractionalIdeal.from_generators(field, els))
@@ -855,9 +836,8 @@ def ingest_backend(store: BackendStore, document: dict):
         udoc = schema_entry(document, "unit_group", dict)
         rank = schema_entry(document, "unit_group.rank", int)
         w = schema_entry(document, "unit_group.torsion_order", int)
-        nm1 = None
-        if "norm_images" in document:
-            nm1 = tuple(map(tuple, schema_entry(document, "norm_images.nm1", _TABLE)))
+        nm1 = (tuple(map(tuple, schema_entry(document, "norm_images.nm1", [[int]])))
+               if "norm_images" in document else None)
         if rank != places.unit_rank:
             raise ConsistencyFailure(
                 f"unit rank {rank} contradicts the rank formula value {places.unit_rank}")
@@ -865,13 +845,13 @@ def ingest_backend(store: BackendStore, document: dict):
             raise ConsistencyFailure(f"torsion order {w} is not an even integer >= 2")
         torsion_gen = None
         if "torsion_gen" in udoc:
-            torsion_gen = _parse_element(field, udoc["torsion_gen"])
+            torsion_gen = _element(field, schema_entry(document, "unit_group.torsion_gen",
+                                                       [Fraction]))
             if not has_order(torsion_gen, w):
                 raise ConsistencyFailure("claimed torsion generator has wrong order")
-        gen_specs = udoc.get("free_gens", [])
-        if not isinstance(gen_specs, list):
-            raise SchemaViolation("unit_group.free_gens must be a list of elements")
-        free_gens = tuple(_parse_element(field, g) for g in gen_specs)
+        free_gens = tuple(_element(field, g) for g in (
+            schema_entry(document, "unit_group.free_gens", [[Fraction]])
+            if "free_gens" in udoc else ()))
         if free_gens and len(free_gens) != rank:
             raise ConsistencyFailure("free generator count does not match the rank")
         for g in free_gens:
@@ -884,7 +864,4 @@ def ingest_backend(store: BackendStore, document: dict):
 
     if cl_data is None and un_data is None:
         raise SchemaViolation("fixture carries neither class_group nor unit_group")
-    if cl_data is not None:
-        store._class[key] = cl_data
-    if un_data is not None:
-        store._unit[key] = un_data
+    store.register(places, cl_data, un_data)

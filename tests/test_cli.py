@@ -248,6 +248,10 @@ MALFORMED_FIXTURES = {
         "rank": 0, "torsion_order": 4, "free_gens": 5}},
     "integer_free_gen": {**SMALL_FIXTURE, "unit_group": {
         "rank": 0, "torsion_order": 4, "free_gens": [5]}},
+    "float_invariant_factor": {**SMALL_FIXTURE, "class_group": {"invariant_factors": [2.0]}},
+    "ragged_basis": {**SMALL_FIXTURE, "field": {"min_poly": [1, 0, 1], "basis": [[1, 0], [0]]}},
+    "integer_kind": {**SMALL_FIXTURE, "kind": 7},
+    "integer_class_group": {**SMALL_FIXTURE, "class_group": 5},
 }
 # torsion generators whose order is a proper divisor of the claimed one
 WRONG_TORSION_FIXTURES = {
@@ -288,6 +292,15 @@ def test_malformed_scenario_is_a_schema_error(tmp_path, name):
 def test_malformed_fixture_is_a_schema_error(tmp_path, name):
     _rejected(tmp_path, MALFORMED_FIXTURES[name],
               ["analyze", "--field=1,0,1", "--ell", "3", "--fixtures", None])
+
+
+def test_a_float_invariant_factor_is_a_schema_error_before_any_use(tmp_path):
+    # Q(sqrt -3) with S = {3}: the class pipeline used to end in a TypeError
+    # traceback on the factor 2.0
+    fixture = {**_without(SMALL_FIXTURE, "unit_group"), "field": {"min_poly": [3, 0, 1]},
+               "places": [3], "class_group": {"invariant_factors": [2.0]}}
+    _rejected(tmp_path, fixture, ["analyze", "--field=3,0,1", "--ell", "3", "--places", "3",
+                                  "--fixtures", None])
 
 
 @pytest.mark.parametrize("name", sorted(WRONG_TORSION_FIXTURES))

@@ -178,7 +178,7 @@ def test_quadratic_primes_from_the_kronecker_symbol_match_kummer_dedekind(d, p):
     # theta = sqrt(d) has index 2 when d = 1 mod 4
     g = k.basis_element(1) if p == 2 and d % 4 == 1 else k.gen()
     min_poly = [int(g.norm()), -int(g.trace()), 1]
-    expected = ideals._kummer_dedekind(k, p, g, pt.factor_mod_p(min_poly, p))
+    expected = ideals._kummer_dedekind(k, p, g, min_poly)
     assert factor_rational_prime(k, p) == expected
 
 
@@ -222,8 +222,8 @@ SPLITTING_FIELDS = (
 
 def _sympy_kummer_dedekind(field, p, g):
     """Kummer-Dedekind on g when sympy puts its index [O : Z[g]] prime to
-    p, else None: the characteristic polynomial of g, its discriminant
-    disc(g) = index^2 disc(K) and its factors mod p all come from sympy."""
+    p, else None: the characteristic polynomial of g and its discriminant
+    disc(g) = index^2 disc(K) come from sympy."""
     import sympy
     x = sympy.Symbol("x")
     char = sympy.Matrix(field.int_mult_rows(list(g.num))).charpoly(x)
@@ -231,9 +231,7 @@ def _sympy_kummer_dedekind(field, p, g):
     assert rest == 0
     if index_sq % p == 0:
         return None
-    factors = [([int(c) % p for c in h.all_coeffs()[::-1]], mult)
-               for h, mult in sympy.Poly(char.as_expr(), x, modulus=p).factor_list()[1]]
-    return ideals._kummer_dedekind(field, p, g, sorted(factors))
+    return ideals._kummer_dedekind(field, p, g, [int(c) for c in char.all_coeffs()[::-1]])
 
 
 def test_idempotent_splitting_matches_kummer_dedekind():
@@ -249,8 +247,7 @@ def test_idempotent_splitting_matches_kummer_dedekind():
             if not pt.is_prime(p):
                 continue
             if field.power_basis_index % p:
-                expected = ideals._kummer_dedekind(
-                    field, p, field.gen(), pt.factor_mod_p(field.min_poly, p))
+                expected = ideals._kummer_dedekind(field, p, field.gen(), field.min_poly)
             else:
                 index_primes.append((field.label, p))
                 expected = next(filter(None, (_sympy_kummer_dedekind(field, p, g)
@@ -284,6 +281,23 @@ def test_splitting_an_order_that_is_not_maximal_at_2():
             sorted((mult, h.degree()) for h, mult in factors)
     with pytest.raises(ConsistencyFailure, match="not 2-maximal"):
         factor_rational_prime(k, 2)
+
+
+def test_kummer_dedekind_rejects_a_power_order_that_is_not_p_maximal():
+    # Z[theta] with theta^7 = 384 = 2^7 * 3 has index 1 in itself but is not
+    # 2-maximal (theta / 2 is integral): Dedekind's criterion fails at 2,
+    # where Kummer-Dedekind alone gave one prime with e = 7 whose valuations
+    # never ended.  At 3 (Eisenstein) and 5 the criterion holds
+    k = make_field([-384, 0, 0, 0, 0, 0, 0, 1],
+                   basis=[[int(i == j) for j in range(7)] for i in range(7)])
+    assert k.power_basis_index == 1
+    with pytest.raises(ConsistencyFailure, match="not 2-maximal"):
+        factor_rational_prime(k, 2)
+    for p, expected in ((3, [(7, 1)]), (5, [(1, 1), (1, 6)])):
+        primes = factor_rational_prime(k, p)
+        assert [(pr.e, pr.f) for pr in primes] == expected
+        assert FractionalIdeal.product(k, ((pr.ideal, pr.e) for pr in primes)) == \
+            FractionalIdeal.principal(k, k.rational(p))
 
 
 def test_idempotent_splitting_needs_no_basis_starting_with_1():

@@ -201,6 +201,15 @@ def test_kronecker_and_sqrt_mod():
                 assert r * r % p == a % p
 
 
+@pytest.mark.parametrize("d", [-7, -5, -3, -2, -1, 2, 3, 5, 13, 21])
+def test_dedekind_criterion_on_square_roots(d):
+    # Z[sqrt d], d squarefree, has index 2 in the maximal order exactly when
+    # d = 1 mod 4, and is p-maximal at every odd p
+    f = [-d, 0, 1]
+    for p in (2, 3, 5, 7):
+        assert pt.dedekind_criterion(f, pt.factor_mod_p(f, p), p) == (p != 2 or d % 4 != 1)
+
+
 def sympy_factor_mod_p(coeffs, p):
     _, factors = sympy_poly(coeffs, modulus=p, symmetric=False).factor_list()
     return sorted(([c % p for c in constant_first(f)], int(k)) for f, k in factors)

@@ -128,11 +128,11 @@ def test_relative_units_quartic_cm():
         t = t * u.torsion_gen
 
 
-@pytest.mark.parametrize("min_poly", ([5, 0, 1], [6, 1, 1], [2, 0, 1]))
+@pytest.mark.parametrize("min_poly", ([5, 0, 1], [6, 1, 1], [2, 0, 1], [1, 0, 1]))
 def test_quartic_cm_units_embed_the_real_subfield_without_a_root_search(
         monkeypatch, min_poly):
-    # sqrt(s) of the real quadratic subfield is (2 zeta_3 + 1)(2 theta + b)/t;
-    # the one root left to search for is i (x^2 + 1), for the torsion
+    # sqrt(s) of the real quadratic subfield is (2 zeta_3 + 1)(2 theta + b)/t,
+    # and i = (2 zeta_3 + 1)/sqrt(3) lies in L exactly when K = Q(i)
     s = _setup(make_field(min_poly), [], 3)
     searched = []
     find_root = relative.find_root
@@ -143,8 +143,8 @@ def test_quartic_cm_units_embed_the_real_subfield_without_a_root_search(
 
     monkeypatch.setattr(relative, "find_root", recorded)
     u = relative_unit_group(s)
-    assert searched == [(1, 0, 1)]
-    assert u.rank == 1 and u.torsion_order == 6
+    assert searched == []
+    assert u.rank == 1 and u.torsion_order == (12 if min_poly == [1, 0, 1] else 6)
     eta = u.free_gens[0]
     assert abs(eta.norm()) == 1 and eta.is_integral()
 
