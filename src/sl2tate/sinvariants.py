@@ -718,15 +718,12 @@ def _round_log_solve(cols, target):
 # ingestion backend for externally computed data
 
 FIXTURE_SCHEMA = "sl2tate-fixture-1"
-_NOUNS = {int: ("an integer", "integers"), str: ("a string", "strings"),
-          dict: ("a JSON object", "JSON objects"),
-          Fraction: ("a coordinate (an integer or a [num, den] pair, den != 0)", "coordinates")}
+_NOUNS = {int: "integer", str: "string", dict: "object", Fraction: "coordinate"}
 
 
-def _noun(shape, plural=False) -> str:
-    if type(shape) is list:
-        return ("lists of " if plural else "a list of ") + _noun(shape[0], True)
-    return _NOUNS[shape][plural]
+def _noun(shape) -> str:
+    """The shape as the README writes it: [integer] is a list of integers."""
+    return f"[{_noun(shape[0])}]" if type(shape) is list else _NOUNS[shape]
 
 
 def _read(value, shape):
@@ -756,7 +753,7 @@ def schema_entry(doc, path: str, shape):
         value = value[key]
     out = _read(value, shape)
     if out is None:
-        raise SchemaViolation(f"{path} must be {_noun(shape)}")
+        raise SchemaViolation(f"{path} must have the shape {_noun(shape)}")
     return out
 
 
@@ -771,10 +768,8 @@ class BackendStore:
         self._records: dict = {}
 
     def register(self, places: PlaceSet, class_data, unit_data):
-        key = (places.field, places.rational_primes)
-        if key in self._records:
-            raise SchemaViolation("data already registered for this field and place set")
-        self._records[key] = (class_data, unit_data)
+        """Record the data of a key that lookup finds empty."""
+        self._records[(places.field, places.rational_primes)] = (class_data, unit_data)
 
     def lookup(self, field, places):
         """The ClassGroupData and UnitGroupData ingested for (field, S), each
@@ -809,13 +804,18 @@ def ingest_backend(store: BackendStore, document: dict):
     cdoc = schema_entry(document, "class_group", dict) if "class_group" in document else None
     factors = None if cdoc is None else schema_entry(document, "class_group.invariant_factors",
                                                      [int])
-    # a value that the field, the places or the group reject is malformed
+    n = len(min_poly) - 1
+    if basis is not None and any(len(row) != n for row in (basis, *basis)):
+        raise SchemaViolation(f"field.basis must be {n} rows of {n} coordinates")
+    field = make_field(min_poly, basis=basis, label=label)
+    # places or invariant factors that PlaceSet or the group reject are malformed
     try:
-        field = make_field(min_poly, basis=basis, label=label)
         places = PlaceSet.make(field, rational_primes)
         group = None if cdoc is None else FiniteAbelianGroup(tuple(factors))
     except ValueError as e:
         raise SchemaViolation(str(e)) from None
+    if store.lookup(field, places) != (None, None):
+        raise SchemaViolation("data already registered for this field and place set")
 
     cl_data = None
     if cdoc is not None:

@@ -303,6 +303,26 @@ def test_a_float_invariant_factor_is_a_schema_error_before_any_use(tmp_path):
                                   "--fixtures", None])
 
 
+@pytest.mark.parametrize("field, message", [
+    ({"min_poly": [-1, 0, 1]}, "[-1, 0, 1] is reducible over Q"),
+    ({"min_poly": [1, 0, 1], "basis": [[1, 0], [2, 0]]}, "basis rows are linearly dependent")])
+def test_a_fixture_field_that_make_field_rejects_is_invalid_input(tmp_path, field, message):
+    # well-formed values whose field does not exist: the exit code of
+    # --field, not a schema error
+    _rejected(tmp_path, {**SMALL_FIXTURE, "field": field},
+              ["analyze", "--field=1,0,1", "--ell", "3", "--fixtures", None],
+              EXIT_INPUT, f"invalid input: {message}")
+
+
+def test_a_second_fixture_for_one_field_and_place_set_is_rejected_before_its_checks(tmp_path):
+    # the second one's rank contradicts Dirichlet's (exit 7 on its own)
+    first = tmp_path / "first.json"
+    first.write_text(json.dumps(SMALL_FIXTURE))
+    _rejected(tmp_path, {**SMALL_FIXTURE, "unit_group": {"rank": 3, "torsion_order": 4}},
+              ["analyze", "--field=1,0,1", "--ell", "3", "--fixtures", str(first), None],
+              message="schema error: data already registered for this field and place set")
+
+
 @pytest.mark.parametrize("name", sorted(WRONG_TORSION_FIXTURES))
 def test_fixture_torsion_generator_of_wrong_order_is_rejected(tmp_path, name):
     # i has order 4 and -1 order 2: x^w = 1 and x^(w/2) = -1 both hold for

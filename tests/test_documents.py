@@ -8,6 +8,7 @@ import copy
 import json
 import pathlib
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sl2tate.applications import restriction_scenario
@@ -155,19 +156,25 @@ def test_a_fixture_value_of_another_shape_is_rejected(path, value):
     assert type(units.rank) is int and type(units.torsion_order) is int
 
 
-Q23_STORE = BackendStore()
-ingest_backend(Q23_STORE, Q23)
+@pytest.fixture(scope="module")
+def q23_store():
+    store = BackendStore()
+    ingest_backend(store, Q23)
+    return store
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(sorted(_paths(HILBERT), key=str)), JSON_VALUES)
 @example(("target", "class_group", "invariant_factors"), [2.0])
-def test_a_scenario_value_of_another_shape_is_rejected(path, value):
-    # Q(zeta_23)(zeta_3) has degree 44: its set-up alone takes minutes
+def test_a_scenario_value_of_another_shape_is_rejected(q23_store, path, value):
+    # ell = 3 is the one odd prime whose cos(2 pi / ell) lies in every
+    # field, so it alone makes the set-up build Q(zeta_23)(zeta_3), of
+    # degree 44, which takes minutes; for every other ell, Q(zeta_23)
+    # holds zeta_ell (ell = 23) or lacks cos(2 pi / ell)
     if path == ("source", "ell") and value == 3:
         return
     try:
-        report = restriction_scenario(_replaced(HILBERT, path, value), store=Q23_STORE)
+        report = restriction_scenario(_replaced(HILBERT, path, value), store=q23_store)
     except READ_ERRORS + (RegularityViolated, UnsupportedCase):
         # a well-formed scenario of another setup may be irregular or have
         # no ell-torsion

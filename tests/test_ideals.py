@@ -222,8 +222,11 @@ SPLITTING_FIELDS = (
 
 def _sympy_kummer_dedekind(field, p, g):
     """Kummer-Dedekind on g when sympy puts its index [O : Z[g]] prime to
-    p, else None: the characteristic polynomial of g and its discriminant
-    disc(g) = index^2 disc(K) come from sympy."""
+    p, else None: the characteristic polynomial of g, its discriminant
+    disc(g) = index^2 disc(K) and its factors mod p all come from sympy
+    (_kummer_dedekind factors it with factor_mod_p, whose splitting of the
+    Frobenius-fixed algebra is the one under test, so those factors are
+    checked against sympy's first)."""
     import sympy
     x = sympy.Symbol("x")
     char = sympy.Matrix(field.int_mult_rows(list(g.num))).charpoly(x)
@@ -231,7 +234,11 @@ def _sympy_kummer_dedekind(field, p, g):
     assert rest == 0
     if index_sq % p == 0:
         return None
-    return ideals._kummer_dedekind(field, p, g, [int(c) for c in char.all_coeffs()[::-1]])
+    factors = [([int(c) % p for c in h.all_coeffs()[::-1]], mult)
+               for h, mult in sympy.Poly(char.as_expr(), x, modulus=p).factor_list()[1]]
+    char = [int(c) for c in char.all_coeffs()[::-1]]
+    assert pt.factor_mod_p(char, p) == sorted(factors)
+    return ideals._kummer_dedekind(field, p, g, char)
 
 
 def test_idempotent_splitting_matches_kummer_dedekind():
