@@ -12,7 +12,7 @@ from .errors import EmbeddingInvalid, NeedsBackendData, SchemaViolation, verify
 from .numberfield import NumberField, _eval_poly_at, make_field
 from .relative import RelativeSetup, build_setup
 from .classify import class_pipeline, element_class_count
-from .sinvariants import PlaceSet, schema_entry
+from .sinvariants import PlaceSet, check_schema, schema_checked, schema_entry
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +195,7 @@ def restriction_scenario(doc: dict, store=None) -> RestrictionReport:
     """Fixture-driven restriction when the target field is out of reach
     (e.g. a Hilbert class field): the fixture supplies the relative degree
     and the capitulation of the source classes."""
+    check_schema(doc)
     min_poly = schema_entry(doc, "source.min_poly", [int])
     ell = schema_entry(doc, "source.ell", int)
     degree = schema_entry(doc, "target.relative_degree", int)
@@ -210,7 +211,7 @@ def restriction_scenario(doc: dict, store=None) -> RestrictionReport:
                    if "invariant_factors" in tgt_group else [])
     capitulation = schema_entry(doc, "capitulation", str) if "capitulation" in doc else None
     field_k = make_field(min_poly, label=label)
-    places = PlaceSet.make(field_k, primes)
+    places = schema_checked(PlaceSet.make, field_k, primes)
     src_res = class_pipeline(build_setup(field_k, places, ell), store=store)
     notes = [f"target {tgt_label} ingested; embedding {embedding}"]
     if capitulation != "all":

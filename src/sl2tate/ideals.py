@@ -17,14 +17,14 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from . import polytools as pt
 from .errors import ConsistencyFailure, NotInvertible, SearchExhausted, verify
 from .intlinalg import (IntMatrix, combine_rows, hnf_canonical, hnf_solve, inverse_rational,
                         kernel_mod)
-from .numberfield import NFElement, NumberField, _eval_poly_at
+from .numberfield import NFElement, NumberField, _eval_poly_at, per_field
 
 
 class FractionalIdeal:
@@ -161,7 +161,7 @@ class FractionalIdeal:
         return v - prime.e * _rational_valuation(self.den, prime.p)
 
 
-@lru_cache(maxsize=None)
+@per_field
 def _codifferent(field: NumberField) -> FractionalIdeal:
     return FractionalIdeal.unit(field).dual()
 
@@ -230,7 +230,7 @@ class PrimeIdeal:
                                          f"the order is not {p}-maximal")
 
 
-@lru_cache(maxsize=None)
+@per_field
 def factor_rational_prime(field: NumberField, p: int) -> tuple[PrimeIdeal, ...]:
     """The primes above p, by Kummer-Dedekind on a generator g of O whose
     index [O : Z[g]] is prime to p, else by splitting the algebra O/pO.  A
@@ -238,8 +238,9 @@ def factor_rational_prime(field: NumberField, p: int) -> tuple[PrimeIdeal, ...]:
     reads the factors of its minimal polynomial off the Kronecker symbol of
     its discriminant and writes each prime down as a lattice.  Any other
     order takes g = theta when theta lies in O and p does not divide
-    NumberField.power_basis_index.  Memoised per (field, p), so each
-    prime's anti-uniformizer is built once."""
+    NumberField.power_basis_index.  Memoised on the field per p, so each
+    prime's anti-uniformizer is built once per field object and freed with
+    it; an equal field built apart factors p again."""
     one = field.one().num
     if field.degree == 2 and one[0] % p:
         g = field.basis_element(1)
@@ -483,7 +484,7 @@ RESIDUE_MAPS = 12
 _RESIDUE_PRIME_BOUND = 500
 
 
-@lru_cache(maxsize=None)
+@per_field
 def _residue_maps(field: NumberField) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Up to RESIDUE_MAPS ring maps O -> F_p, one per degree-one prime P,
     each as (p, images of the integral basis), by increasing p and then

@@ -239,16 +239,29 @@ def rank(M: IntMatrix) -> int:
 def hnf_solve(H: IntMatrix, v: Sequence[int]) -> tuple[int, ...] | None:
     """y with y*H = v for a row HNF H, or None if v is not in the row lattice
     of H.  Back-substitution: each pivot fixes one y_i (zero rows get 0), and
-    v is in the lattice exactly when nothing of it is left over."""
+    v is in the lattice exactly when nothing of it is left over.  The pivots
+    move right row by row and no later row touches a column left of its
+    pivot, so the first column left over ends the walk."""
     rest = list(v)
     y = []
+    j = 0
     for row in H.entries:
-        p = next((j for j, x in enumerate(row) if x), None)
-        q = 0 if p is None else rest[p] // row[p]
+        # the pivot of this row: its first nonzero entry, right of the last
+        while j < H.ncols and not row[j]:
+            if rest[j]:
+                return None
+            j += 1
+        if j == H.ncols:
+            y.append(0)
+            continue
+        q, r = divmod(rest[j], row[j])
+        if r:
+            return None
         if q:
-            rest = [a - q * b for a, b in zip(rest, row)]
+            rest[j:] = [a - q * b for a, b in zip(rest[j:], row[j:])]
         y.append(q)
-    return None if any(rest) else tuple(y)
+        j += 1
+    return None if any(rest[j:]) else tuple(y)
 
 
 def _snf_rows(rows: list[list[int]], track: list[list[int]] | None = None) -> None:

@@ -18,7 +18,7 @@ coefficients, multiplied and reduced by the polytools division core.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import gcd, lcm
 from typing import Sequence
 
@@ -31,6 +31,19 @@ from .errors import (
     verify,
 )
 from .intlinalg import IntMatrix, combine_rows, inverse_rational, solve_rational
+
+
+def per_field(fn):
+    """Memoise fn(field, *args) on the field object itself: each value is
+    computed once per field and lives exactly as long as that field."""
+    @wraps(fn)
+    def memoised(field, *args):
+        key = (fn, *args)
+        memo = field._memo
+        if key not in memo:
+            memo[key] = fn(field, *args)
+        return memo[key]
+    return memoised
 
 
 class NumberField:
@@ -57,8 +70,10 @@ class NumberField:
         except ValueError:
             raise InvalidInput("basis rows are linearly dependent") from None
         self._build_mult_table()
-        # fields key caches and the fixture store; a large basis is slow to hash
+        # fields key the fixture store; a large basis is slow to hash
         self._hash = hash((self.min_poly, self.basis))
+        # values of the per_field functions, freed with the field
+        self._memo: dict = {}
 
     # -- construction helpers ------------------------------------------------
 

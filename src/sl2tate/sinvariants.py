@@ -43,13 +43,14 @@ from .intlinalg import (
     cokernel,
     combine_rows,
     hnf_canonical,
+    hnf_solve,
     presented_hom_cokernel,
     presented_hom_kernel,
     solve_integer,
     solve_rational,
     xgcd,
 )
-from .numberfield import NFElement, NumberField, make_field
+from .numberfield import NFElement, NumberField, make_field, per_field
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +314,23 @@ def class_group(field: NumberField, places: PlaceSet, store=None) -> ClassGroupD
     return _finish_class_group(field, places, *_class_group_relations(field))
 
 
-@lru_cache(maxsize=None)
+@per_field
 def _class_group_relations(field: NumberField):
     """The generator primes (all primes up to the Minkowski bound) and the
     relation lattice among them, as the columns of the transposed canonical
-    HNF.  Neither depends on S, so the search runs once per field; the
-    S-quotient is taken in _finish_class_group.
+    HNF.  Neither depends on S, so the search runs once per field object
+    (memoised on it); the S-quotient is taken in _finish_class_group.
 
-    The primes generate Cl, so the relations found span a sublattice of the
-    relation lattice, whose index is h: the HNF order is a multiple of h.
-    With a certified h the search stops on a proof, as soon as the order is
-    h; otherwise it stops once the order repeats over two boxes.  The
-    stability rule also guards a certified search: firing there raises."""
+    The search keeps only the canonical HNF of the relations so far, at most
+    one row per generator prime: a smooth vector is added only when hnf_solve
+    shows it outside that lattice, so hnf_canonical never sees more than
+    k + 1 rows.  The primes generate Cl, so the lattice found is a sublattice
+    of the relation lattice, whose index is h: once of full rank, its order
+    is a multiple of h.  With a certified h the search stops on a proof, as
+    soon as the order is h (before any walk when the seeded rows (p) already
+    give it); otherwise it stops once the order at the end of a box repeats
+    over two boxes.  The stability rule also guards a certified search:
+    firing there raises."""
     n = field.degree
     mb = minkowski_bound(field)
     gen_primes: list[PrimeIdeal] = []
@@ -337,6 +343,7 @@ def _class_group_relations(field: NumberField):
                f"but its class number is {h}")
         return (), None
 
+    k = len(gen_primes)
     rationals = sorted({pr.p for pr in gen_primes})
 
     def element_valuations(coords, norm_abs) -> list[int] | None:
@@ -349,11 +356,24 @@ def _class_group_relations(field: NumberField):
                "the valuations cover the norm")
         return vec
 
+    def order_of(lattice) -> int | None:
+        """The index of a full-rank square row HNF, its diagonal product;
+        None below full rank."""
+        if lattice.nrows < k:
+            return None
+        order = math.prod(lattice[i, i] for i in range(k))
+        if h is not None:
+            verify(order % h == 0, f"the relations of {field.label} have index "
+                   f"{order}, not a multiple of the class number {h}")
+        return order
+
     # (p) itself is a relation; needed since the primitive-element search
-    # below never sees elements divisible by an inert prime.  The rows are
-    # kept as the canonical HNF of the relations so far; being unique, it
-    # does not depend on their order or multiplicity
-    lattice_rows = [[pr.e if pr.p == p else 0 for pr in gen_primes] for p in rationals]
+    # below never sees elements divisible by an inert prime.  Being unique,
+    # the canonical HNF does not depend on the order in which relations come
+    lattice = hnf_canonical(IntMatrix.from_rows(
+        [[pr.e if pr.p == p else 0 for pr in gen_primes] for p in rationals]))
+    if h is not None and order_of(lattice) == h:
+        return tuple(gen_primes), lattice.transpose()
     prev_order = None
     seen_box = 0
     # for quadratic fields the relation connecting two generator primes p, q
@@ -364,19 +384,14 @@ def _class_group_relations(field: NumberField):
     for box in _BOX_SCHEDULE:
         for coords, nrm in search_elements(order_ideal, seen_box, box):
             vec = element_valuations(coords, abs(nrm))
-            if vec is not None and any(vec):
-                lattice_rows.append(vec)
+            if vec is None or hnf_solve(lattice, vec) is not None:
+                continue
+            lattice = hnf_canonical(IntMatrix(lattice.entries + (tuple(vec),), k))
+            if h is not None and order_of(lattice) == h:
+                return tuple(gen_primes), lattice.transpose()
         seen_box = box
-        lattice = hnf_canonical(IntMatrix.from_rows(lattice_rows))
-        lattice_rows = list(lattice.entries)
-        if lattice.nrows == len(gen_primes):
-            # a full-rank square row HNF: its index is its diagonal product
-            order = math.prod(row[i] for i, row in enumerate(lattice_rows))
-            if h is not None:
-                verify(order % h == 0, f"the relations of {field.label} have index "
-                       f"{order}, not a multiple of the class number {h}")
-                if order == h:
-                    return tuple(gen_primes), lattice.transpose()
+        order = order_of(lattice)
+        if order is not None:
             if order == prev_order and box >= min_stable_box:
                 verify(h is None, f"the relations of {field.label} stabilized at "
                        f"index {order}, but the class number is {h}")
@@ -757,6 +772,23 @@ def schema_entry(doc, path: str, shape):
     return out
 
 
+def check_schema(doc) -> None:
+    """Raise SchemaViolation unless the document declares FIXTURE_SCHEMA."""
+    schema = schema_entry(doc, "schema", str)
+    if schema != FIXTURE_SCHEMA:
+        raise SchemaViolation(f"unknown fixture schema {schema!r}")
+
+
+def schema_checked(build, *args):
+    """build(*args) on values read from a document: a value that build
+    rejects with ValueError (a composite place, an invariant factor below 2) is
+    malformed, so it raises SchemaViolation."""
+    try:
+        return build(*args)
+    except ValueError as e:
+        raise SchemaViolation(str(e)) from None
+
+
 class BackendStore:
     """Registry of ingested S-invariant data, keyed by (field, S).
 
@@ -787,9 +819,7 @@ def ingest_backend(store: BackendStore, document: dict):
     """Validate a fixture document and register its data; raises
     SchemaViolation for malformed input and ConsistencyFailure when the
     claimed data contradicts what can be checked in-process."""
-    schema = schema_entry(document, "schema", str)
-    if schema != FIXTURE_SCHEMA:
-        raise SchemaViolation(f"unknown fixture schema {schema!r}")
+    check_schema(document)
     kind = schema_entry(document, "kind", str) if "kind" in document else "s-invariants"
     if kind == "restriction-scenario":
         return  # read by the restrict command
@@ -808,12 +838,8 @@ def ingest_backend(store: BackendStore, document: dict):
     if basis is not None and any(len(row) != n for row in (basis, *basis)):
         raise SchemaViolation(f"field.basis must be {n} rows of {n} coordinates")
     field = make_field(min_poly, basis=basis, label=label)
-    # places or invariant factors that PlaceSet or the group reject are malformed
-    try:
-        places = PlaceSet.make(field, rational_primes)
-        group = None if cdoc is None else FiniteAbelianGroup(tuple(factors))
-    except ValueError as e:
-        raise SchemaViolation(str(e)) from None
+    places = schema_checked(PlaceSet.make, field, rational_primes)
+    group = None if cdoc is None else schema_checked(FiniteAbelianGroup, tuple(factors))
     if store.lookup(field, places) != (None, None):
         raise SchemaViolation("data already registered for this field and place set")
 

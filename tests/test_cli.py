@@ -164,12 +164,9 @@ def test_a_wrong_class_number_certificate_exits_consistency(tmp_path, capsys, mo
 
     monkeypatch.setattr(sinvariants, "certified_class_number",
                         lambda field: h if field.discriminant == -20 else None)
-    sinvariants._class_group_relations.cache_clear()
+    # main builds its own field objects, so no earlier relation search is reused
     out = tmp_path / "r.json"
-    try:
-        code = main(["analyze", "--field=5,0,1", "--ell", "3", "--out", str(out)])
-    finally:
-        sinvariants._class_group_relations.cache_clear()
+    code = main(["analyze", "--field=5,0,1", "--ell", "3", "--out", str(out)])
     assert code == EXIT_CONSISTENCY
     err = capsys.readouterr().err
     assert err.startswith("consistency check failed: the relations of ") and reason in err
@@ -233,6 +230,11 @@ MALFORMED_SCENARIOS = {
     "class_group_array": {**HILBERT, "target": {**HILBERT["target"], "class_group": []}},
     "zero_degree": {**HILBERT, "target": {**HILBERT["target"], "relative_degree": 0}},
     "negative_degree": {**HILBERT, "target": {**HILBERT["target"], "relative_degree": -2}},
+    # read like a fixture's: an unknown or missing schema, and a place that
+    # PlaceSet rejects, exit 5 (the last one exited 6, the others 0)
+    "bogus_schema": {**HILBERT, "schema": "bogus"},
+    "no_schema": _without(HILBERT, "schema"),
+    "composite_place": {**HILBERT, "source": {**HILBERT["source"], "places": [4]}},
 }
 MALFORMED_FIXTURES = {
     "text_min_poly": {**SMALL_FIXTURE, "field": {"min_poly": ["a", 0, 1]}},
@@ -252,6 +254,7 @@ MALFORMED_FIXTURES = {
     "ragged_basis": {**SMALL_FIXTURE, "field": {"min_poly": [1, 0, 1], "basis": [[1, 0], [0]]}},
     "integer_kind": {**SMALL_FIXTURE, "kind": 7},
     "integer_class_group": {**SMALL_FIXTURE, "class_group": 5},
+    "composite_place": {**SMALL_FIXTURE, "places": [4]},
 }
 # torsion generators whose order is a proper divisor of the claimed one
 WRONG_TORSION_FIXTURES = {

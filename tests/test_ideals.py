@@ -203,7 +203,6 @@ def test_factor_common_index_divisor_splits_the_algebra(monkeypatch):
     split = ideals._factor_by_algebra_splitting
     monkeypatch.setattr(ideals, "_factor_by_algebra_splitting",
                         lambda field, p: calls.append(p) or split(field, p))
-    factor_rational_prime.cache_clear()
     primes = factor_rational_prime(L, 2)
     assert calls == [2]
     assert [(pr.e, pr.f) for pr in primes] == [(1, 2), (1, 2)]
@@ -907,10 +906,8 @@ def test_quadratic_primes_are_built_from_their_hnf_rows(monkeypatch):
     # evaluated, and the primes are the Kummer-Dedekind ones
     monkeypatch.setattr(ideals, "_eval_poly_at", None)
     k = quadratic_field(-5)
-    factor_rational_prime.cache_clear()
     p2, = factor_rational_prime(k, 2)
     p3a, p3b = factor_rational_prime(k, 3)
-    factor_rational_prime.cache_clear()
     assert (p2.e, p2.f) == (2, 1)
     assert p2.ideal == FractionalIdeal.from_generators(k, [k.rational(2), k.element([1, 1])])
     assert {p3a.ideal, p3b.ideal} == {

@@ -12,6 +12,7 @@ from sl2tate.intlinalg import (
     det_rational,
     hnf,
     hnf_canonical,
+    hnf_solve,
     kernel,
     presented_hom_cokernel,
     presented_hom_kernel,
@@ -91,6 +92,29 @@ def test_hnf_canonical_under_unimodular_change():
             q = rng.randint(-3, 3)
             rows[i] = [a + q * b for a, b in zip(rows[i], rows[k])]
         assert hnf_canonical(IntMatrix.from_rows(rows)) == hnf_canonical(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32), st.booleans())
+def test_hnf_solve_finds_exactly_the_lattice_vectors(nr, nc, seed, in_lattice):
+    # on the HNF with its zero rows (hnf) and without them (hnf_canonical), of
+    # any rank; the oracle: the nonzero rows are independent, so v lies in
+    # their lattice exactly when the one rational solution is integral
+    rng = random.Random(seed)
+    m = random_matrix(rng, nr, nc, -4, 4)
+    v = (m.transpose().apply([rng.randint(-3, 3) for _ in range(nr)]) if in_lattice
+         else tuple(rng.randint(-9, 9) for _ in range(nc)))
+    for h in (hnf(m)[0], hnf_canonical(m)):
+        nonzero = [row for row in h.entries if any(row)]
+        sol = solve_rational(list(zip(*nonzero)), v) if nonzero else (
+            None if any(v) else [])
+        expected = sol is not None and all(x.denominator == 1 for x in sol)
+        y = hnf_solve(h, v)
+        assert (y is not None) == expected
+        if in_lattice:
+            assert y is not None
+        if y is not None:
+            assert h.transpose().apply(y) == tuple(v)
 
 
 def test_hnf_pivot_normalization():

@@ -105,14 +105,16 @@ def test_class_group_quartic():
 
 
 def test_class_group_relations_searched_once_per_field(monkeypatch):
-    from sl2tate import sinvariants
     from sl2tate.numberfield import NumberField, composite_field
 
-    L, _, _ = composite_field(quadratic_field(-5), cyclotomic_field(3))
+    # each field object is fresh, so its memo starts empty
+    def fresh_field():
+        return composite_field(quadratic_field(-5), cyclotomic_field(3))[0]
+
+    cold_field = fresh_field()
+    cold = class_group(cold_field, PlaceSet.make(cold_field, [2]))
+    L = fresh_field()
     s2 = PlaceSet.make(L, [2])
-    sinvariants._class_group_relations.cache_clear()
-    cold = class_group(L, s2)
-    sinvariants._class_group_relations.cache_clear()
     class_group(L, PlaceSet(L, (), ()))
     calls = []
     norm_line = NumberField.norm_line
@@ -133,7 +135,6 @@ def test_class_group_relations_searched_once_per_field(monkeypatch):
 def _relation_digest(field):
     from sl2tate import sinvariants
 
-    sinvariants._class_group_relations.cache_clear()
     _, rel_cols = sinvariants._class_group_relations(field)
     entries = None if rel_cols is None else rel_cols.transpose().entries
     return hashlib.sha256(repr(entries).encode()).hexdigest()
@@ -155,7 +156,8 @@ def test_relation_search_computes_each_plus_minus_pair_once():
 
 def test_certified_relation_search_stops_on_the_class_number(monkeypatch):
     # the unit group of L = Q(sqrt -5)(zeta_3) sets h(L) = 2, the index of
-    # the relations found in box 4 (2,928 points); the stability rule alone
+    # the relations found after 2,907 of the 2,928 points of box 4: the
+    # search stops at the relation that reaches it; the stability rule alone
     # walks box 6 (12,768 points) for the same HNF
     from sl2tate import sinvariants
     from sl2tate.numberfield import NumberField
@@ -180,12 +182,73 @@ def test_certified_relation_search_stops_on_the_class_number(monkeypatch):
 
     monkeypatch.setattr(NumberField, "norm_line", recorded_line)
     monkeypatch.setattr(pt, "poly_eval", recorded_eval)
-    sinvariants._class_group_relations.cache_clear()
     gen_primes, rel_cols = sinvariants._class_group_relations(setup.rel_field)
-    assert len(points) == len(set(points)) == 2928
+    assert len(points) == len(set(points)) == 2907
     assert (len(gen_primes), rel_cols.nrows, rel_cols.ncols) == (8, 8, 8)
     digest = hashlib.sha256(repr(rel_cols.transpose().entries).encode()).hexdigest()
     assert digest == "ae03d2de12820dc102bf04c998e297e09dd9ac8df64d27805d092518454c606c"
+
+
+def test_relation_search_keeps_only_the_lattice(monkeypatch):
+    # a smooth vector joins the k x k HNF only when it lies outside it, so the
+    # uncertified search of Q(sqrt -5)(zeta_3) (k = 8, through box 6) never
+    # hands hnf_canonical more than k + 1 rows
+    from sl2tate import sinvariants
+    from sl2tate.numberfield import composite_field
+
+    L, _, _ = composite_field(quadratic_field(-5), cyclotomic_field(3))
+    rows = []
+    hnf_canonical = sinvariants.hnf_canonical
+    monkeypatch.setattr(sinvariants, "hnf_canonical",
+                        lambda m: rows.append(m.nrows) or hnf_canonical(m))
+    gen_primes, rel_cols = sinvariants._class_group_relations(L)
+    assert len(gen_primes) == 8 and max(rows) == 9 and len(rows) > 1
+    digest = hashlib.sha256(repr(rel_cols.transpose().entries).encode()).hexdigest()
+    # the lattice that the certified search of this L stops at
+    assert digest == "ae03d2de12820dc102bf04c998e297e09dd9ac8df64d27805d092518454c606c"
+
+
+@pytest.mark.parametrize("m, walked", [(-5, 0), (-14, 12)])
+def test_certified_search_stops_at_the_relation_that_reaches_h(monkeypatch, m, walked):
+    # Q(sqrt -5): the seeded (P2^2) = (2) already has index h = 2, so the
+    # search walks nothing; Q(sqrt -14) reaches h = 4 twelve points into
+    # box 4 (both walked the 24 points of box 4 when checked per box)
+    from sl2tate import sinvariants
+
+    walk = sinvariants.search_elements
+    points = []
+
+    def counted(ideal, inner, outer):
+        for point in walk(ideal, inner, outer):
+            points.append(point)
+            yield point
+
+    monkeypatch.setattr(sinvariants, "search_elements", counted)
+    k = quadratic_field(m)
+    _, rel_cols = sinvariants._class_group_relations(k)
+    assert len(points) == walked
+    assert _index(rel_cols) == certified_class_number(k)
+
+
+def test_field_invariants_are_freed_with_the_field():
+    # the primes, the relation lattice, the codifferent and the residue maps
+    # live on the field object, so nothing process-wide keeps it alive
+    import gc
+    import weakref
+
+    from sl2tate import ideals
+
+    k = quadratic_field(-14)
+    class_group(k, PlaceSet.make(k, [3]))
+    FractionalIdeal.unit(k).inverse()
+    ideals._residue_maps(k)
+    assert len(k._memo) >= 5
+    ref = weakref.ref(k)
+    del k
+    gc.collect()
+    assert ref() is None
+    # an equal field built apart starts with an empty memo
+    assert quadratic_field(-14)._memo == {}
 
 
 # sha256 of the rows of the canonical HNF of the relation lattice, recorded
@@ -253,15 +316,16 @@ def test_relation_columns_of_quartic_fields(d):
 
 
 def _uncertified_relations(field):
-    """The relation search of the field under the stability rule alone."""
+    """The relation search of the field under the stability rule alone, on a
+    fresh copy of the field, so that neither its memo nor the field's own
+    sees the uncertified result."""
     from sl2tate import sinvariants
+    from sl2tate.numberfield import NumberField
 
+    copy = NumberField(field.min_poly, field.basis, field.label)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sinvariants, "certified_class_number", lambda field: None)
-        sinvariants._class_group_relations.cache_clear()
-        found = sinvariants._class_group_relations(field)
-        sinvariants._class_group_relations.cache_clear()
-    return found
+        return sinvariants._class_group_relations(copy)
 
 
 def _index(rel_cols):
@@ -325,7 +389,6 @@ def test_relation_search_makes_no_membership_tests(monkeypatch):
     contains = FractionalIdeal.contains_coords
     monkeypatch.setattr(FractionalIdeal, "contains_coords",
                         lambda self, coords: calls.append(coords) or contains(self, coords))
-    sinvariants._class_group_relations.cache_clear()
     gen_primes, rel_cols = sinvariants._class_group_relations(quadratic_field(-14))
     assert calls == []
     # a full-rank square HNF, one column per generator prime: more columns
@@ -349,7 +412,6 @@ def test_class_group_takes_no_smith_form_of_a_wide_matrix(monkeypatch):
         return snf_with_transforms(m)
 
     monkeypatch.setattr(intlinalg, "snf_with_transforms", recorded)
-    sinvariants._class_group_relations.cache_clear()
     cl = class_group(L, PlaceSet.make(L))
     assert cl.group == FiniteAbelianGroup((2,))
     assert all(ncols <= nrows for nrows, ncols in shapes)
