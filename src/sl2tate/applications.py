@@ -159,7 +159,7 @@ def restriction_map(setup_k: RelativeSetup, field_l: NumberField,
     identity = (field_l.min_poly == K.min_poly
                 and (gen_image - field_l.gen()).is_zero()
                 and places_l.rational_primes == setup_k.places.rational_primes)
-    setup_l = setup_k if identity else build_setup(field_l, places_l, setup_k.ell)
+    setup_l = setup_k if identity else build_setup(field_l, places_l, setup_k.ell, store)
     setup_l.require_regular()
     src_elements, src_classes = _oriented_classes(setup_k, store)
     if identity:
@@ -212,7 +212,7 @@ def restriction_scenario(doc: dict, store=None) -> RestrictionReport:
     capitulation = schema_entry(doc, "capitulation", str) if "capitulation" in doc else None
     field_k = make_field(min_poly, label=label)
     places = schema_checked(PlaceSet.make, field_k, primes)
-    src_res = class_pipeline(build_setup(field_k, places, ell), store=store)
+    src_res = class_pipeline(build_setup(field_k, places, ell, store), store=store)
     notes = [f"target {tgt_label} ingested; embedding {embedding}"]
     if capitulation != "all":
         raise NeedsBackendData("scenario must state the capitulation map")

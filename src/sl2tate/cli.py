@@ -122,7 +122,7 @@ def cmd_analyze(args) -> int:
     field = make_field(args.field, basis=args.basis)
     places = PlaceSet.make(field, args.places)
     lo, hi = args.degrees
-    setup = build_setup(field, places, args.ell)
+    setup = build_setup(field, places, args.ell, store)
     report = {
         "schema": REPORT_SCHEMA,
         "request": {"field": field.min_poly, "label": field.label,
@@ -210,7 +210,7 @@ def cmd_restrict(args) -> int:
                                "and --target-field")
         field_k = make_field(args.field)
         setup_k = build_setup(field_k, PlaceSet.make(field_k, args.places),
-                              args.ell)
+                              args.ell, store)
         field_l = make_field(args.target_field)
         places_l = PlaceSet.make(field_l, args.target_places)
         image = field_l.element(args.embedding or [0] * field_l.degree)

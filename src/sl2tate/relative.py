@@ -15,6 +15,7 @@ from typing import NamedTuple, Optional
 from .errors import (
     ConsistencyFailure,
     InvalidInput,
+    NeedsBackendData,
     RegularityViolated,
     UnsupportedCase,
     verify,
@@ -36,7 +37,6 @@ from .intlinalg import (
     presented_hom_cokernel,
     presented_hom_kernel,
     snf,
-    solve_integer,
     solve_rational,
 )
 from .numberfield import (
@@ -49,6 +49,7 @@ from .numberfield import (
 )
 from .polytools import cos_minpoly, is_prime, squarefree_decompose
 from .sinvariants import (
+    BUILTIN_CLASS_GROUP_DEGREE,
     ClassGroupData,
     PlaceSet,
     UnitGroupData,
@@ -102,7 +103,8 @@ class RelativeSetup:
                                      witness=self.violation_prime)
 
 
-def build_setup(field: NumberField, places: PlaceSet, ell: int) -> RelativeSetup:
+def build_setup(field: NumberField, places: PlaceSet, ell: int,
+                store=None) -> RelativeSetup:
     if ell < 3 or not is_prime(ell):
         raise InvalidInput(f"ell = {ell} is not an odd prime")
     t = find_root([field.rational(c) for c in cos_minpoly(ell)], field)
@@ -137,21 +139,18 @@ def build_setup(field: NumberField, places: PlaceSet, ell: int) -> RelativeSetup
                     f"e = {pr.e}, expected {e_expected}")
                 setup.violation_prime = ell
                 return setup
-    _attach_relative_field(setup)
+    _attach_relative_field(setup, store)
     return setup
 
 
-def _attach_relative_field(setup: RelativeSetup):
-    """Construct L = K(zeta_ell) with embedding, zeta and conjugation."""
+def _attach_relative_field(setup: RelativeSetup, store):
+    """Construct L = K(zeta_ell) with embedding, zeta and conjugation.  A
+    compositum beyond the built-in class groups is not built unless the store
+    holds a class group of its degree."""
     field, ell = setup.field, setup.ell
     cyc = cyclotomic_field(ell)
-    if field.degree == 1:
-        L = cyc
-        # the generator of Q is the root of x, i.e. 0
-        embed = FieldEmbedding(field, L, L.zero())
-        zeta = L.gen()
-    elif 2 * field.degree == cyc.degree:
-        # K is the real (index-2) subfield of Q(zeta_ell)
+    if 2 * field.degree == cyc.degree:
+        # K is the real (index-2) subfield of Q(zeta_ell), Q for ell = 3
         L = cyc
         gen_image = find_root([L.rational(c) for c in field.min_poly], L)
         if gen_image is None:
@@ -166,6 +165,11 @@ def _attach_relative_field(setup: RelativeSetup):
             raise UnsupportedCase(
                 f"ell = {ell} divides disc(K) = {field.discriminant}: no "
                 f"integral basis of K(zeta_{ell}) is built for this case")
+        degree = 2 * field.degree
+        if degree > BUILTIN_CLASS_GROUP_DEGREE and (
+                store is None or not store.holds_class_group(degree)):
+            raise NeedsBackendData(f"class group of {field.label}(zeta_{ell}), of "
+                                   f"degree {degree}, is outside the built-in range")
         L, embed, e2 = composite_field(field, cyc)
         zeta = e2.map(cyc.gen())
     t_img = embed.map(setup.t)
@@ -524,61 +528,34 @@ def _ocg_field(setup, norms) -> OrientedClassGroup:
 
 
 def galois_involution(ocg: OrientedClassGroup) -> dict:
-    """The involution on oriented classes, as a coords -> coords mapping.
-    Split case: group inverse on Pic.  Field case: conjugate the ideal,
-    negate the orientation (conjugation is K-linear of determinant -1 on L),
-    and renormalize to the chosen representative."""
-    setup = ocg.setup
-    if setup.case == "Split":
-        group = ocg.norms.class_k.group
-        invol = {el.coords: group.neg(el.coords) for el in ocg.elements}
-    else:
-        invol = {}
-        for el in ocg.elements:
-            invol[el.coords] = _iota_field(ocg, el)
+    """The involution on oriented classes, as a coords -> coords mapping, one
+    class at a time.  The class part is negated: on Pic in the split case, and
+    on ker Nm0 in the field case, where I sigma(I) = N(I) O_L is principal.
+    Field case: sigma(I) = (tau) J for the representative (J, g') of -[I],
+    and the orientation u g of I goes to -u g (conjugation is K-linear of
+    determinant -1 on L), which reads u (-g / (N(tau) g')) against g', so
+    every orientation of the class moves by the one coker Nm1 shift of
+    -g / (N(tau) g')."""
+    setup, norms = ocg.setup, ocg.norms
+    orientations = FiniteAbelianGroup(ocg.sub_factors)
+    zero = (0,) * len(ocg.sub_factors)
+    invol = {}
+    for kc in norms.ker_nm0.elements():
+        neg = norms.ker_nm0.neg(kc)
+        shift = ()
+        if setup.case == "Field":
+            el, target = ocg.element(zero + kc), ocg.element(zero + neg)
+            tau = principal_generator(_conjugate(setup, el.ideal) * target.ideal.inverse(),
+                                      setup.rel_places.rational_primes)
+            ntau = pullback(setup.embed, tau * setup.sigma.map(tau))
+            t, e = norms.unit_k.dlog(-el.norm_generator
+                                     * (ntau * target.norm_generator).inverse())
+            shift = norms.coker_nm1.project((t,) + tuple(e))
+        for oc in orientations.elements():
+            invol[oc + kc] = orientations.reduce([a + b for a, b in zip(oc, shift)]) + neg
     for a, b in invol.items():
         verify(invol[b] == a, "Galois action must be an involution")
     return invol
-
-
-def _iota_field(ocg: OrientedClassGroup, el: OrientedElement) -> tuple:
-    setup, norms = ocg.setup, ocg.norms
-    sigma, embed = setup.sigma, setup.embed
-    cl, uk = norms.class_l, norms.unit_k
-    conj = _conjugate(setup, el.ideal)
-    # locate the conjugate's class among the kernel representatives
-    kc2 = tuple(_express_in_kernel(norms, cl.dlog(conj)))
-    target = ocg.element((0,) * len(ocg.sub_factors) + kc2)
-    # conj = (tau) * target.ideal as O_{L, S-tilde}-ideals
-    diff = conj * target.ideal.inverse()
-    tau = principal_generator(diff, setup.rel_places.rational_primes)
-    ntau = pullback(embed, tau * sigma.map(tau))
-    # orientation u*g of el transports to -u*g on conj (det sigma = -1),
-    # which reads v = -u * g / (N(tau) * g') against the target generator
-    u = _coker_rep(norms, el.orientation)
-    v = (-u) * el.norm_generator * (ntau * target.norm_generator).inverse()
-    t, e = uk.dlog(v)
-    o2 = norms.coker_nm1.project((t,) + tuple(e))
-    return tuple(o2) + kc2
-
-
-def _express_in_kernel(norms: NormMapsData, ambient_coords) -> list:
-    """Coordinates of a ker_nm0 member in the kernel generators."""
-    gens = norms.ker_nm0_gens
-    factors = norms.class_l.group.invariant_factors
-    m = IntMatrix.from_cols(gens, len(factors)).augment(IntMatrix.diagonal(factors))
-    sol = solve_integer(m, list(ambient_coords))
-    verify(sol is not None, "conjugate class must stay in ker Nm0")
-    x = sol[:len(gens)]
-    # generator i has order invariant_factors[i] by construction
-    return [xi % d for xi, d in zip(x, norms.ker_nm0.invariant_factors)]
-
-
-def _coker_rep(norms: NormMapsData, coords) -> NFElement:
-    """A unit of K representing the given coker_nm1 coset."""
-    uk = norms.unit_k
-    gens = IntMatrix.from_cols(norms.coker_nm1.generators, uk.relations.nrows)
-    return uk.element(gens.apply(coords))
 
 
 # ---------------------------------------------------------------------------

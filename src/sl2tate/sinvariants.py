@@ -298,6 +298,7 @@ def minkowski_bound(field: NumberField) -> int:
 
 
 _BOX_SCHEDULE = (4, 6, 8, 10, 16, 24, 40, 80, 160, 320, 640)
+BUILTIN_CLASS_GROUP_DEGREE = 4
 
 
 def class_group(field: NumberField, places: PlaceSet, store=None) -> ClassGroupData:
@@ -307,7 +308,7 @@ def class_group(field: NumberField, places: PlaceSet, store=None) -> ClassGroupD
         hit, _ = store.lookup(field, places)
         if hit is not None:
             return hit
-    if field.degree > 4:
+    if field.degree > BUILTIN_CLASS_GROUP_DEGREE:
         raise NeedsBackendData(
             f"class group of degree {field.degree} is outside the built-in range"
         )
@@ -807,6 +808,11 @@ class BackendStore:
         """The ClassGroupData and UnitGroupData ingested for (field, S), each
         None where the fixture had no such section."""
         return self._records.get((field, places.rational_primes), (None, None))
+
+    def holds_class_group(self, degree: int) -> bool:
+        """Whether a class group of some field of this degree was ingested."""
+        return any(cl is not None and field.degree == degree
+                   for (field, _), (cl, _) in self._records.items())
 
 
 def _element(field: NumberField, coords) -> NFElement:

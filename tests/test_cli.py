@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,7 +13,7 @@ from sl2tate.cli import (EXIT_BACKEND, EXIT_CONSISTENCY, EXIT_INPUT, EXIT_SCHEMA
 from sl2tate.intlinalg import FiniteAbelianGroup, FinGenAbGroup
 from sl2tate.numberfield import make_field
 from sl2tate.relative import build_setup
-from sl2tate.sinvariants import PlaceSet
+from sl2tate.sinvariants import PlaceSet, class_group
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(HERE, "..", "src")
@@ -65,6 +66,23 @@ def test_analyze_missing_backend_exit_code(tmp_path):
     code = main(["analyze", "--field", poly, "--places", "23", "--ell", "23",
                  "--out", str(tmp_path / "r.json")])
     assert code == 3
+
+
+def test_a_compositum_without_a_class_group_fixture_is_never_built(tmp_path, monkeypatch):
+    # Q(zeta_23)(zeta_3) has degree 44, beyond the built-in class groups, and
+    # q23.json holds only that of Q(zeta_23): both commands exit 3 before
+    # composite_field runs (building it took minutes)
+    monkeypatch.setattr(relative, "composite_field", None)
+    with open(os.path.join(FIXTURES, "q23_hilbert.json")) as f:
+        scenario = json.load(f)
+    scenario["source"]["ell"] = 3
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    q23 = ["--fixtures", os.path.join(FIXTURES, "q23.json"), "--out", str(tmp_path / "r.json")]
+    for argv in (["analyze", "--field", ",".join(["1"] * 23), "--places", "23", "--ell", "3"],
+                 ["restrict", "--scenario", str(tmp_path / "scenario.json")]):
+        start = time.perf_counter()
+        assert main(argv + q23) == EXIT_BACKEND
+        assert time.perf_counter() - start < 10
 
 
 def test_analyze_q23_with_fixture(tmp_path):
@@ -343,17 +361,53 @@ def test_unit_group_without_generators_needs_backend_data(tmp_path):
               EXIT_BACKEND, "missing backend data: ")
 
 
+def _fixture_of_l(k_poly, **sections):
+    """A fixture for L = K(zeta_3) with S empty, holding the given sections;
+    returns it with the set-up that built L."""
+    k = make_field(k_poly)
+    setup = build_setup(k, PlaceSet.make(k), 3)
+    L = setup.rel_field
+    return {"schema": "sl2tate-fixture-1", "kind": "s-invariants", "trust": "t",
+            "field": {"min_poly": list(L.min_poly),
+                      "basis": [_fraction_pairs(row) for row in L.basis]},
+            "places": [], **sections}, setup
+
+
+def _fraction_pairs(coords):
+    return [[c.numerator, c.denominator] for c in coords]
+
+
 def _units_of_l_without_elements(nm1, k_poly=(5, 0, 1), torsion_order=6):
     """A fixture for the units of L = K(zeta_3), whose rank is 1, without
     elements but with asserted Nm1 images; K = Q(sqrt -5) by default."""
-    k = make_field(k_poly)
-    L = build_setup(k, PlaceSet.make(k), 3).rel_field
-    return {"schema": "sl2tate-fixture-1", "kind": "s-invariants", "trust": "t",
-            "field": {"min_poly": list(L.min_poly),
-                      "basis": [[[c.numerator, c.denominator] for c in row]
-                                for row in L.basis]},
-            "places": [], "unit_group": {"rank": 1, "torsion_order": torsion_order},
-            "norm_images": {"nm1": nm1}}
+    return _fixture_of_l(k_poly, unit_group={"rank": 1, "torsion_order": torsion_order},
+                         norm_images={"nm1": nm1})[0]
+
+
+@pytest.mark.parametrize("k_poly, golden", [((5, 0, 1), "qsqrt-5_ell3"),
+                                            ((13, 0, 1), "qsqrt-13_ell3")])
+def test_an_ingested_class_group_of_l_reproduces_the_computed_report(tmp_path, k_poly,
+                                                                      golden):
+    # the computed Cl(L) of Q(sqrt -5)(zeta_3) and Q(sqrt -13)(zeta_3), written
+    # with its generator ideals (each by the elements of a Z-basis): the
+    # involution takes no discrete log in L, so a fixture without one serves
+    fixture, setup = _fixture_of_l(k_poly)
+    cl = class_group(setup.rel_field, setup.rel_places)
+    fixture["class_group"] = {
+        "invariant_factors": list(cl.group.invariant_factors),
+        "generator_ideals": [[_fraction_pairs(b.coords) for b in g.basis_elements()]
+                             for g in cl.generator_ideals]}
+    path = tmp_path / "class_l.json"
+    path.write_text(json.dumps(fixture))
+    code, rep, _ = _run_json(tmp_path, ["analyze", "--field=" + ",".join(map(str, k_poly)),
+                                        "--ell", "3", "--fixtures", str(path)])
+    assert code == 0
+    with open(os.path.join(HERE, "golden", golden + ".json")) as f:
+        computed = json.load(f)
+    assert rep["norm_maps"]["provenance"] == {
+        **computed["norm_maps"]["provenance"], "class_L": "ingested:t", "nm0": "ingested:t"}
+    rep["norm_maps"]["provenance"] = computed["norm_maps"]["provenance"]
+    assert rep == computed
 
 
 def test_asserted_nm1_reproduces_the_computed_report(tmp_path):

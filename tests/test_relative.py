@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from sl2tate import relative
 from sl2tate.classify import class_pipeline, element_class_count
 from sl2tate.errors import RegularityViolated
-from sl2tate.ideals import FractionalIdeal, factor_rational_prime
+from sl2tate.ideals import FractionalIdeal, factor_rational_prime, principal_generator
+from sl2tate.intlinalg import IntMatrix, solve_integer
 from sl2tate.numberfield import cyclotomic_field, make_field, quadratic_field
 from sl2tate.relative import (
     build_setup,
@@ -17,7 +18,7 @@ from sl2tate.relative import (
     relative_ideal_norm,
     relative_unit_group,
 )
-from sl2tate.sinvariants import PlaceSet
+from sl2tate.sinvariants import BackendStore, ClassGroupData, PlaceSet, computed_unit_group
 
 
 def _setup(field, primes, ell):
@@ -228,6 +229,79 @@ def test_split_norm_maps_and_ocg():
     assert ocg.order == 1  # Pic of Q(zeta_5) with 5 inverted is trivial
     inv = galois_involution(ocg)
     assert list(inv.values()) == [next(iter(inv))]
+
+
+def _reference_involution(ocg):
+    """The involution element by element: the class of sigma(I) by a discrete
+    log in L and an integer solve into ker Nm0, then one generator tau and
+    one unit dlog per oriented element."""
+    setup, norms = ocg.setup, ocg.norms
+    cl, uk = norms.class_l, norms.unit_k
+    gens, factors = norms.ker_nm0_gens, cl.group.invariant_factors
+    into_kernel = IntMatrix.from_cols(gens, len(factors)).augment(IntMatrix.diagonal(factors))
+    coker_gens = IntMatrix.from_cols(norms.coker_nm1.generators, uk.relations.nrows)
+    invol = {}
+    for el in ocg.elements:
+        conj = relative._conjugate(setup, el.ideal)
+        sol = solve_integer(into_kernel, list(cl.dlog(conj)))
+        kc2 = norms.ker_nm0.reduce(sol[:len(gens)])
+        target = ocg.element((0,) * len(ocg.sub_factors) + kc2)
+        tau = principal_generator(conj * target.ideal.inverse(),
+                                  setup.rel_places.rational_primes)
+        ntau = relative.pullback(setup.embed, tau * setup.sigma.map(tau))
+        u = uk.element(coker_gens.apply(el.orientation))
+        t, e = uk.dlog(-u * el.norm_generator * (ntau * target.norm_generator).inverse())
+        invol[el.coords] = norms.coker_nm1.project((t,) + tuple(e)) + kc2
+    return invol
+
+
+@lru_cache(maxsize=None)
+def _ocg_at_3(min_poly):
+    s = _setup(make_field(list(min_poly)), [], 3)
+    return oriented_class_group(s, norm_maps(s))
+
+
+# Q(sqrt 29), Q(sqrt 37): ker Nm0 = Z/3, Z/4; Q(sqrt 7): four orientations
+# per class; Q(sqrt -13): Cl(L) = (2, 2) with ker Nm0 = Z/2
+INVOLUTION_FIELDS = ((-29, 0, 1), (-37, 0, 1), (-7, 0, 1), (13, 0, 1))
+
+
+@pytest.mark.parametrize("min_poly", INVOLUTION_FIELDS)
+def test_involution_matches_the_element_by_element_computation(min_poly):
+    ocg = _ocg_at_3(min_poly)
+    assert galois_involution(ocg) == _reference_involution(ocg)
+
+
+@pytest.mark.parametrize("min_poly", INVOLUTION_FIELDS)
+def test_involution_searches_once_per_class_and_takes_no_dlog_in_l(monkeypatch, min_poly):
+    # one tau per class of ker Nm0, shared by all its orientations (four on
+    # Q(sqrt 7)); the class part is negated, with no discrete log in L
+    ocg = _ocg_at_3(min_poly)
+    searched = []
+    monkeypatch.setattr(relative, "principal_generator",
+                        lambda ideal, primes: searched.append(ideal)
+                        or principal_generator(ideal, primes))
+    monkeypatch.setattr(ClassGroupData, "dlog", None)
+    galois_involution(ocg)
+    assert len(searched) == ocg.norms.ker_nm0.order
+    assert ocg.order == ocg.norms.ker_nm0.order * ocg.norms.coker_nm1_group.order
+
+
+def test_split_involution_negates_pic_without_a_search(monkeypatch):
+    # K = Q(sqrt -31)(zeta_3) holds zeta_3; with 3 inverted, Pic = Z/3.  Its
+    # units are those of the quartic CM builder with the S-units appended
+    k = quadratic_field(-31)
+    L_setup = _setup(k, [], 3)
+    K, units = L_setup.rel_field, relative_unit_group(L_setup)
+    s = _setup(K, [3], 3)
+    store = BackendStore()
+    store.register(s.places, None, computed_unit_group(
+        s.places, units.torsion_gen, units.torsion_order, units.free_gens))
+    ocg = oriented_class_group(s, norm_maps(s, store=store))
+    assert s.case == "Split" and ocg.norms.ker_nm0.invariant_factors == (3,)
+    monkeypatch.setattr(relative, "principal_generator", None)
+    monkeypatch.setattr(ClassGroupData, "dlog", None)
+    assert galois_involution(ocg) == {(0,): (0,), (1,): (2,), (2,): (1,)}
 
 
 def test_relative_ideal_norm_principal():
