@@ -249,29 +249,19 @@ def transfer_obstruction(report: RestrictionReport, ell: int):
 # colimit over all S, vcd
 
 
-class ColimitDescriptor(NamedTuple):
-    case: str  # "Zero" | "ProductOverRelativeBrauer" | "NormalizerOfTorus"
-    note: str
-
-
 # keyed by the torsion case of the setup, which does not depend on S
-_COLIMITS = {
-    "NoTorsion": ColimitDescriptor(
-        "Zero", "no order-ell torsion for any S: colimit vanishes"),
-    "Split": ColimitDescriptor(
-        "NormalizerOfTorus",
-        "zeta_ell in K: colimit is the cohomology of the normalizer of "
-        "a maximal torus"),
-    "Field": ColimitDescriptor(
-        "ProductOverRelativeBrauer",
-        "field case: colimit is a product indexed by the kernel of the "
-        "relative Brauer map for K(zeta_ell)/K"),
-}
+_COLIMITS = {"NoTorsion": "Zero", "Split": "NormalizerOfTorus",
+             "Field": "ProductOverRelativeBrauer"}
 
 
-def colimit_case(setup: RelativeSetup) -> ColimitDescriptor:
+def colimit_case(setup: RelativeSetup) -> str:
     """The colimit over all S of the cohomology, read off the torsion case:
-    whether 2cos(2pi/ell) and zeta_ell lie in K."""
+    whether 2cos(2pi/ell) and zeta_ell lie in K.
+    - "Zero": no order-ell torsion for any S, so the colimit vanishes.
+    - "NormalizerOfTorus": zeta_ell in K; the colimit is the cohomology of
+      the normalizer of a maximal torus.
+    - "ProductOverRelativeBrauer": the field case; the colimit is a product
+      indexed by the kernel of the relative Brauer map for K(zeta_ell)/K."""
     return _COLIMITS[setup.case]
 
 

@@ -24,7 +24,6 @@ from .relative import (
     galois_involution,
     norm_maps,
     oriented_class_group,
-    principal_generator,
 )
 
 
@@ -127,10 +126,13 @@ class RepresentativeMatrix(NamedTuple):
 
 def representative_matrix(element: OrientedElement, setup: RelativeSetup,
                           basis=None) -> RepresentativeMatrix:
-    """Matrix of multiplication by the order-ell root on an O_{K,S}-basis of
-    the class's ideal.  The default basis is (g, zeta*g) for a principal
-    generator g, giving the companion matrix of Psi; an explicit basis
-    (alpha, beta) of the same module may be supplied instead."""
+    """Matrix of multiplication by the order-ell root zeta on an
+    O_{K,S}-basis of the class's module, with no search.  Field case: an
+    element with trivial ideal part is O_{L,S} = O_{K,S}[zeta] oriented by
+    the S-unit d of K in its norm_generator, and the basis (d, zeta) gives
+    ((0, -1/d), (d, t)), whose lower-left entry has the orientation's
+    coker Nm1 class.  A nonzero class of ker Nm0 is not principal; an
+    explicit basis (alpha, beta) of its module may be supplied instead."""
     if setup.case == "Split":
         if any(element.class_coords):
             raise SearchExhausted(
@@ -143,12 +145,8 @@ def representative_matrix(element: OrientedElement, setup: RelativeSetup,
             raise SearchExhausted(
                 "no basis (g, zeta*g): the class is nonzero in ker Nm0, which "
                 "embeds in Cl(O_{L,S}), so its ideal is not principal")
-        if element.ideal is None:
-            raise SearchExhausted(
-                "ingested class has no ideal representative")
-        g = principal_generator(
-            element.ideal, setup.rel_places.rational_primes)
-        basis = (g, setup.zeta * g)
+        d = element.norm_generator
+        return _checked(setup, ((setup.field.zero(), -d.inverse()), (d, setup.t)))
     columns = [coordinates_over_k(setup.embed, basis, setup.zeta * v) for v in basis]
     if None in columns:
         raise SearchExhausted("basis does not span the ideal over K")

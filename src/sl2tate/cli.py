@@ -132,7 +132,7 @@ def cmd_analyze(args) -> int:
                   "vcd": vcd(field, places),
                   "t": _coords(setup.t) if setup.t is not None else None,
                   "notes": list(setup.notes)},
-        "colimit": {"case": colimit_case(setup).case,
+        "colimit": {"case": colimit_case(setup),
                     "provenance": "computed"},
     }
     if setup.case == "NoTorsion":

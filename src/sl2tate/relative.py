@@ -377,6 +377,9 @@ def _norm_maps_field(setup, uk, ck, prov, store) -> NormMapsData:
     ker, _ = presented_hom_kernel(rel_l, nm1, rel_k)
 
     # Nm0 on class-group generators of L
+    if not cl.group.is_trivial and not cl.generator_ideals:
+        raise NeedsBackendData(f"the class group of {setup.rel_field.label} was ingested "
+                               "without class_group.generator_ideals, which Nm0 maps")
     rel0_l = IntMatrix.diagonal(cl.group.invariant_factors)
     rel0_k = IntMatrix.diagonal(ck.group.invariant_factors)
     nm0 = IntMatrix.from_cols([ck.dlog(relative_ideal_norm(setup, g))
@@ -436,7 +439,9 @@ class OrientedElement(NamedTuple):
     orientation: tuple  # coordinates in coker_nm1
     class_coords: tuple  # coordinates in ker_nm0 (or Pic in the split case)
     ideal: Optional[FractionalIdeal]  # in L (Field) or K (Split)
-    norm_generator: Optional[NFElement]  # generator of N_{L/K}(ideal) in K
+    # the orientation as one element u g of K: the S-unit u that coker Nm1's
+    # generators give for `orientation`, times a generator g of N_{L/K}(ideal)
+    norm_generator: Optional[NFElement]
 
 
 class OrientedClassGroup:
@@ -501,24 +506,23 @@ def _ocg_field(setup, norms) -> OrientedClassGroup:
     # downstream consumes the group law on orientations)
     combined = snf(IntMatrix.diagonal(sub + quot))
     carrier = FiniteAbelianGroup(tuple(d for d in combined if d > 1))
-    cl = norms.class_l
-    quot_group = FiniteAbelianGroup(quot)
-    class_reps = {}
-    for kc in quot_group.elements():
-        ideal = FractionalIdeal.product(setup.rel_field, (
-            (gid, c * e) for c, gvec in zip(kc, norms.ker_nm0_gens)
-            for e, gid in zip(gvec, cl.generator_ideals)))
-        if any(kc):
-            ideal = _reduce_in_class(ideal)
-        nm = relative_ideal_norm(setup, ideal)
-        g = principal_generator(nm, setup.places.rational_primes)
-        class_reps[tuple(kc)] = (ideal, g)
-    sub_group = FiniteAbelianGroup(sub)
+    cl, uk = norms.class_l, norms.unit_k
+    coker_gens = IntMatrix.from_cols(norms.coker_nm1.generators, uk.relations.nrows)
+    units = [(oc, uk.element(coker_gens.apply(oc)))
+             for oc in FiniteAbelianGroup(sub).elements()]
     elements = []
-    for kc, (ideal, g) in sorted(class_reps.items()):
-        for oc in sub_group.elements():
-            elements.append(OrientedElement(tuple(oc) + tuple(kc), tuple(oc),
-                                            tuple(kc), ideal, g))
+    for kc in FiniteAbelianGroup(quot).elements():
+        if any(kc):
+            ideal = _reduce_in_class(FractionalIdeal.product(setup.rel_field, (
+                (gid, c * e) for c, gvec in zip(kc, norms.ker_nm0_gens)
+                for e, gid in zip(gvec, cl.generator_ideals))))
+            g = principal_generator(relative_ideal_norm(setup, ideal),
+                                    setup.places.rational_primes)
+        else:
+            # the trivial class is O_L, whose norm O_K is generated by 1
+            ideal, g = FractionalIdeal.unit(setup.rel_field), setup.field.one()
+        for oc, u in units:
+            elements.append(OrientedElement(oc + kc, oc, kc, ideal, u * g))
     elements.sort(key=lambda e: e.coords)
     return OrientedClassGroup(setup, norms, carrier, sub, tuple(elements))
 
@@ -532,7 +536,8 @@ def galois_involution(ocg: OrientedClassGroup) -> dict:
     class at a time.  The class part is negated: on Pic in the split case, and
     on ker Nm0 in the field case, where I sigma(I) = N(I) O_L is principal.
     Field case: sigma(I) = (tau) J for the representative (J, g') of -[I],
-    and the orientation u g of I goes to -u g (conjugation is K-linear of
+    with tau = 1 when sigma(I) = J (always for the trivial class O_L).  The
+    orientation u g of (I, g) goes to -u g (conjugation is K-linear of
     determinant -1 on L), which reads u (-g / (N(tau) g')) against g', so
     every orientation of the class moves by the one coker Nm1 shift of
     -g / (N(tau) g')."""
@@ -545,9 +550,11 @@ def galois_involution(ocg: OrientedClassGroup) -> dict:
         shift = ()
         if setup.case == "Field":
             el, target = ocg.element(zero + kc), ocg.element(zero + neg)
-            tau = principal_generator(_conjugate(setup, el.ideal) * target.ideal.inverse(),
-                                      setup.rel_places.rational_primes)
-            ntau = pullback(setup.embed, tau * setup.sigma.map(tau))
+            conj, ntau = _conjugate(setup, el.ideal), setup.field.one()
+            if conj != target.ideal:
+                tau = principal_generator(conj * target.ideal.inverse(),
+                                          setup.rel_places.rational_primes)
+                ntau = pullback(setup.embed, tau * setup.sigma.map(tau))
             t, e = norms.unit_k.dlog(-el.norm_generator
                                      * (ntau * target.norm_generator).inverse())
             shift = norms.coker_nm1.project((t,) + tuple(e))

@@ -160,7 +160,7 @@ def test_transfer_obstruction_degree_divisible_none():
 
 def test_colimit_cases():
     def case(field, ell):
-        return colimit_case(build_setup(field, PlaceSet.make(field), ell)).case
+        return colimit_case(build_setup(field, PlaceSet.make(field), ell))
 
     q = make_field([0, 1])
     assert case(q, 5) == "Zero"
@@ -179,7 +179,7 @@ def test_colimit_case_reads_the_setup(monkeypatch):
 
     monkeypatch.setattr(ideals, "find_root", no_search)
     monkeypatch.setattr(relative, "find_root", no_search)
-    assert colimit_case(s).case == "ProductOverRelativeBrauer"
+    assert colimit_case(s) == "ProductOverRelativeBrauer"
 
 
 def test_vcd_values():

@@ -1,7 +1,8 @@
 import pytest
 
-from sl2tate import classify
+from sl2tate import ideals
 from sl2tate.classify import (
+    class_pipeline,
     dihedral_overgroup_count,
     element_class_count,
     representative_matrix,
@@ -137,8 +138,32 @@ def test_nonprincipal_field_class_needs_no_search(monkeypatch):
     el = ocg.element((1,))
     assert el.class_coords == (1,)
     searched = []
-    monkeypatch.setattr(classify, "principal_generator",
+    monkeypatch.setattr(ideals, "search_elements",
                         lambda *a, **kw: searched.append(a))
     with pytest.raises(SearchExhausted, match="not principal"):
         representative_matrix(el, s)
     assert searched == []
+
+
+@pytest.mark.parametrize("k_poly, primes", [((1, 0, 1), [2, 3]), ((2, 0, 1), [2]),
+                                            ((-13, 0, 1), [])])
+def test_each_free_class_matrix_carries_its_orientation(k_poly, primes):
+    # the basis (d, zeta) of O_{L,S} with d the orientation's S-unit gives
+    # ((0, -1/d), (d, t)); C and diag(u, 1) C diag(u, 1)^-1 are conjugate in
+    # SL_2(O_{K,S}) only when u is a norm, so the classes need distinct
+    # matrices.  A basis (g, zeta*g) of O_L gives the companion matrix for
+    # every g, whatever the orientation
+    k = make_field(list(k_poly))
+    s = build_setup(k, PlaceSet.make(k, primes), 3)
+    res = class_pipeline(s)
+    uk, coker = res.norms.unit_k, res.norms.coker_nm1
+    matrices = []
+    for cls in res.classes:
+        el = res.ocg.element(cls.orbit[0])
+        if any(el.class_coords):
+            continue
+        m = representative_matrix(el, s)
+        t, e = uk.dlog(m.rows[1][0])  # ValueError unless an S-unit
+        assert coker.project((t,) + tuple(e)) == el.orientation
+        matrices.append(m.rows)
+    assert len(matrices) >= 2 and len(set(matrices)) == len(matrices)

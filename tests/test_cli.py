@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from sl2tate import relative
+from sl2tate import ideals, relative, sinvariants
 from sl2tate.classify import class_pipeline
 from sl2tate.cli import (EXIT_BACKEND, EXIT_CONSISTENCY, EXIT_INPUT, EXIT_SCHEMA,
                          EXIT_UNSUPPORTED, int_list, main)
@@ -408,6 +408,35 @@ def test_an_ingested_class_group_of_l_reproduces_the_computed_report(tmp_path, k
         **computed["norm_maps"]["provenance"], "class_L": "ingested:t", "nm0": "ingested:t"}
     rep["norm_maps"]["provenance"] = computed["norm_maps"]["provenance"]
     assert rep == computed
+
+
+@pytest.mark.parametrize("k_poly, factors", [((5, 0, 1), [2]), ((13, 0, 1), [2, 2])])
+def test_a_class_group_of_l_without_generator_ideals_needs_backend_data(tmp_path, k_poly,
+                                                                         factors):
+    # Nm0 maps the generator ideals of a nontrivial Cl(L), so a fixture
+    # without them lacks backend data; it is not a failed consistency check
+    fixture, setup = _fixture_of_l(k_poly, class_group={"invariant_factors": factors})
+    _rejected(tmp_path, fixture, ["analyze", "--field=" + ",".join(map(str, k_poly)),
+                                  "--ell", "3", "--fixtures", None],
+              EXIT_BACKEND, f"missing backend data: the class group of "
+              f"{setup.rel_field.label} was ingested without class_group.generator_ideals")
+
+
+def test_analyze_on_q_sqrt_minus_5_walks_for_no_principal_generator(tmp_path, monkeypatch):
+    # the trivial class of ker Nm0 is (O_L, 1): no generator of O_L or of its
+    # norm O_K is searched for, and sigma(O_L) = O_L takes tau = 1
+    searched = []
+    original = ideals.principal_generator
+
+    def counted(*args, **kwargs):
+        searched.append(args)
+        return original(*args, **kwargs)
+
+    for module in (ideals, relative, sinvariants):
+        monkeypatch.setattr(module, "principal_generator", counted)
+    code, rep, _ = _run_json(tmp_path, ["analyze", "--field=5,0,1", "--ell", "3"])
+    assert code == 0 and rep["classes"]["subgroup_class_count"] == 1
+    assert searched == []
 
 
 def test_asserted_nm1_reproduces_the_computed_report(tmp_path):

@@ -234,12 +234,13 @@ def test_split_norm_maps_and_ocg():
 def _reference_involution(ocg):
     """The involution element by element: the class of sigma(I) by a discrete
     log in L and an integer solve into ker Nm0, then one generator tau and
-    one unit dlog per oriented element."""
+    one unit dlog per oriented element, of -d / (N(tau) g') for the
+    element's orientation d = u g and the norm generator g' of the target's
+    orientation-0 element."""
     setup, norms = ocg.setup, ocg.norms
     cl, uk = norms.class_l, norms.unit_k
     gens, factors = norms.ker_nm0_gens, cl.group.invariant_factors
     into_kernel = IntMatrix.from_cols(gens, len(factors)).augment(IntMatrix.diagonal(factors))
-    coker_gens = IntMatrix.from_cols(norms.coker_nm1.generators, uk.relations.nrows)
     invol = {}
     for el in ocg.elements:
         conj = relative._conjugate(setup, el.ideal)
@@ -249,8 +250,7 @@ def _reference_involution(ocg):
         tau = principal_generator(conj * target.ideal.inverse(),
                                   setup.rel_places.rational_primes)
         ntau = relative.pullback(setup.embed, tau * setup.sigma.map(tau))
-        u = uk.element(coker_gens.apply(el.orientation))
-        t, e = uk.dlog(-u * el.norm_generator * (ntau * target.norm_generator).inverse())
+        t, e = uk.dlog(-el.norm_generator * (ntau * target.norm_generator).inverse())
         invol[el.coords] = norms.coker_nm1.project((t,) + tuple(e)) + kc2
     return invol
 
@@ -262,8 +262,9 @@ def _ocg_at_3(min_poly):
 
 
 # Q(sqrt 29), Q(sqrt 37): ker Nm0 = Z/3, Z/4; Q(sqrt 7): four orientations
-# per class; Q(sqrt -13): Cl(L) = (2, 2) with ker Nm0 = Z/2
-INVOLUTION_FIELDS = ((-29, 0, 1), (-37, 0, 1), (-7, 0, 1), (13, 0, 1))
+# per class; Q(sqrt -13): Cl(L) = (2, 2) with ker Nm0 = Z/2; Q(sqrt 31): the
+# one class whose sigma(I) is not the representative of -[I]
+INVOLUTION_FIELDS = ((-29, 0, 1), (-37, 0, 1), (-7, 0, 1), (13, 0, 1), (-31, 0, 1))
 
 
 @pytest.mark.parametrize("min_poly", INVOLUTION_FIELDS)
@@ -274,17 +275,24 @@ def test_involution_matches_the_element_by_element_computation(min_poly):
 
 @pytest.mark.parametrize("min_poly", INVOLUTION_FIELDS)
 def test_involution_searches_once_per_class_and_takes_no_dlog_in_l(monkeypatch, min_poly):
-    # one tau per class of ker Nm0, shared by all its orientations (four on
-    # Q(sqrt 7)); the class part is negated, with no discrete log in L
+    # one tau per class of ker Nm0 whose sigma(I) is not the representative J
+    # of -[I], shared by all its orientations (four on Q(sqrt 7)); tau = 1
+    # otherwise, always for the trivial class O_L.  The class part is
+    # negated, with no discrete log in L
     ocg = _ocg_at_3(min_poly)
+    zero, kernel = (0,) * len(ocg.sub_factors), ocg.norms.ker_nm0
+    moved = [kc for kc in kernel.elements()
+             if relative._conjugate(ocg.setup, ocg.element(zero + kc).ideal)
+             != ocg.element(zero + kernel.neg(kc)).ideal]
+    assert (0,) * len(kernel.invariant_factors) not in moved
     searched = []
     monkeypatch.setattr(relative, "principal_generator",
                         lambda ideal, primes: searched.append(ideal)
                         or principal_generator(ideal, primes))
     monkeypatch.setattr(ClassGroupData, "dlog", None)
     galois_involution(ocg)
-    assert len(searched) == ocg.norms.ker_nm0.order
-    assert ocg.order == ocg.norms.ker_nm0.order * ocg.norms.coker_nm1_group.order
+    assert len(searched) == len(moved) < kernel.order
+    assert ocg.order == kernel.order * ocg.norms.coker_nm1_group.order
 
 
 def test_split_involution_negates_pic_without_a_search(monkeypatch):
