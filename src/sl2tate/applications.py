@@ -28,10 +28,7 @@ class QuillenReport(NamedTuple):
     cross_checked: bool
 
     def describe(self) -> dict:
-        return {"n1": self.n1, "n2": self.n2, "r": self.r,
-                "rank_over_c2": self.rank_over_c2,
-                "c2_image": self.c2_image,
-                "cross_checked": self.cross_checked}
+        return self._asdict()
 
 
 def quillen_report(classes, norms, ell: int) -> QuillenReport:
@@ -65,12 +62,7 @@ class DetectionReport(NamedTuple):
     note: str
 
     def describe(self) -> dict:
-        return {"verdict": self.verdict, "pic_order": self.pic_order,
-                "source_components": self.source_components,
-                "target_components": self.target_components,
-                "source_period_sum": self.source_period_sum,
-                "target_period_sum": self.target_period_sum,
-                "note": self.note}
+        return self._asdict()
 
 
 def detection_report(setup: RelativeSetup, classes) -> DetectionReport:

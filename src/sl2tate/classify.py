@@ -20,7 +20,6 @@ from .relative import (
     OrientedClassGroup,
     OrientedElement,
     RelativeSetup,
-    coordinates_over_k,
     galois_involution,
     norm_maps,
     oriented_class_group,
@@ -119,20 +118,16 @@ def dihedral_overgroup_count(cls: SubgroupClass, norms: NormMapsData) -> int:
 class RepresentativeMatrix(NamedTuple):
     rows: tuple  # ((a, b), (c, d)) with entries in K
 
-    def entries(self):
-        (a, b), (c, d) = self.rows
-        return a, b, c, d
 
-
-def representative_matrix(element: OrientedElement, setup: RelativeSetup,
-                          basis=None) -> RepresentativeMatrix:
+def representative_matrix(element: OrientedElement, setup: RelativeSetup
+                          ) -> RepresentativeMatrix:
     """Matrix of multiplication by the order-ell root zeta on an
     O_{K,S}-basis of the class's module, with no search.  Field case: an
     element with trivial ideal part is O_{L,S} = O_{K,S}[zeta] oriented by
     the S-unit d of K in its norm_generator, and the basis (d, zeta) gives
     ((0, -1/d), (d, t)), whose lower-left entry has the orientation's
-    coker Nm1 class.  A nonzero class of ker Nm0 is not principal; an
-    explicit basis (alpha, beta) of its module may be supplied instead."""
+    coker Nm1 class.  A nonzero class of ker Nm0 is not principal, so
+    (d, zeta) has no counterpart for it."""
     if setup.case == "Split":
         if any(element.class_coords):
             raise SearchExhausted(
@@ -140,18 +135,12 @@ def representative_matrix(element: OrientedElement, setup: RelativeSetup,
         z = setup.psi_root
         zero = setup.field.zero()
         return _checked(setup, ((z, zero), (zero, setup.t - z)))
-    if basis is None:
-        if any(element.class_coords):
-            raise SearchExhausted(
-                "no basis (g, zeta*g): the class is nonzero in ker Nm0, which "
-                "embeds in Cl(O_{L,S}), so its ideal is not principal")
-        d = element.norm_generator
-        return _checked(setup, ((setup.field.zero(), -d.inverse()), (d, setup.t)))
-    columns = [coordinates_over_k(setup.embed, basis, setup.zeta * v) for v in basis]
-    if None in columns:
-        raise SearchExhausted("basis does not span the ideal over K")
-    (a, c), (b, d) = columns
-    return _checked(setup, ((a, b), (c, d)))
+    if any(element.class_coords):
+        raise SearchExhausted(
+            "no basis (g, zeta*g): the class is nonzero in ker Nm0, which "
+            "embeds in Cl(O_{L,S}), so its ideal is not principal")
+    d = element.norm_generator
+    return _checked(setup, ((setup.field.zero(), -d.inverse()), (d, setup.t)))
 
 
 def _checked(setup, rows) -> RepresentativeMatrix:

@@ -490,13 +490,17 @@ def _residue_maps(field: NumberField) -> tuple[tuple[int, tuple[int, ...]], ...]
     each as (p, images of the integral basis), by increasing p and then
     root.  For p prime to every denominator of the basis, O lies in
     Z_(p)[theta], where theta -> r is a ring map for each root r of the
-    minimal polynomial mod p; its kernel on O is a prime of degree one."""
+    minimal polynomial mod p; its kernel on O is a prime of degree one.  A
+    root lies in O_(P) only where p^2 does not divide disc(O), so that O is
+    p-maximal; Z[zeta_m] is maximal, with no discriminant computed."""
     den = lcm(*(x.denominator for row in field.basis for x in row))
+    cyclotomic = field.root_of_unity_order and field.power_basis_index == 1
+    disc = 1 if cyclotomic else field.discriminant
     maps = []
     for p in range(2, _RESIDUE_PRIME_BOUND):
         if len(maps) >= RESIDUE_MAPS:
             break
-        if den % p == 0 or not pt.is_prime(p):
+        if den % p == 0 or disc % (p * p) == 0 or not pt.is_prime(p):
             continue
         roots = pt.roots_mod(field.min_poly, p)
         if roots:

@@ -13,7 +13,10 @@ multiplication is verified at construction time.
 Built-in maximal orders: Q, quadratic fields, cyclotomic fields.  Anything
 else must come with a user-supplied basis (which is still verified).
 composite_field works in k1[y]/(f2): polynomials in y with NFElement
-coefficients, multiplied and reduced by the polytools division core.
+coefficients, multiplied and reduced by the polytools division core.  A
+FieldEmbedding keeps the image of each integral-basis element of its source,
+found once by Horner, as an integer row (over one denominator) on the
+target's integral basis; an element maps by one combination of these rows.
 """
 from __future__ import annotations
 
@@ -513,11 +516,16 @@ class FieldEmbedding:
         self.source = source
         self.target = target
         self.gen_image = gen_image
+        images = [_eval_poly_at(row, gen_image) for row in source.basis]
+        self.den = lcm(*(x.den for x in images))
+        self.rows = IntMatrix.from_rows([[c * (self.den // x.den) for c in x.num]
+                                         for x in images])
 
     def map(self, el: NFElement) -> NFElement:
         if el.field != self.source:
             raise ValueError("element not in the source field")
-        return _eval_poly_at(el.coords, self.gen_image)
+        return _reduced(self.target, combine_rows(el.num, self.rows.entries),
+                        el.den * self.den)
 
 
 def _eval_poly_at(coeffs, el: NFElement) -> NFElement:

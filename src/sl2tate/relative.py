@@ -33,11 +33,12 @@ from .intlinalg import (
     FiniteAbelianGroup,
     FinGenAbGroup,
     IntMatrix,
+    combine_rows,
+    inverse_rational,
     kernel,
     presented_hom_cokernel,
     presented_hom_kernel,
     snf,
-    solve_rational,
 )
 from .numberfield import (
     FieldEmbedding,
@@ -68,11 +69,12 @@ from .sinvariants import (
 
 
 class RelativeSetup:
-    # Field case: L = K(zeta_ell) with the K-embedding, zeta, conjugation,
-    # set by build_setup once L is built
+    # Field case: L = K(zeta_ell) with the K-embedding, zeta, the change of
+    # basis to L = K + K zeta and conjugation, set once L is built
     rel_field: Optional[NumberField] = None
     embed: Optional[FieldEmbedding] = None
     zeta: Optional[NFElement] = None
+    to_rel: Optional[list] = None
     sigma: Optional[FieldEmbedding] = None
     rel_places: Optional[PlaceSet] = None
 
@@ -171,12 +173,20 @@ def _attach_relative_field(setup: RelativeSetup, store):
             raise NeedsBackendData(f"class group of {field.label}(zeta_{ell}), of "
                                    f"degree {degree}, is outside the built-in range")
         L, embed, e2 = composite_field(field, cyc)
-        zeta = e2.map(cyc.gen())
+        zeta = e2.gen_image
     t_img = embed.map(setup.t)
     verify((zeta * zeta - t_img * zeta + L.one()).is_zero(),
            "zeta must be a root of Psi over (the image of) K")
-    # conjugation: fixes K, sends zeta -> zeta^(-1) = t - zeta
-    sigma = _conjugation(L, embed, zeta, setup.t)
+    # L = K + K zeta: to_rel inverts the matrix with rows embed(b_k) and
+    # embed(b_k) zeta over L's integral basis, once per setup
+    images = [L.from_basis_coords(row, embed.den) for row in embed.rows.entries]
+    setup.to_rel = inverse_rational([x.basis_coords()
+                                     for x in images + [x * zeta for x in images]])
+    # conjugation fixes K and sends zeta to zeta^(-1) = t - zeta, so
+    # a + b zeta goes to (a + b zeta) + b (t - 2 zeta)
+    b = _over_k(setup, L.gen())[1]
+    sigma = FieldEmbedding(L, L, L.gen() + embed.map(b) * (t_img - 2 * zeta))
+    verify(sigma.map(zeta) == t_img - zeta, "conjugation must send zeta to t - zeta")
     setup.rel_field = L
     setup.embed = embed
     setup.zeta = zeta
@@ -184,41 +194,18 @@ def _attach_relative_field(setup: RelativeSetup, store):
     setup.rel_places = PlaceSet.make(L, setup.places.rational_primes)
 
 
-def _conjugation(L: NumberField, embed: FieldEmbedding, zeta: NFElement,
-                 t: NFElement) -> FieldEmbedding:
-    """The nontrivial K-automorphism of L = K(zeta): zeta -> t - zeta."""
-    # write the generator theta_L as a + b*zeta with a, b in K, then its
-    # image is a + b*(t - zeta)
-    parts = coordinates_over_k(embed, (L.one(), zeta), L.gen())
-    verify(parts is not None, "generator must decompose over the K-basis (1, zeta)")
-    a, b = parts
-    zbar = embed.map(t) - zeta
-    gen_image = embed.map(a) + embed.map(b) * zbar
-    emb = FieldEmbedding(L, L, gen_image)
-    verify((emb.map(zeta) - zbar).is_zero(), "conjugation must send zeta to t - zeta")
-    return emb
+def _over_k(setup: RelativeSetup, x: NFElement) -> tuple[NFElement, NFElement]:
+    """(a, b) in K with x = a + b zeta."""
+    K = setup.field
+    c = combine_rows(x.num, setup.to_rel)
+    return K.from_basis_coords(c[:K.degree], x.den), K.from_basis_coords(c[K.degree:], x.den)
 
 
-def coordinates_over_k(embed: FieldEmbedding, vectors, x: NFElement):
-    """The c_k in K with x = sum_k embed(c_k) * vectors[k] in L, or None when
-    x lies outside that K-span.  Solved in integral-basis coordinates: the
-    unknowns are the coordinates of each c_k."""
-    K = embed.source
-    n = K.degree
-    images = [embed.map(K.basis_element(j)) for j in range(n)]
-    cols = [(b * v).basis_coords() for v in vectors for b in images]
-    sol = solve_rational(list(zip(*cols)), x.basis_coords())
-    if sol is None:
-        return None
-    return [K.from_basis_coords(sol[k * n:(k + 1) * n]) for k in range(len(vectors))]
-
-
-def pullback(embed: FieldEmbedding, el: NFElement) -> NFElement:
-    """Inverse image of an element of L that lies in embed(K)."""
-    parts = coordinates_over_k(embed, (embed.target.one(),), el)
-    if parts is None:
-        raise ValueError("element does not lie in the embedded subfield")
-    return parts[0]
+def relative_norm(setup: RelativeSetup, x: NFElement) -> NFElement:
+    """N_{L/K}(x) = x sigma(x), read off its coordinates on (1, zeta)."""
+    a, b = _over_k(setup, x * setup.sigma.map(x))
+    verify(b.is_zero(), "x sigma(x) must lie in K")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +239,7 @@ def _quartic_cm_unit_group(setup: RelativeSetup) -> UnitGroupData:
     c, b, _ = K.min_poly
     s, t = squarefree_decompose(-3 * (b * b - 4 * c))
     F = quadratic_field(s)
-    sqrt_s = (2 * setup.zeta + 1) * setup.embed.map(2 * K.gen() + b) / t
+    sqrt_s = (2 * setup.zeta + 1) * (2 * setup.embed.gen_image + b) / t
     verify(sqrt_s * sqrt_s == L.rational(s), "sqrt(s) must lie in L")
     # torsion: zeta_6 always (zeta_3 in L); order 12, generated by i * zeta_3,
     # when K or F is Q(i).  As 3 does not divide disc(K) here, F is not, and K
@@ -365,7 +352,7 @@ def _norm_maps_field(setup, uk, ck, prov, store) -> NormMapsData:
     else:
         cols = []
         for g in ul.generators():
-            t, e = uk.dlog(pullback(setup.embed, g * setup.sigma.map(g)))
+            t, e = uk.dlog(relative_norm(setup, g))
             cols.append((t,) + e)
         prov["nm1"] = ul.provenance
     nm1 = IntMatrix.from_cols(cols, rel_k.nrows)
@@ -404,20 +391,19 @@ def relative_ideal_norm(setup: RelativeSetup, ideal: FractionalIdeal
 
 
 def _conjugate(setup: RelativeSetup, ideal: FractionalIdeal) -> FractionalIdeal:
-    """sigma(I), generated by the images of a Z-basis of I."""
-    return FractionalIdeal.from_generators(
-        setup.rel_field, [setup.sigma.map(b) for b in ideal.basis_elements()])
+    """sigma(I): the lattice of I mapped through sigma's rows."""
+    sigma = setup.sigma
+    return FractionalIdeal(setup.rel_field, ideal.num * sigma.rows, ideal.den * sigma.den)
 
 
 def _contract(setup: RelativeSetup, ideal: FractionalIdeal) -> FractionalIdeal:
     """The ideal meets K in (1/den) times the integer combinations a of the
     integral basis b of K with sum a_k embed(b_k) in the lattice num: the
     kernel of the rows [embed(b_k); num], cut to its first deg K entries."""
-    K = setup.field
-    images = [setup.embed.map(K.basis_element(k)) for k in range(K.degree)]
-    verify(all(x.is_integral() for x in images), "O_K must embed into O_L")
-    kern = kernel(IntMatrix.from_rows(
-        [x.num for x in images] + list(ideal.num.entries)).transpose())
+    K, embed = setup.field, setup.embed
+    verify(embed.den == 1, "O_K must embed into O_L")
+    kern = kernel(IntMatrix(embed.rows.entries + ideal.num.entries, embed.rows.ncols)
+                  .transpose())
     return FractionalIdeal(K, IntMatrix.from_rows(
         [row[:K.degree] for row in kern.entries]), ideal.den)
 
@@ -446,12 +432,16 @@ class OrientedElement(NamedTuple):
 
 class OrientedClassGroup:
     def __init__(self, setup: RelativeSetup, norms: NormMapsData,
-                 carrier: FiniteAbelianGroup, sub_factors: tuple, elements: tuple):
+                 carrier: FiniteAbelianGroup, elements: tuple):
         self.setup = setup
         self.norms = norms
         self.carrier = carrier  # canonical invariant factors of the carrier
-        self.sub_factors = sub_factors  # coker_nm1 invariant factors (orientation part)
         self.elements = elements  # OrientedElement, sorted by coords
+
+    @property
+    def sub_factors(self) -> tuple:
+        # the orientation part: () in the split case, coker Nm1 being trivial
+        return self.norms.coker_nm1_group.invariant_factors
 
     @property
     def order(self) -> int:
@@ -483,7 +473,7 @@ def _ocg_split(setup, norms) -> OrientedClassGroup:
         elements.append(OrientedElement(tuple(coords), (), tuple(coords),
                                         ideal, None))
     elements.sort(key=lambda e: e.coords)
-    return OrientedClassGroup(setup, norms, ck.group, (), tuple(elements))
+    return OrientedClassGroup(setup, norms, ck.group, tuple(elements))
 
 
 def _reduce_in_class(ideal: FractionalIdeal) -> FractionalIdeal:
@@ -524,7 +514,7 @@ def _ocg_field(setup, norms) -> OrientedClassGroup:
         for oc, u in units:
             elements.append(OrientedElement(oc + kc, oc, kc, ideal, u * g))
     elements.sort(key=lambda e: e.coords)
-    return OrientedClassGroup(setup, norms, carrier, sub, tuple(elements))
+    return OrientedClassGroup(setup, norms, carrier, tuple(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +544,7 @@ def galois_involution(ocg: OrientedClassGroup) -> dict:
             if conj != target.ideal:
                 tau = principal_generator(conj * target.ideal.inverse(),
                                           setup.rel_places.rational_primes)
-                ntau = pullback(setup.embed, tau * setup.sigma.map(tau))
+                ntau = relative_norm(setup, tau)
             t, e = norms.unit_k.dlog(-el.norm_generator
                                      * (ntau * target.norm_generator).inverse())
             shift = norms.coker_nm1.project((t,) + tuple(e))

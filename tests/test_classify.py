@@ -44,17 +44,6 @@ def test_rational_ell3_representative_matrix():
     assert [x.is_rational_value() for x in (a, b, c, d)] == [0, -1, 1, -1]
 
 
-def test_representative_matrix_conjugate_basis():
-    # the basis (1, zeta^2) of Z[zeta_3] gives the inverse matrix
-    q = make_field([0, 1])
-    s, nm, ocg = _pipeline(q, [], 3)
-    el = ocg.element((0,))
-    L = s.rel_field
-    m = representative_matrix(el, s, basis=(L.one(), s.zeta * s.zeta))
-    (a, b), (c, d) = m.rows
-    assert [x.is_rational_value() for x in (a, b, c, d)] == [-1, 1, -1, 0]
-
-
 def test_split_case_trivial_class_matrix():
     k = cyclotomic_field(5)
     s, nm, ocg = _pipeline(k, [5], 5)

@@ -230,6 +230,28 @@ def test_ell_dividing_disc_k_exits_unsupported_without_a_hang(field):
     assert proc.stderr.startswith("unsupported case: ell = 3 divides disc(K)")
 
 
+@pytest.mark.parametrize("field, basis, ell, code, message", [
+    # Z[sqrt(-3)]: zeta_3 lies in K, so the case is Split; 2 divides the
+    # index, and the primes above 2 of this order do not multiply to (2)
+    ("3,0,1", [[1, 0], [0, 1]], 3, EXIT_CONSISTENCY,
+     "consistency check failed: product of the P^e must be (p)"),
+    # Z[sqrt 2 + sqrt 5]: t = (sqrt 5 - 1)/2 lies in K, so ell = 5 has torsion
+    ("9,0,-14,0,1", [[int(i == j) for j in range(4)] for i in range(4)], 5,
+     EXIT_UNSUPPORTED, "unsupported case: ell = 5 divides disc(K)"),
+], ids=["Z[sqrt-3]", "Z[sqrt2+sqrt5]"])
+def test_a_non_maximal_order_keeps_the_torsion_case_of_its_field(tmp_path, capsys, field,
+                                                                 basis, ell, code, message):
+    # find_root takes no residue map at a prime whose square divides
+    # disc(O): a map at 2 or 3, which divide the index here, would prove the
+    # root of Psi or of cos_minpoly away (exit 8 as a Field case for the
+    # first order, exit 0 as NoTorsion for the second)
+    out = tmp_path / "r.json"
+    assert main(["analyze", f"--field={field}", "--basis", json.dumps(basis),
+                 "--ell", str(ell), "--places", str(ell), "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 

@@ -60,8 +60,9 @@ def test_golden_report(tmp_path, name):
 def test_golden_report_under_optimize(tmp_path):
     # verification must not hinge on `assert`, which -O strips
     env = dict(os.environ, PYTHONPATH=SRC)
-    # qsqrt-5_ell3 runs the quartic unit group and classify._checked
-    for name in ("sl2z_ell3", "qsqrt-2_s2_ell3", "qsqrt-5_ell3"):
+    # qsqrt-5_ell3 runs the quartic unit group and classify._checked;
+    # qsqrt13_ell3 has ker Nm0 = Z/2 and takes N(tau) in the involution
+    for name in ("sl2z_ell3", "qsqrt-2_s2_ell3", "qsqrt-5_ell3", "qsqrt13_ell3"):
         out = tmp_path / (name + ".json")
         subprocess.run([sys.executable, "-O", "-m", "sl2tate.cli",
                         *CASES[name], "--out", str(out)],

@@ -812,12 +812,30 @@ def test_find_root_matches_the_exact_path(field, seed, with_root):
 
 
 def test_find_root_keeps_a_root_off_the_prime():
-    # modulo the prime above 2 of Q(sqrt(-5)) the leading coefficient of
-    # (2x - 1)(x^2 + x + 1) vanishes and x^2 + x + 1 has no root, yet 1/2 is
+    # modulo the prime above 5 of Q(sqrt(-5)) the leading coefficient of
+    # (5x - 1)(x^2 + x + 1) vanishes and x^2 + x + 1 has no root, yet 1/5 is
     # a root: that prime cannot rule roots out
     k = quadratic_field(-5)
-    assert any(p == 2 for p, _ in ideals._residue_maps(k))
-    assert find_root(pt.poly_mul([-1, 2], [1, 1, 1]), k) == k.rational(Fraction(1, 2))
+    assert any(p == 5 for p, _ in ideals._residue_maps(k))
+    assert find_root(pt.poly_mul([-1, 5], [1, 1, 1]), k) == k.rational(Fraction(1, 5))
+
+
+def test_find_root_takes_no_residue_map_where_the_order_may_not_be_maximal():
+    # 2 divides the index of Z[sqrt(-3)] in its maximal order, and
+    # x^2 + x + 1 has no root mod 2, yet zeta_3 lies in Q(sqrt(-3)): a map
+    # at 2 would prove a root away
+    k = make_field([3, 0, 1], basis=[[1, 0], [0, 1]])
+    assert k.discriminant == -12
+    assert all(p != 2 for p, _ in ideals._residue_maps(k))
+    zeta = find_root([1, 1, 1], k)
+    assert zeta is not None and zeta * zeta + zeta + 1 == k.zero()
+
+
+def test_residue_maps_of_a_cyclotomic_power_basis_take_no_discriminant():
+    # Z[zeta_m] is maximal, so no 22 x 22 trace-form determinant is needed
+    k = cyclotomic_field(23)
+    assert ideals._residue_maps(k)
+    assert "discriminant" not in vars(k)
 
 
 def test_find_root_of_a_square_with_no_cheap_root():

@@ -7,8 +7,8 @@ from sl2tate import relative
 from sl2tate.classify import class_pipeline, element_class_count
 from sl2tate.errors import RegularityViolated
 from sl2tate.ideals import FractionalIdeal, factor_rational_prime, principal_generator
-from sl2tate.intlinalg import IntMatrix, solve_integer
-from sl2tate.numberfield import cyclotomic_field, make_field, quadratic_field
+from sl2tate.intlinalg import IntMatrix, solve_integer, solve_rational
+from sl2tate.numberfield import _eval_poly_at, cyclotomic_field, make_field, quadratic_field
 from sl2tate.relative import (
     build_setup,
     galois_involution,
@@ -16,6 +16,7 @@ from sl2tate.relative import (
     norm_maps,
     oriented_class_group,
     relative_ideal_norm,
+    relative_norm,
     relative_unit_group,
 )
 from sl2tate.sinvariants import BackendStore, ClassGroupData, PlaceSet, computed_unit_group
@@ -81,6 +82,56 @@ def test_imaginary_quadratic_ell3_setup():
     # sigma fixes K
     w = s.embed.map(k.gen())
     assert (s.sigma.map(w) - w).is_zero()
+
+
+@lru_cache(maxsize=None)
+def _setup_at_3(d):
+    return _setup(quadratic_field(d), [], 3)
+
+
+# L = K(zeta_3) for an imaginary K with Cl(K) = Z/2, a real K and Q(i)
+L_AT_3 = st.sampled_from((-5, 13, -1))
+
+
+def _draw_element(field, data):
+    coords = data.draw(st.lists(st.integers(-6, 6), min_size=field.degree,
+                                max_size=field.degree))
+    return field.from_basis_coords(coords, data.draw(st.integers(1, 3)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=L_AT_3, data=st.data())
+def test_embeddings_act_by_their_stored_rows(d, data):
+    s = _setup_at_3(d)
+    for emb in (s.embed, s.sigma):
+        x = _draw_element(emb.source, data)
+        assert emb.map(x) == _eval_poly_at(x.coords, emb.gen_image)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=L_AT_3, data=st.data())
+def test_sigma_is_the_involutive_k_automorphism_sending_zeta_to_t_minus_zeta(d, data):
+    s = _setup_at_3(d)
+    sigma, a = s.sigma.map, _draw_element(s.field, data)
+    x, y = _draw_element(s.rel_field, data), _draw_element(s.rel_field, data)
+    assert sigma(s.embed.map(a)) == s.embed.map(a)
+    assert sigma(s.zeta) == s.embed.map(s.t) - s.zeta
+    assert sigma(x + y) == sigma(x) + sigma(y)
+    assert sigma(x * y) == sigma(x) * sigma(y)
+    assert sigma(sigma(x)) == x
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=L_AT_3, data=st.data())
+def test_relative_norm_is_multiplicative_and_squares_k(d, data):
+    s = _setup_at_3(d)
+    a = _draw_element(s.field, data)
+    x, y = _draw_element(s.rel_field, data), _draw_element(s.rel_field, data)
+    assert relative_norm(s, x * y) == relative_norm(s, x) * relative_norm(s, y)
+    assert relative_norm(s, s.embed.map(a)) == a * a
+    assert relative_norm(s, s.zeta) == s.field.one()
+    # transitivity: N_{K/Q}(N_{L/K}(x)) = N_{L/Q}(x)
+    assert relative_norm(s, x).norm() == x.norm()
 
 
 def test_norm_maps_rational_ell3():
@@ -236,11 +287,15 @@ def _reference_involution(ocg):
     log in L and an integer solve into ker Nm0, then one generator tau and
     one unit dlog per oriented element, of -d / (N(tau) g') for the
     element's orientation d = u g and the norm generator g' of the target's
-    orientation-0 element."""
+    orientation-0 element.  N(tau) = tau sigma(tau) is pulled back to K by a
+    rational solve on the Horner images of K's integral basis."""
     setup, norms = ocg.setup, ocg.norms
     cl, uk = norms.class_l, norms.unit_k
     gens, factors = norms.ker_nm0_gens, cl.group.invariant_factors
     into_kernel = IntMatrix.from_cols(gens, len(factors)).augment(IntMatrix.diagonal(factors))
+    K = setup.field
+    images = [_eval_poly_at(K.basis_element(k).coords, setup.embed.gen_image).basis_coords()
+              for k in range(K.degree)]
     invol = {}
     for el in ocg.elements:
         conj = relative._conjugate(setup, el.ideal)
@@ -249,7 +304,8 @@ def _reference_involution(ocg):
         target = ocg.element((0,) * len(ocg.sub_factors) + kc2)
         tau = principal_generator(conj * target.ideal.inverse(),
                                   setup.rel_places.rational_primes)
-        ntau = relative.pullback(setup.embed, tau * setup.sigma.map(tau))
+        ntau = K.from_basis_coords(solve_rational(
+            list(zip(*images)), (tau * setup.sigma.map(tau)).basis_coords()))
         t, e = uk.dlog(-el.norm_generator * (ntau * target.norm_generator).inverse())
         invol[el.coords] = norms.coker_nm1.project((t,) + tuple(e)) + kc2
     return invol
