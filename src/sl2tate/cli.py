@@ -93,6 +93,13 @@ def fraction_list(text):
     return [Fraction(x) for x in text.split(",")]
 
 
+def nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise ValueError("negative")
+    return value
+
+
 def degree_window(text):
     lo, hi = (int(x) for x in text.split(":"))
     if lo > hi:
@@ -339,8 +346,9 @@ def _build_parser():
     r.set_defaults(func=cmd_restrict)
 
     o = sub.add_parser("oracle-check", help="run the oracle equivalence suites")
-    o.add_argument("--forms-bound", type=int, default=200,
-                   help="max |discriminant| for the forms sweep")
+    o.add_argument("--forms-bound", type=nonnegative_int, default=200,
+                   help="max |discriminant| for the forms sweep, >= 0 "
+                        "(0: no forms sweep)")
     o.add_argument("--inject-fault", action="store_true",
                    help="perturb one grid value to exercise failure reporting")
     o.add_argument("--out")

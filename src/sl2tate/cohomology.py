@@ -12,6 +12,7 @@ complex for Z^r, and direct monomial enumeration.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -104,33 +105,32 @@ def oracle_product(n: int, r: int, ell: int, d: int) -> int:
     periodic resolution tensored with the Koszul complex of Z^r (whose
     differentials vanish on trivial coefficients)."""
     assert r <= 4 and abs(d) <= 12
+    total = sum(comb(r, b) for b in range(r + 1))
+    return (total - _product_differential_rank(n, r, ell, d)
+            - _product_differential_rank(n, r, ell, d - 1))
 
-    def module(dd):
-        # components (koszul degree b, cyclic degree dd - b)
-        return [(b, comb(r, b)) for b in range(r + 1)]
 
-    def differential(dd):
-        src = module(dd)
-        tgt = module(dd + 1)
-        tgt_off = {}
-        off = 0
-        for b, size in tgt:
-            tgt_off[b] = off
-            off += size
-        nrows = off
-        cols = []
-        for b, size in src:
-            scalar = _cyclic_cochain_map(n, dd - b)
-            for i in range(size):
-                col = [0] * nrows
-                if b in tgt_off:
-                    col[tgt_off[b] + i] = scalar
-                cols.append(col)
-        return [[col[i] for col in cols] for i in range(nrows)] or [[]]
-
-    total = sum(size for _, size in module(d))
-    return total - len(rref_mod(differential(d), ell)[1]) \
-        - len(rref_mod(differential(d - 1), ell)[1])
+@lru_cache(maxsize=None)
+def _product_differential_rank(n: int, r: int, ell: int, dd: int) -> int:
+    """Rank over F_ell of the total-complex differential leaving degree dd.
+    Only the int is kept: each matrix is built and eliminated once per key
+    and then freed."""
+    # components (koszul degree b, cyclic degree dd - b), of size C(r, b)
+    tgt_off = {}
+    off = 0
+    for b in range(r + 1):
+        tgt_off[b] = off
+        off += comb(r, b)
+    nrows = off
+    cols = []
+    for b in range(r + 1):
+        scalar = _cyclic_cochain_map(n, dd - b)
+        for i in range(comb(r, b)):
+            col = [0] * nrows
+            col[tgt_off[b] + i] = scalar
+            cols.append(col)
+    rows = [[col[i] for col in cols] for i in range(nrows)] or [[]]
+    return len(rref_mod(rows, ell)[1])
 
 
 def oracle_dihedral_invariants(r: int, ell: int, d: int) -> int:

@@ -310,7 +310,8 @@ def _verified_primes(field, p, primes, check_product) -> tuple[PrimeIdeal, ...]:
     verify(all(pr.ideal.norm() == p**pr.f for pr in primes), "N(P) must be p^f")
     if check_product:
         prod = FractionalIdeal.product(field, ((pr.ideal, pr.e) for pr in primes))
-        verify(prod == FractionalIdeal.principal(field, field.rational(p)),
+        # (p) = pO is the lattice p * Z^n, in canonical HNF with den 1
+        verify(prod.den == 1 and prod.num == IntMatrix.diagonal((p,) * field.degree),
                "product of the P^e must be (p)")
     return tuple(sorted(primes, key=lambda pr: (pr.f, pr.e, pr.ideal.num.entries)))
 

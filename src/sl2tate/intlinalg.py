@@ -507,10 +507,11 @@ def combine_rows(coeffs, rows) -> list[int]:
 # exact elimination over Q and over F_p
 
 
-def _rref(a: list[list], inverse, reduce) -> tuple[list[list], list[int]]:
+def _rref(a: list[list], inverse, reduce_row) -> tuple[list[list], list[int]]:
     """Gauss-Jordan elimination in place.  Columns are taken left to right and
     each pivots on its first non-zero entry at or below the current row.
-    Returns the non-zero reduced rows and the pivot columns."""
+    reduce_row maps a whole new row to its canonical entries.  Returns the
+    non-zero reduced rows and the pivot columns."""
     pivots: list[int] = []
     for c in range(len(a[0]) if a else 0):
         r = len(pivots)
@@ -519,11 +520,11 @@ def _rref(a: list[list], inverse, reduce) -> tuple[list[list], list[int]]:
             continue
         a[r], a[piv] = a[piv], a[r]
         s = inverse(a[r][c])
-        a[r] = [reduce(x * s) for x in a[r]]
+        a[r] = reduce_row([x * s for x in a[r]])
         for i in range(len(a)):
             if i != r and a[i][c]:
                 f = a[i][c]
-                a[i] = [reduce(x - f * y) for x, y in zip(a[i], a[r])]
+                a[i] = reduce_row([x - f * y for x, y in zip(a[i], a[r])])
         pivots.append(c)
     return a[:len(pivots)], pivots
 
@@ -531,13 +532,13 @@ def _rref(a: list[list], inverse, reduce) -> tuple[list[list], list[int]]:
 def rref_rational(rows) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Q: (non-zero rows, pivot columns)."""
     return _rref([[Fraction(x) for x in row] for row in rows],
-                 lambda x: 1 / x, lambda x: x)
+                 lambda x: 1 / x, lambda row: row)
 
 
 def rref_mod(rows, p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over F_p: (non-zero rows, pivot columns)."""
     return _rref([[x % p for x in row] for row in rows],
-                 lambda x: pow(x, -1, p), lambda x: x % p)
+                 lambda x: pow(x, -1, p), lambda row: [x % p for x in row])
 
 
 def kernel_mod(rows, p: int, ncols: int) -> list[list[int]]:

@@ -65,13 +65,15 @@ class NumberField:
         if len(self.basis) != n or any(len(r) != n for r in self.basis):
             raise InvalidInput("basis must be a square matrix of size deg(f)")
         # element = sum c_i * basis_i means power coords x = B^T c, so the
-        # basis coordinates of theta^j are row j of B^-1
+        # basis coordinates of theta^j are row j of B^-1, kept as the integer
+        # rows of E * B^-1 and the least such E
         self._power_basis = self.basis == tuple(tuple(int(i == j) for j in range(n))
                                                 for i in range(n))
         try:
-            self._basis_inv = self.basis if self._power_basis else inverse_rational(self.basis)
+            inv = self.basis if self._power_basis else inverse_rational(self.basis)
         except ValueError:
             raise InvalidInput("basis rows are linearly dependent") from None
+        self._inv_num, self._inv_den = _over_denominator(inv)
         self._build_mult_table()
         # fields key the fixture store; a large basis is slow to hash
         self._hash = hash((self.min_poly, self.basis))
@@ -80,20 +82,13 @@ class NumberField:
 
     # -- construction helpers ------------------------------------------------
 
-    def _reduce_poly(self, coeffs: list[Fraction]) -> list[Fraction]:
-        """A polynomial in theta of any degree modulo the min poly, as n
-        power-basis coordinates."""
-        rem = pt.poly_divmod(coeffs, self.min_poly)[1]
-        return rem + [Fraction(0)] * (self.degree - len(rem))
-
-    def _to_basis(self, power_coords) -> list[Fraction]:
-        out = [Fraction(0)] * self.degree
-        for x, row in zip(power_coords, self._basis_inv):
-            if x:
-                for i, y in enumerate(row):
-                    if y:
-                        out[i] += x * y
-        return out
+    def _reduce_poly(self, coeffs: list) -> list:
+        """A polynomial in theta of any degree, with integer or rational
+        coefficients, modulo the min poly: n power-basis coordinates of the
+        same kind.  As f is monic, division needs no inverse (that of the
+        leading coefficient 1 is 1) and no normal form."""
+        rem = pt.divmod_over(coeffs, self.min_poly, _same, _same)[1]
+        return rem + [0] * (self.degree - len(rem))
 
     def _build_mult_table(self):
         n = self.degree
@@ -108,23 +103,27 @@ class NumberField:
             self.mult_table = tuple(tuple(tuple(pows[i + j]) for j in range(n))
                                     for i in range(n))
             return
-        one = self._to_basis([Fraction(1)] + [Fraction(0)] * (n - 1))
-        if any(x.denominator != 1 for x in one):
+        # basis = M / D and B^-1 = N / E: b_i b_j has the power coordinates
+        # (M_i M_j mod f) / D^2, so its basis coordinates are
+        # ((M_i M_j mod f) N) / (D^2 E), integers exactly when the basis is
+        # closed.  The table is symmetric, and the first failing pair in row
+        # order lies on or above the diagonal
+        m, d = _over_denominator(self.basis)
+        inv, e = self._inv_num, self._inv_den
+        if any(x % e for x in inv[0]):
             raise BasisNotClosed("1 is not in the span of the basis")
-        self._one = tuple(int(x) for x in one)
-        table = []
+        self._one = tuple(x // e for x in inv[0])
+        scale = d * d * e
+        table = [[()] * n for _ in range(n)]
         for i in range(n):
-            row = []
-            for j in range(n):
-                bc = self._to_basis(self._reduce_poly(
-                    pt.poly_mul(self.basis[i], self.basis[j])))
-                if any(x.denominator != 1 for x in bc):
+            for j in range(i, n):
+                bc = combine_rows(self._reduce_poly(pt.poly_mul(m[i], m[j])), inv)
+                if any(x % scale for x in bc):
                     raise BasisNotClosed(
                         f"basis element product b{i}*b{j} is not an integral combination"
                     )
-                row.append(tuple(int(x) for x in bc))
-            table.append(tuple(row))
-        self.mult_table = tuple(table)
+                table[i][j] = table[j][i] = tuple(x // scale for x in bc)
+        self.mult_table = tuple(tuple(row) for row in table)
 
     def int_mult_rows(self, wc) -> list[list[int]]:
         """Multiplication by the element w with integer integral-basis
@@ -137,7 +136,7 @@ class NumberField:
     def element(self, power_coords) -> "NFElement":
         """The element sum_j power_coords[j] * theta^j, of any length."""
         coords = self._reduce_poly([Fraction(x) for x in power_coords])
-        return self.from_basis_coords(self._to_basis(coords))
+        return self.from_basis_coords(combine_rows(coords, self._inv_num), self._inv_den)
 
     def zero(self) -> "NFElement":
         return NFElement(self, (0,) * self.degree)
@@ -188,10 +187,9 @@ class NumberField:
         integral; None otherwise."""
         if self._power_basis:
             return 1
-        if any(x.denominator != 1 for row in self._basis_inv for x in row):
+        if self._inv_den != 1:
             return None
-        return abs(IntMatrix.from_rows([[int(x) for x in row]
-                                        for row in self._basis_inv]).det())
+        return abs(IntMatrix.from_rows(self._inv_num).det())
 
     @cached_property
     def signature(self) -> tuple[int, int]:
@@ -256,6 +254,16 @@ class NumberField:
 
     def __hash__(self):
         return self._hash
+
+
+def _same(x):
+    return x
+
+
+def _over_denominator(rows) -> tuple[list[list[int]], int]:
+    """(R, d) with rows = R / d: the integer rows R over the least d > 0."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
 def _poly_matrix_det(entry, n):

@@ -37,6 +37,7 @@ from .ideals import (
     smooth_element,
 )
 from .intlinalg import (
+    Cokernel,
     FiniteAbelianGroup,
     FinGenAbGroup,
     IntMatrix,
@@ -213,13 +214,30 @@ def quadratic_class_number(d: int) -> int:
     norm +1."""
     if d < 0:
         w = {-3: 6, -4: 4}.get(d, 2)
-        total = w * sum(pt.kronecker(d, a) for a in range(1, -d // 2 + 1))
+        total = w * sum(_kronecker_table(d, -d // 2))
         h, rest = divmod(total, 2 * (2 - pt.kronecker(d, 2)))
         verify(rest == 0 and h > 0, "Dirichlet's formula gives a positive integer")
         return h
     x, y = _fundamental_unit_xy(d)
     cycles = _reduced_form_cycles(d)
     return cycles // 2 if x * x - d * y * y == 4 else cycles
+
+
+def _kronecker_table(d: int, limit: int) -> list[int]:
+    """The Kronecker symbols (d / a) for a = 0..limit, limit >= 1.  The
+    symbol is completely multiplicative in a, so a smallest-prime-factor
+    sieve needs it only at primes."""
+    spf = list(range(limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    chi = [0, 1] + [0] * (limit - 1)
+    for a in range(2, limit + 1):
+        p = spf[a]
+        chi[a] = pt.kronecker(d, a) if p == a else chi[p] * chi[a // p]
+    return chi
 
 
 def _reduced_form_cycles(d: int) -> int:
@@ -282,19 +300,19 @@ class ClassGroupData:
         return self._dlog(ideal)
 
 
-# a lower bound for pi: comparing with it can only err upward, and a larger
-# Minkowski bound only adds generator primes
-_PI_BELOW = Fraction(314159265358979, 10**14)
+# a lower bound for pi, as _PI_NUM / _PI_DEN: comparing with it can only err
+# upward, and a larger Minkowski bound only adds generator primes
+_PI_NUM, _PI_DEN = 314159265358979, 10**14
 
 
 def minkowski_bound(field: NumberField) -> int:
     """The floor of n!/n^n (4/pi)^r2 sqrt|d|, exactly: the largest m with
-    m^2 n^(2n) pi^(2 r2) <= (n!)^2 4^(2 r2) |d|."""
+    m^2 n^(2n) pi^(2 r2) <= (n!)^2 4^(2 r2) |d|, in integers."""
     n = field.degree
     _, r2 = field.signature
-    m_sq = (Fraction(math.factorial(n) ** 2 * 16**r2 * abs(field.discriminant), n ** (2 * n))
-            / _PI_BELOW ** (2 * r2))
-    return math.isqrt(math.floor(m_sq))
+    m_sq = ((math.factorial(n) ** 2 * 16**r2 * abs(field.discriminant) * _PI_DEN ** (2 * r2))
+            // (n ** (2 * n) * _PI_NUM ** (2 * r2)))
+    return math.isqrt(m_sq)
 
 
 _BOX_SCHEDULE = (4, 6, 8, 10, 16, 24, 40, 80, 160, 320, 640)
@@ -427,22 +445,25 @@ def _finish_class_group(field, places, gen_primes, rel_cols) -> ClassGroupData:
         x = field.from_basis_coords(coords, ideal.den)
         return [ideal.valuation(pr) - pr.valuation(x) for pr in gen_primes]
 
-    # S-quotient: kill the classes of the S-primes
-    s_coords = [ck.project(exponents_of(pr.ideal)) for pr in places.prime_ideals]
-    sub = presented_hom_cokernel(IntMatrix.from_cols(s_coords, len(ck.factors)),
-                                 IntMatrix.diagonal(ck.factors))
-    verify(sub.group.free_rank == 0, "the S-class group is finite")
-    group = sub.group.torsion
+    quotient = ck
+    if places.prime_ideals:
+        # S-quotient: kill the classes of the S-primes.  The columns of
+        # diag(ck.factors) are among its relations, so its projection
+        # composes with ck's into one presentation on the generator primes
+        s_coords = [ck.project(exponents_of(pr.ideal)) for pr in places.prime_ideals]
+        sub = presented_hom_cokernel(IntMatrix.from_cols(s_coords, len(ck.factors)),
+                                     IntMatrix.diagonal(ck.factors))
+        verify(sub.group.free_rank == 0, "the S-class group is finite")
+        quotient = Cokernel(sub.group, sub.basis_change * ck.basis_change, sub.factors,
+                            tuple(tuple(combine_rows(g, ck.generators))
+                                  for g in sub.generators))
+    group = quotient.group.torsion
 
     def dlog(ideal: FractionalIdeal) -> tuple[int, ...]:
-        return sub.project(ck.project(exponents_of(ideal)))
+        return quotient.project(exponents_of(ideal))
 
-    gens = []
-    for gvec in sub.generators:
-        # pull back: sub generator -> ck generator coords -> prime exponents
-        exp = combine_rows(gvec, ck.generators)
-        gens.append(FractionalIdeal.product(
-            field, ((pr.ideal, e) for pr, e in zip(gen_primes, exp))))
+    gens = [FractionalIdeal.product(field, ((pr.ideal, e) for pr, e in zip(gen_primes, exp)))
+            for exp in quotient.generators]
     return ClassGroupData(field, places, group, tuple(gens), "computed", dlog)
 
 

@@ -136,9 +136,12 @@ def test_oracle_check_injected_fault(tmp_path):
     ["analyze", "--field", "0,1", "--ell", "4"],           # ell not prime
     ["analyze", "--field", "0,1", "--ell", "3", "--places", "4"],
     ["analyze", "--field=2,0,1", "--ell", "3", "--basis", "[[1, 0"],
+    # (1, theta/2) on x^2 + 1 is not closed: (theta/2)^2 = -1/4
+    ["analyze", "--field=1,0,1", "--ell", "3", "--basis", '[[1, 0], [0, "1/2"]]'],
     ["analyze", "--field", "x", "--ell", "3"],
     ["analyze", "--field", "0,1", "--ell", "3", "--degrees", "4:-4"],
     ["analyze", "--field", "0,1"],                         # usage error
+    ["oracle-check", "--forms-bound", "-3"],               # would sweep nothing
     ["restrict", "--field", "0,1"],
     # the image 1 of x does not satisfy x = 0
     ["restrict", "--field", "0,1", "--ell", "3", "--target-field", "0,1",

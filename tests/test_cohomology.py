@@ -1,8 +1,13 @@
+import json
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2tate import cohomology
 from sl2tate.classify import NormalizerDescriptor, subgroup_classes
+from sl2tate.cli import main
 from sl2tate.cohomology import (
     DimensionFunction,
     component_ring,
@@ -11,7 +16,7 @@ from sl2tate.cohomology import (
     oracle_product,
     total_dimensions,
 )
-from sl2tate.intlinalg import FinGenAbGroup, FiniteAbelianGroup
+from sl2tate.intlinalg import FinGenAbGroup, FiniteAbelianGroup, rref_mod
 
 
 def _desc(kind, r, m):
@@ -66,6 +71,45 @@ def test_abelian_grid_matches_product_oracle(r, n, ell):
     desc = component_ring(_desc("Abelian", r, n), ell)
     for d in range(-12, 13):
         assert desc.dim(d) == oracle_product(n, r, ell, d)
+
+
+def _reference_differential(n, r, dd):
+    """The differential leaving total degree dd, written down directly: on
+    the Koszul summand of degree b (C(r, b) copies) it is the cyclic cochain
+    map leaving degree dd - b, 0 from even and n from odd degrees."""
+    diag = [n if (dd - b) % 2 else 0 for b in range(r + 1) for _ in range(comb(r, b))]
+    return [[x if i == j else 0 for j in range(len(diag))] for i, x in enumerate(diag)]
+
+
+def test_product_oracle_matches_a_reference_on_the_cli_grid(monkeypatch, tmp_path):
+    grid = [(ell, n, r) for ell in (3, 5) for n in (3, 5, 6, 15) for r in range(5)]
+    ranked = []
+
+    def counting_rref_mod(rows, p):
+        ranked.append(p)
+        return rref_mod(rows, p)
+
+    monkeypatch.setattr(cohomology, "rref_mod", counting_rref_mod)
+    cache = cohomology._product_differential_rank
+    cache.cache_clear()
+    for ell, n, r in grid:
+        for d in range(-12, 13):
+            ranks = [len(rref_mod(_reference_differential(n, r, dd), ell)[1])
+                     for dd in (d, d - 1)]
+            assert oracle_product(n, r, ell, d) == 2**r - sum(ranks)
+    # each differential (degrees -13..12) is eliminated once, not once per use
+    assert len(ranked) == cache.cache_info().currsize == len(grid) * 26
+    # the cache holds ranks, never matrices: a repeat is a hit returning an int
+    values = [cache(n, r, ell, dd) for ell, n, r in grid for dd in range(-13, 13)]
+    assert all(type(v) is int for v in values)
+    assert len(ranked) == len(grid) * 26
+    # a warm cache does not hide the injected fault
+    out = tmp_path / "r.json"
+    assert main(["oracle-check", "--forms-bound", "0", "--inject-fault",
+                 "--out", str(out)]) == 1
+    failed = [row["check"] for row in json.loads(out.read_text())["oracle_checks"]
+              if not row["pass"]]
+    assert failed == ["abelian ell=3 n=6 r=0"]
 
 
 @pytest.mark.parametrize("r", range(5))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sl2tate import polytools as pt
-from sl2tate.errors import IntegralBasisRequired, ReduciblePolynomial
+from sl2tate.errors import BasisNotClosed, IntegralBasisRequired, ReduciblePolynomial
 from sl2tate.intlinalg import IntMatrix, det_rational
 from sl2tate.numberfield import (
     FieldEmbedding,
@@ -395,3 +395,54 @@ def test_make_field_skips_factoring_for_cyclotomic_and_quadratic(monkeypatch):
     assert make_field([3, 1, 1]).degree == 2
     with pytest.raises(ReduciblePolynomial):
         make_field([-4, 0, 1])
+
+
+def _fraction_solve(rows, target):
+    """The x with sum_k x_k rows[k] = target, by Gauss-Jordan over Q."""
+    n = len(rows)
+    a = [[Fraction(rows[k][i]) for k in range(n)] + [Fraction(target[i])] for i in range(n)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if a[i][c])
+        a[c], a[piv] = a[piv], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for i in range(n):
+            f = a[i][c]
+            if i != c and f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return [row[n] for row in a]
+
+
+MULT_TABLE_FIELDS = {
+    # d = 1 mod 4: the basis (1, (1 + theta)/2)
+    "sqrt5": lambda: quadratic_field(5),
+    "sqrt-15": lambda: quadratic_field(-15),
+    # d != 1 mod 4: the power basis, and a user basis (1, 1 + theta)
+    "sqrt-5": lambda: quadratic_field(-5),
+    "sqrt-5_basis": lambda: make_field([5, 0, 1], basis=[[1, 0], [1, 1]]),
+    "sqrt10": lambda: quadratic_field(10),
+    "sqrt-5_zeta3": lambda: composite_field(quadratic_field(-5), cyclotomic_field(3))[0],
+    "cubic_basis": lambda: ELEMENT_FIELDS[-1],
+    # a closed basis of a non-maximal order
+    "Z[2sqrt-2]": lambda: make_field([2, 0, 1], basis=[[1, 0], [0, 2]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULT_TABLE_FIELDS))
+def test_integer_mult_table_matches_a_fraction_reference(name):
+    k = MULT_TABLE_FIELDS[name]()
+    b, n = k.basis, k.degree
+    for i in range(n):
+        for j in range(n):
+            entry = k.mult_table[i][j]
+            assert all(type(x) is int for x in entry)
+            assert list(entry) == _fraction_solve(b, _oracle_mul(k.min_poly, b[i], b[j]))
+    assert list(k.one().num) == _fraction_solve(b, [1] + [0] * (n - 1))
+
+
+@pytest.mark.parametrize("basis, message", [
+    ([[1, 0], [0, Fraction(1, 2)]], "basis element product b1*b1 is not an integral"),
+    ([[2, 0], [0, 1]], "1 is not in the span of the basis"),
+])
+def test_a_basis_not_closed_is_rejected(basis, message):
+    with pytest.raises(BasisNotClosed, match=message.replace("*", r"\*")):
+        make_field([1, 0, 1], basis=basis)

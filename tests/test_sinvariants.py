@@ -13,11 +13,14 @@ from sl2tate.errors import (
 )
 from sl2tate.ideals import FractionalIdeal, PrimeIdeal
 from sl2tate.intlinalg import FiniteAbelianGroup, IntMatrix
-from sl2tate.numberfield import cyclotomic_field, make_field, quadratic_field
+from sl2tate.numberfield import composite_field, cyclotomic_field, make_field, quadratic_field
 from sl2tate.sinvariants import (
     BackendStore,
     PlaceSet,
     UnitGroupData,
+    _class_group_relations,
+    _finish_class_group,
+    _kronecker_table,
     _real_quadratic_fundamental_unit,
     _reduced_form_cycles,
     certified_class_number,
@@ -340,6 +343,12 @@ def test_dirichlet_class_numbers_match_the_forms_oracle():
         assert quadratic_class_number(d) == forms_class_group_oracle(d).order, d
 
 
+@pytest.mark.parametrize("d", (-3, -4, -7, -8, -84, -399, -2999))
+def test_kronecker_table_is_the_symbol_at_every_argument(d):
+    limit = -d // 2
+    assert _kronecker_table(d, limit) == [0] + [pt.kronecker(d, a) for a in range(1, limit + 1)]
+
+
 def test_real_quadratic_class_numbers_count_cycles_of_reduced_forms():
     # Q(sqrt 79): h+ = 6 cycles and eps = 80 + 9 sqrt 79 of norm +1;
     # Q(sqrt 10): h+ = 2 and eps = 3 + sqrt 10 of norm -1
@@ -462,6 +471,48 @@ def test_minkowski_bound_exact_matches_float(d):
         bound = (math.factorial(n) / n**n * (4 / math.pi) ** r2
                  * math.sqrt(abs(field.discriminant)))
         assert minkowski_bound(field) == math.floor(bound)
+
+
+MINKOWSKI_FIELDS = {
+    "Q": lambda: make_field([0, 1]),
+    "sqrt-5": lambda: quadratic_field(-5),
+    "sqrt-3": lambda: quadratic_field(-3),
+    "sqrt5": lambda: quadratic_field(5),
+    "sqrt79": lambda: quadratic_field(79),
+    "sqrt-5_zeta3": lambda: composite_field(quadratic_field(-5), cyclotomic_field(3))[0],
+    "zeta5": lambda: cyclotomic_field(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MINKOWSKI_FIELDS))
+def test_minkowski_bound_matches_the_fraction_formula(name):
+    # the largest m with m^2 <= (n!)^2 16^r2 |d| / (n^(2n) pi^(2 r2)), pi
+    # taken from below as a Fraction
+    field = MINKOWSKI_FIELDS[name]()
+    n, (_, r2) = field.degree, field.signature
+    pi_below = Fraction(314159265358979, 10**14)
+    m_sq = (Fraction(math.factorial(n) ** 2 * 16**r2 * abs(field.discriminant), n ** (2 * n))
+            / pi_below ** (2 * r2))
+    assert minkowski_bound(field) == math.isqrt(math.floor(m_sq))
+
+
+@pytest.mark.parametrize("primes, factors", [((), (4,)), ((2,), (2,))])
+def test_finish_class_group_generators_have_unit_dlogs(monkeypatch, primes, factors):
+    # Cl(Q(sqrt -14)) = Z/4, and the ramified prime above 2 has order 2
+    from sl2tate import sinvariants
+
+    if not primes:
+        def refuse(*args):
+            raise AssertionError("a Smith form for the quotient by an empty S")
+        monkeypatch.setattr(sinvariants, "presented_hom_cokernel", refuse)
+    k = quadratic_field(-14)
+    places = PlaceSet.make(k, primes)
+    cl = _finish_class_group(k, places, *_class_group_relations(k))
+    assert cl.group.invariant_factors == factors
+    for i, g in enumerate(cl.generator_ideals):
+        assert cl.dlog(g) == tuple(int(i == j) for j in range(len(factors)))
+        assert cl.dlog(g ** factors[i]) == (0,) * len(factors)
+    assert all(not any(cl.dlog(pr.ideal)) for pr in places.prime_ideals)
 
 
 def test_degree_over_four_needs_backend():
